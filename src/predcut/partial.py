@@ -96,6 +96,9 @@ def solve_partial_rt(g: Graph, y: PartialPrediction, tau_grid: TauGrid = None,
 
     Infeasible grid points are skipped (tau = 0 is always feasible); ties
     between equal cuts keep the smaller tau, then the smaller draw index.
+    Every grid point shares one seed, pin set and subset, so feasibility is
+    monotone in tau (see solve_sdp): once a tau is found infeasible, every
+    tau at or above it is skipped without a solve.
     """
     if roundings < 1:
         raise ParameterError(f"roundings must be >= 1, got {roundings}")
@@ -104,11 +107,15 @@ def solve_partial_rt(g: Graph, y: PartialPrediction, tau_grid: TauGrid = None,
     subset = revealed_edge_set(g, y)
     best = None
     best_val = -np.inf
+    unreachable = np.inf
     for t_idx, tau in enumerate(grid.values):
+        if tau >= unreachable:
+            continue
         cfg = SdpConfig(fixed_labels=pins, subset_constraint=(subset, float(tau)),
                         seed=derive(seed, 0))
         sol = solve_sdp(g, cfg)
         if not sol.feasible_at_tau:
+            unreachable = tau
             continue
         for r in range(roundings):
             x = rt_round(sol, derive(seed, 1, t_idx, r))

@@ -2,8 +2,12 @@
 
 The relaxation max sum_{i<j} w_ij (1 - <v_i, v_j>)/2 over unit vectors is
 optimized on a rank-k factorization with k = ceil(sqrt(2n)) + 1, which is
-past the Burer-Monteiro rank threshold, by block-coordinate ascent: with
-all other rows fixed the optimal v_i is -u/||u|| for u = sum_j w_ij v_j.
+past the Burer-Monteiro rank threshold, by block-coordinate ascent (the
+Mixing method): with all other rows fixed the optimal v_i is -u/||u|| for
+u = sum_j w_ij v_j. The weights are held as a symmetric CSR matrix and the
+free vertices are coloured greedily in index order; each colour class is
+an independent set, so its rows are updated together from one sparse
+product and the update stays exact. A sweep costs O(nnz * k).
 
 Three optional constraint families:
   * fixed labels pin v_i = +-v_0 structurally (v_0 = e_1, never updated),
@@ -21,10 +25,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.stats import norm
 
 from .errors import DimensionError, ParameterError, ParseError
 from .graph import CutAssignment, Graph
+from .seeds import derive
 
 TRIANGLE_TOL = 1e-3
 SUBSET_TOL_FRAC = 1e-4
@@ -81,32 +87,66 @@ def _edge_contribution(g: Graph, V, edge_idx=None):
     return float(np.sum(w * (1.0 - dots)) / 2.0)
 
 
-def _coordinate_ascent(A, V, free, tol_abs, max_sweeps):
+def _edge_matrix(g: Graph, edge_idx=None):
+    """Symmetric CSR weight matrix over vertices, of all edges or of edge_idx."""
+    i, j, w = g.edge_i, g.edge_j, g.edge_w
+    if edge_idx is not None:
+        i, j, w = i[edge_idx], j[edge_idx], w[edge_idx]
+    return sp.csr_matrix((np.concatenate([w, w]),
+                          (np.concatenate([i, j]), np.concatenate([j, i]))),
+                         shape=(g.n, g.n))
+
+
+def _colour_classes(M, free):
+    """Greedy colouring of the free vertices of M in index order.
+
+    Each class is an independent set of M's sparsity pattern; pinned
+    vertices are never updated, so they constrain no colour.
+    """
+    indptr, indices = M.indptr.tolist(), M.indices.tolist()
+    colour = [-1] * M.shape[0]
+    classes = []
+    for i in free.tolist():
+        taken = {colour[j] for j in indices[indptr[i]:indptr[i + 1]]}
+        c = 0
+        while c in taken:
+            c += 1
+        colour[i] = c
+        if c == len(classes):
+            classes.append([])
+        classes[c].append(i)
+    return [np.array(c, dtype=np.intp) for c in classes]
+
+
+def _coordinate_ascent(M, V, classes, tol_abs, max_sweeps):
     """Block-coordinate ascent on the factorized relaxation, in place.
 
-    A is the (possibly multiplier-adjusted) weight matrix over vertices;
-    V holds vertex rows only. Sweeps stop when an entire pass improves the
-    objective by less than tol_abs.
+    M is the sparse (possibly multiplier-adjusted) weight matrix over
+    vertices; V holds vertex rows only. Each sweep updates the colour
+    classes in turn; sweeps stop when an entire pass improves the objective
+    by less than tol_abs. Returns (sweeps run, whether the tolerance was met).
     """
-    if not len(free):
-        return
+    if not classes:
+        return 0, True
+    blocks = [M[c] for c in classes]
     prev = None
     quiet = 0
-    for _ in range(max_sweeps):
-        for i in free:
-            u = A[i] @ V
-            nrm = np.linalg.norm(u)
-            if nrm > 1e-300:
-                V[i] = -u / nrm
-        obj = -0.5 * float(np.einsum("ik,ik->", V, A @ V))  # affine part dropped
+    for sweep in range(1, max_sweeps + 1):
+        for c, B in zip(classes, blocks):
+            U = B @ V
+            nrm = np.linalg.norm(U, axis=1)
+            ok = nrm > 1e-300
+            V[c[ok]] = -U[ok] / nrm[ok, None]
+        obj = -0.5 * float(np.einsum("ik,ik->", V, M @ V))  # affine part dropped
         # two consecutive low-gain sweeps guard the geometric tail of the gap
         if prev is not None and obj - prev < tol_abs:
             quiet += 1
             if quiet >= 2:
-                break
+                return sweep, True
         else:
             quiet = 0
         prev = obj
+    return max_sweeps, False
 
 
 def _triangle_terms(V, need_grad, chunk=24):
@@ -144,12 +184,6 @@ def _triangle_terms(V, need_grad, chunk=24):
             dG[i0:i1] += M.sum(axis=1)                   # d/dG[i,k]
             dG[i0:i1] -= P.sum(axis=2)                   # d/dG[i,j]
     return pen, maxv, dG
-
-
-def _salted(seed, *salts):
-    if isinstance(seed, (list, tuple)):
-        return list(seed) + list(salts)
-    return [int(seed), *salts]
 
 
 def _one_opt(A, x):
@@ -275,11 +309,12 @@ def solve_sdp(g: Graph, cfg: SdpConfig = None) -> SdpSolution:
     for v, s in pins.items():
         V[v] = s * v0
 
-    free = np.array([i for i in range(n) if i not in pins], dtype=np.intp)
     free_mask = np.ones(n, dtype=bool)
     free_mask[list(pins)] = False
-    A = g.adjacency
+    A = _edge_matrix(g)
+    classes = _colour_classes(A, np.flatnonzero(free_mask))
     tol_abs = cfg.tolerance * scale
+    runs = []       # (sweeps, tolerance met) of every coordinate-ascent run
 
     lam = 0.0
     feasible_at_tau = True
@@ -287,18 +322,20 @@ def solve_sdp(g: Graph, cfg: SdpConfig = None) -> SdpSolution:
         if subset_idx is not None:
             # empty subset contributes 0; only tau == 0 is satisfiable
             feasible_at_tau = tau <= SUBSET_TOL_FRAC * scale
-        _coordinate_ascent(A, V, free, tol_abs, cfg.max_iters)
+        runs.append(_coordinate_ascent(A, V, classes, tol_abs, cfg.max_iters))
     else:
-        A_sub = np.zeros_like(A)
-        ei, ej, ew = g.edge_i[subset_idx], g.edge_j[subset_idx], g.edge_w[subset_idx]
-        A_sub[ei, ej] = ew
-        A_sub[ej, ei] = ew
+        A_sub = _edge_matrix(g, subset_idx)
         sub_tol = SUBSET_TOL_FRAC * scale
 
         def run(l):
-            _coordinate_ascent(A + l * A_sub, V, free, tol_abs, cfg.max_iters)
+            runs.append(_coordinate_ascent(A + l * A_sub, V, classes, tol_abs, cfg.max_iters))
             return _edge_contribution(g, V, subset_idx)
 
+        # The ladder l = 0, 1, 2, ..., 2^20 starts from the seeded V and its
+        # path does not depend on tau until a rung meets tau. A tau that no
+        # rung meets is therefore unmet for every larger tau as well, with the
+        # same seed, pins and subset; solve_partial_rt relies on this to stop
+        # its tau sweep at the first infeasible threshold.
         s_val = run(0.0)
         if s_val < tau - sub_tol:
             lo, hi = 0.0, 1.0
@@ -335,7 +372,10 @@ def solve_sdp(g: Graph, cfg: SdpConfig = None) -> SdpSolution:
 
     max_triangle = None
     if cfg.triangle:
-        A_eff = A if lam == 0.0 else A + lam * _subset_matrix(g, subset_idx)
+        # the penalty rounds work on the dense Gram matrix, so they take
+        # dense weights as well
+        D = g.adjacency
+        A_eff = D if lam == 0.0 else (A + lam * A_sub).toarray()
         # relaxation-sanity floor: any integral cut embeds as an exactly
         # feasible point of this relaxation, so the stage must never return
         # less than the best cut it can find. Tiny instances enumerate the
@@ -348,10 +388,10 @@ def solve_sdp(g: Graph, cfg: SdpConfig = None) -> SdpSolution:
             floor_x = floor_cut.values
         else:
             for r in range(20):
-                rng_r = np.random.default_rng(_salted(cfg.seed, 90, r))
+                rng_r = np.random.default_rng(derive(cfg.seed, 90, r))
                 proj = V @ rng_r.standard_normal(k)
-                x = _one_opt(A, np.where(proj > 0, 1.0, -1.0))
-                val = 0.25 * (W - float(x @ A @ x))
+                x = _one_opt(D, np.where(proj > 0, 1.0, -1.0))
+                val = 0.25 * (W - float(x @ D @ x))
                 if val > floor_val:
                     floor_val, floor_x = val, x
         maxv = _penalty_continuation(A_eff, V, free_mask, scale,
@@ -361,7 +401,7 @@ def solve_sdp(g: Graph, cfg: SdpConfig = None) -> SdpSolution:
         # which starts near-feasible at the floor objective and climbs;
         # keep whichever feasible run scores higher
         blend = 0.02
-        rng_b = np.random.default_rng(_salted(cfg.seed, 91))
+        rng_b = np.random.default_rng(derive(cfg.seed, 91))
         V_b = ((1 - blend) * floor_x[:, None] * v0[None, :]
                + blend * rng_b.standard_normal((n, k)))
         V_b /= np.linalg.norm(V_b, axis=1, keepdims=True)
@@ -382,7 +422,8 @@ def solve_sdp(g: Graph, cfg: SdpConfig = None) -> SdpSolution:
         max_triangle = maxv
 
     full = np.vstack([v0, V])
-    report = {"unit_norm": float(np.max(np.abs(np.linalg.norm(full, axis=1) - 1.0)))}
+    report = {"unit_norm": float(np.max(np.abs(np.linalg.norm(full, axis=1) - 1.0))),
+              "sweeps": sum(r[0] for r in runs), "converged": all(r[1] for r in runs)}
     if pins:
         report["pins"] = float(max(np.linalg.norm(V[v] - s * v0) for v, s in pins.items()))
     if subset_idx is not None:
@@ -398,14 +439,6 @@ def solve_sdp(g: Graph, cfg: SdpConfig = None) -> SdpSolution:
         feasibility_report=report,
         feasible_at_tau=feasible_at_tau,
     )
-
-
-def _subset_matrix(g, subset_idx):
-    M = np.zeros((g.n, g.n))
-    ei, ej, ew = g.edge_i[subset_idx], g.edge_j[subset_idx], g.edge_w[subset_idx]
-    M[ei, ej] = ew
-    M[ej, ei] = ew
-    return M
 
 
 def round_by_direction(sol: SdpSolution, gvec) -> CutAssignment:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import predcut.partial
 from predcut.errors import ParameterError
 from predcut.exact import exact_maxcut
 from predcut.graph import Graph, cut_value, gen_erdos_renyi
@@ -152,3 +153,36 @@ def test_small_bound_sanity():
         ratios_rt.append(cut_value(g, rt) / opt)
     assert np.mean(ratios_gw) >= 0.85
     assert np.mean(ratios_rt) >= 0.85
+
+
+def test_rt_pruned_sweep_matches_unpruned_loop(monkeypatch):
+    g = gen_erdos_renyi(14, 0.5, "uniform", seed=113)
+    _, x_star = exact_maxcut(g)
+    y = sample_partial(x_star, 0.3, seed=114)
+    grid = TauGrid.for_graph(g, 0.1)
+    pins = {int(i): float(y.y[i]) for i in y.revealed_set}
+    subset = revealed_edge_set(g, y)
+    # reference: solve every grid point, as the sweep did before pruning
+    ref, ref_val, infeasible = None, -np.inf, 0
+    for t_idx, tau in enumerate(grid.values):
+        sol = solve_sdp(g, SdpConfig(fixed_labels=pins, subset_constraint=(subset, float(tau)),
+                                     seed=[5, 0]))
+        if not sol.feasible_at_tau:
+            infeasible += 1
+            continue
+        for r in range(4):
+            x = rt_round(sol, [5, 1, t_idx, r])
+            if cut_value(g, x) > ref_val:
+                ref, ref_val = x, cut_value(g, x)
+    assert infeasible >= 2
+
+    calls = []
+
+    def counting_solve(g, cfg):
+        calls.append(cfg)
+        return solve_sdp(g, cfg)
+
+    monkeypatch.setattr(predcut.partial, "solve_sdp", counting_solve)
+    out = solve_partial_rt(g, y, grid, seed=5, roundings=4)
+    assert np.array_equal(out.values, ref.values)
+    assert len(calls) == len(grid.values) - infeasible + 1

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from predcut.errors import DimensionError, ParameterError
 from predcut.exact import exact_maxcut
 from predcut.graph import Graph, cut_value, gen_erdos_renyi
-from predcut.sdp import (SdpConfig, SdpSolution, hyperplane_round, load_solution,
+from predcut.sdp import (SdpConfig, SdpSolution, _colour_classes, _coordinate_ascent,
+                         _edge_matrix, hyperplane_round, load_solution,
                          round_by_direction, rt_round, save_solution,
                          sdp_objective, solve_sdp)
 
@@ -231,3 +234,106 @@ def test_round_by_direction_matches_manual_signs():
     x = round_by_direction(sol, gvec)
     proj = sol.vertex_vectors @ gvec
     assert np.array_equal(x.values, np.where(proj > 0, 1.0, -1.0))
+
+
+def dense_objective(g, V):
+    """sum_{i<j} w_ij (1 - <v_i, v_j>)/2 from the dense Gram matrix."""
+    return 0.25 * (g.total_weight - float(np.sum(g.adjacency * (V @ V.T))))
+
+
+def random_unit_rows(rng, n, k):
+    V = rng.standard_normal((n, k))
+    return V / np.linalg.norm(V, axis=1, keepdims=True)
+
+
+def test_edge_matrix_matches_dense_adjacency():
+    rng = np.random.default_rng(46)
+    for _ in range(5):
+        g = random_graph(rng)
+        assert np.array_equal(_edge_matrix(g).toarray(), g.adjacency)
+        sub = np.flatnonzero(rng.random(g.num_edges) < 0.5)
+        ref = np.zeros((g.n, g.n))
+        for e in sub:
+            i, j, w = g.edges[e]
+            ref[i, j] = ref[j, i] = w
+        assert np.array_equal(_edge_matrix(g, sub).toarray(), ref)
+
+
+def test_colour_classes_partition_free_vertices_into_independent_sets():
+    rng = np.random.default_rng(47)
+    for _ in range(20):
+        g = random_graph(rng)
+        free = np.flatnonzero(rng.random(g.n) < 0.7)
+        classes = _colour_classes(_edge_matrix(g), free)
+        colour = {}
+        for c, members in enumerate(classes):
+            for v in members.tolist():
+                assert v not in colour
+                colour[v] = c
+        assert sorted(colour) == free.tolist()
+        for i, j, _ in g.edges:
+            if i in colour and j in colour:
+                assert colour[i] != colour[j]
+
+
+def test_ascent_objective_never_decreases():
+    rng = np.random.default_rng(48)
+    for n, p in ((40, 0.3), (25, 0.8)):
+        g = gen_erdos_renyi(n, p, "uniform", seed=n)
+        M = _edge_matrix(g)
+        classes = _colour_classes(M, np.arange(n))
+        V = random_unit_rows(rng, n, 8)
+        prev = dense_objective(g, V)
+        for _ in range(40):
+            assert _coordinate_ascent(M, V, classes, 0.0, 1) == (1, False)
+            obj = dense_objective(g, V)
+            assert obj >= prev - 1e-12 * g.total_weight
+            prev = obj
+
+
+def test_ascent_never_writes_pinned_rows():
+    rng = np.random.default_rng(49)
+    g = gen_erdos_renyi(15, 0.6, "uniform", seed=50)
+    M = _edge_matrix(g)
+    pinned = np.array([0, 4, 9, 14])
+    free = np.setdiff1d(np.arange(g.n), pinned)
+    V = random_unit_rows(rng, g.n, 7)
+    before = V.copy()
+    _coordinate_ascent(M, V, _colour_classes(M, free), 0.0, 50)
+    assert np.array_equal(V[pinned], before[pinned])
+    assert not np.array_equal(V[free], before[free])
+
+
+def test_zero_edges_and_isolated_vertices_keep_unit_rows():
+    graphs = (Graph(1, []), Graph(5, []), Graph(3, [(0, 1, 0.0)]),
+              Graph(6, [(0, 1, 1.0), (1, 2, 2.0)]))
+    for g in graphs:
+        sol = solve_sdp(g, SdpConfig(seed=3))
+        assert np.max(np.abs(np.linalg.norm(sol.vectors, axis=1) - 1.0)) <= 1e-12
+        assert sol.feasibility_report["converged"]
+    sol = solve_sdp(graphs[-1])
+    assert sol.objective_value == pytest.approx(3.0, abs=1e-9)
+
+
+def test_report_exposes_sweeps_and_the_cap():
+    g = gen_erdos_renyi(30, 0.4, "uniform", seed=51)
+    sol = solve_sdp(g, SdpConfig(seed=1))
+    assert sol.feasibility_report["converged"]
+    assert 2 <= sol.feasibility_report["sweeps"] < SdpConfig().max_iters
+    capped = solve_sdp(g, SdpConfig(seed=1, max_iters=2))
+    assert capped.feasibility_report["sweeps"] == 2
+    assert not capped.feasibility_report["converged"]
+    # every multiplier run of a subset solve counts toward the total
+    sub = solve_sdp(g, SdpConfig(seed=1, subset_constraint=(np.arange(10), 9.5)))
+    assert sub.feasibility_report["sweeps"] > sol.feasibility_report["sweeps"]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 9), p=st.floats(0.0, 1.0),
+       law=st.sampled_from(["unit", "uniform"]), seed=st.integers(0, 2 ** 31 - 1))
+def test_relaxation_dominates_exact_with_unit_vectors(n, p, law, seed):
+    g = gen_erdos_renyi(n, p, law, seed=seed)
+    opt, _ = exact_maxcut(g)
+    sol = solve_sdp(g, SdpConfig(seed=seed))
+    assert sol.objective_value >= opt - 1e-6 * max(g.total_weight, 1.0)
+    assert np.max(np.abs(np.linalg.norm(sol.vectors, axis=1) - 1.0)) <= 1e-6
