@@ -2,15 +2,15 @@
 
 from .errors import (ContractViolationError, DimensionError, DomainError,
                      ParameterError, ParseError, PredcutError)
-from .graph import (CutAssignment, Graph, WideNarrowReport, classify, cut_value,
-                    delta_prefix_weight, frac_objective, gen_erdos_renyi,
+from .graph import (CutAssignment, Graph, WideNarrowReport, best_cut, classify,
+                    cut_value, delta_prefix_weight, frac_objective, gen_erdos_renyi,
                     load_edge_list, save_edge_list, truncated_adjacency)
 from .predictions import (NoisyPrediction, PartialPrediction, bias_grid,
                           load_prediction, sample_noisy, sample_partial,
                           save_prediction, scaled_prediction)
 from .lp import AbsSumLp, LpGroup, LpSolution, solve as solve_lp
 from .sdp import (SdpConfig, SdpSolution, hyperplane_round, load_solution,
-                  rt_round, save_solution, sdp_objective, solve_sdp)
+                  rt_round, save_solution, sdp_objective, solve_gw, solve_sdp)
 from .exact import exact_csp, exact_maxcut
 from .wide import (ImbalanceEstimate, build_wide_lp, estimate_imbalance,
                    pipage_round, randomized_round_best, solve_wide)

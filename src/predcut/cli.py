@@ -19,18 +19,16 @@ import numpy as np
 from .csp import csp_value, load_csp, predicate_from_bits, solve_csp_wide
 from .errors import ParameterError, PredcutError
 from .exact import MAXCUT_LIMIT, exact_csp, exact_maxcut
-from .graph import (CutAssignment, classify, cut_value, gen_erdos_renyi,
-                    load_edge_list, save_edge_list)
+from .graph import (CutAssignment, cut_value, gen_erdos_renyi, load_edge_list,
+                    save_edge_list)
 from .narrow import solve_narrow
 from .partial import TauGrid, solve_partial_gw, solve_partial_rt
 from .pipeline import choose_delta, solve_noisy
 from .predictions import (NoisyPrediction, PartialPrediction, load_prediction,
                           sample_noisy, sample_partial, save_prediction)
-from .sdp import SdpConfig, hyperplane_round, solve_sdp
+from .sdp import SdpConfig, solve_gw, solve_sdp
 from .seeds import derive, seed_to_int
 from .wide import solve_wide
-
-NARROW_CLI_CAP = 200  # triangle SDP enumerates O(n^3) constraints
 
 ALGOS = ("oracle", "wide", "narrow", "auto", "gw", "gw-fixed", "rt", "prediction")
 # stable per-algorithm seed salts
@@ -67,12 +65,6 @@ def _prediction_as_cut(pred) -> CutAssignment:
     """The raw prediction as a cut; blank partial labels default to +1."""
     vals = np.where(pred.y == 0.0, 1.0, pred.y)
     return CutAssignment(values=vals)
-
-
-def _gw_cut(g, seed, roundings):
-    sol = solve_sdp(g, SdpConfig(seed=derive(seed, 0)))
-    return max((hyperplane_round(sol, derive(seed, 1, r)) for r in range(roundings)),
-               key=lambda c: cut_value(g, c))
 
 
 def cmd_gen_graph(args):
@@ -117,24 +109,18 @@ def _run_algo(algo, g, pred, args, seed):
         return solve_wide(g, pred, delta, args.eta, args.eps_prime,
                           rounding=args.rounding, seed=seed), None
     if algo == "narrow":
-        if g.n > NARROW_CLI_CAP:
-            raise ParameterError(f"narrow solver capped at n={NARROW_CLI_CAP} (triangle SDP)")
         if delta is None:
             raise ParameterError("narrow needs --delta (or a noisy prediction to derive it)")
         return solve_narrow(g, delta, args.eta, seed=seed, restarts=args.restarts), None
     if algo == "auto":
         _need(pred, NoisyPrediction, algo)
-        if g.n > NARROW_CLI_CAP:
-            rep = classify(g, delta, args.eta)
-            if not rep.is_wide:
-                raise ParameterError(f"narrow branch capped at n={NARROW_CLI_CAP}")
         cut, tag = solve_noisy(g, pred, args.eta, args.eps_prime, args.c_delta,
                                seed=seed, rounding=args.rounding,
                                narrow_restarts=args.restarts,
                                gw_roundings=args.roundings)
         return cut, tag
     if algo == "gw":
-        return _gw_cut(g, seed, args.roundings), None
+        return solve_gw(g, derive(seed, 0), derive(seed, 1), args.roundings), None
     if algo == "gw-fixed":
         _need(pred, PartialPrediction, algo)
         return solve_partial_gw(g, pred, seed=seed, roundings=args.roundings), None

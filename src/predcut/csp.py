@@ -21,10 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError, ParameterError, ParseError
-from .graph import CutAssignment, Graph, WEIGHT_TOL, WIDE, NARROW, _values_of
+from .graph import (CutAssignment, Graph, PrefixOrder, WideNarrowReport, wide_narrow_report,
+                    _values_of)
 from .lp import AbsSumLp, LpGroup, solve as lp_solve
 from .predictions import NoisyPrediction, scaled_prediction
-from .wide import rounding_trials
+from .wide import draw_roundings
 
 # evaluation order of the four truth-table entries in compact forms
 TABLE_ORDER = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -85,22 +86,6 @@ def predicate_from_bits(bits: str) -> Predicate:
 CUT_PREDICATE = fourier_expand([0, 1, 1, 0])
 
 
-@dataclass(frozen=True)
-class LiteralClassReport:
-    """Wide/narrow classification of literals and the instance."""
-
-    delta: int
-    eta: float
-    wide_mask: np.ndarray
-    wide_weight: float
-    narrow_weight: float
-    instance_class: str
-
-    @property
-    def is_wide(self):
-        return self.instance_class == WIDE
-
-
 class CspInstance:
     """Weighted multiset of signed binary constraints over one predicate.
 
@@ -148,6 +133,7 @@ class CspInstance:
         self.coeffs = coeffs
         self.total_weight = float(w_arr.sum())
         self._by_literal = None
+        self._prefix_order = None
 
     @property
     def num_constraints(self):
@@ -162,12 +148,16 @@ class CspInstance:
             self._by_literal = [np.array(ix, dtype=np.intp) for ix in order]
         return self._by_literal[i]
 
-    def literal_weight(self, i):
-        return float(self.weights[self.stored_for(i)].sum())
+    @property
+    def prefix_order(self):
+        """Oriented entries in delta-prefix order, equal weights in storage order (cached)."""
+        if self._prefix_order is None:
+            self._prefix_order = PrefixOrder(self.n, self.anchor, self.other, self.weights,
+                                             np.arange(len(self.weights)))
+        return self._prefix_order
 
     def polynomial(self):
         """(const, lin, quad) with val(x) * W = const + <lin, x> + <x, quad x>."""
-        const = 0.0
         lin = np.zeros(self.n)
         quad = np.zeros((self.n, self.n))
         w, a, o = self.weights, self.anchor, self.other
@@ -212,38 +202,16 @@ def maxcut_as_csp(g: Graph) -> CspInstance:
     return CspInstance(g.n, CUT_PREDICATE, constraints)
 
 
-def classify_literals(inst: CspInstance, delta: int, eta: float) -> LiteralClassReport:
-    """Wide/narrow split of literals by their delta heaviest constraints."""
-    if not (0.0 < eta < 0.5):
-        raise ParameterError(f"eta must lie in (0, 1/2), got {eta}")
-    if delta < 1:
-        raise ParameterError(f"delta must be >= 1, got {delta}")
-    wide = np.empty(inst.n, dtype=bool)
-    for i in range(inst.n):
-        ws = inst.weights[inst.stored_for(i)]
-        Wi = float(ws.sum())
-        prefix = float(np.sort(ws)[::-1][: int(delta)].sum())
-        wide[i] = prefix <= eta * Wi + WEIGHT_TOL
-    weights_per = np.array([inst.literal_weight(i) for i in range(inst.n)])
-    wide_weight = float(weights_per[wide].sum())
-    narrow_weight = float(weights_per[~wide].sum())
-    cls = WIDE if wide_weight >= (1.0 - eta) * inst.total_weight - WEIGHT_TOL else NARROW
-    return LiteralClassReport(delta=int(delta), eta=float(eta), wide_mask=wide,
-                              wide_weight=wide_weight, narrow_weight=narrow_weight,
-                              instance_class=cls)
+def classify_literals(inst: CspInstance, delta: int, eta: float) -> WideNarrowReport:
+    """Wide/narrow split of literals by their delta heaviest constraints.
 
-
-def _prefix_suffix(inst: CspInstance, i, delta):
-    """Stored-entry indices of the delta-prefix and delta-suffix of S_i.
-
-    The prefix takes the delta heaviest entries, breaking weight ties by
-    storage order for determinism.
+    Per-literal weights are numpy sums over the literal's entries, as in
+    build_csp_lp.
     """
-    idx = inst.stored_for(i)
-    ws = inst.weights[idx]
-    order = np.argsort(-ws, kind="stable")
-    k = min(int(delta), len(idx))
-    return idx[order[:k]], idx[order[k:]]
+    po = inst.prefix_order
+    prefix = np.array([po.weight[po.span(i, delta)[0]].sum() for i in range(inst.n)])
+    totals = np.array([inst.weights[inst.stored_for(i)].sum() for i in range(inst.n)])
+    return wide_narrow_report(delta, eta, prefix, totals, inst.total_weight)
 
 
 def build_csp_lp(inst: CspInstance, z, delta: int, eta: float, eps_prime: float,
@@ -260,6 +228,7 @@ def build_csp_lp(inst: CspInstance, z, delta: int, eta: float, eps_prime: float,
     if z.shape != (inst.n,):
         raise DimensionError("scaled prediction length mismatch")
     report = classify_literals(inst, delta, eta)
+    po = inst.prefix_order
     n = inst.n
     w, other = inst.weights, inst.other
     a0, a1, a2, a12 = inst.coeffs.T
@@ -268,29 +237,25 @@ def build_csp_lp(inst: CspInstance, z, delta: int, eta: float, eps_prime: float,
     forms_g = []
     forms_h = []
     for i in range(n):
-        prefix, suffix = _prefix_suffix(inst, i, delta)
         if report.wide_mask[i]:
-            if len(suffix):
-                # objective: terms affine in x_i with the partner frozen at Z
-                objective[i] += float(np.sum(w[suffix] * (a1[suffix] + a12[suffix] * z[other[suffix]])))
-                # deviation form: sum w (a2 + a12)(x_partner - Z_partner)
-                gvec = np.zeros(n)
-                kappa = w[suffix] * (a2[suffix] + a12[suffix])
-                np.add.at(gvec, other[suffix], kappa)
-                forms_g.append(gvec)
-                forms_h.append(-float(np.sum(kappa * z[other[suffix]])))
-            if len(prefix):
-                gvec = np.zeros(n)
-                np.add.at(gvec, other[prefix], w[prefix] * (a2[prefix] + a12[prefix]))
-                forms_g.append(gvec)
-                forms_h.append(float(np.sum(w[prefix] * (a0[prefix] + a1[prefix]))))
+            head, tail = (po.entries[s] for s in po.span(i, delta))
         else:
-            idx = inst.stored_for(i)
-            if len(idx):
-                gvec = np.zeros(n)
-                np.add.at(gvec, other[idx], w[idx] * (a2[idx] + a12[idx]))
-                forms_g.append(gvec)
-                forms_h.append(float(np.sum(w[idx] * (a0[idx] + a1[idx]))))
+            # a narrow literal keeps every entry exact, in storage order
+            head, tail = inst.stored_for(i), ()
+        if len(tail):
+            # objective: terms affine in x_i with the partner frozen at Z
+            objective[i] += float(np.sum(w[tail] * (a1[tail] + a12[tail] * z[other[tail]])))
+            # deviation form: sum w (a2 + a12)(x_partner - Z_partner)
+            gvec = np.zeros(n)
+            kappa = w[tail] * (a2[tail] + a12[tail])
+            np.add.at(gvec, other[tail], kappa)
+            forms_g.append(gvec)
+            forms_h.append(-float(np.sum(kappa * z[other[tail]])))
+        if len(head):
+            gvec = np.zeros(n)
+            np.add.at(gvec, other[head], w[head] * (a2[head] + a12[head]))
+            forms_g.append(gvec)
+            forms_h.append(float(np.sum(w[head] * (a0[head] + a1[head]))))
 
     budget = C * (eps_prime + 2.0 * eta) * inst.total_weight
     groups = []
@@ -312,12 +277,8 @@ def solve_csp_wide(inst: CspInstance, y: NoisyPrediction, delta: int, eta: float
     sol = lp_solve(lp)
     if not sol.optimal:
         return CutAssignment(values=y.y.copy())
-    x_hat = np.clip(sol.x, -1.0, 1.0)
-    T = rounding_trials(eta)
-    rng = np.random.default_rng(seed)
-    U = rng.random((T, inst.n))
-    X = np.where(U < (1.0 + x_hat) / 2.0, 1.0, -1.0)
-    best = max(range(T), key=lambda t: (csp_value(inst, X[t]), -t))
+    X = draw_roundings(np.clip(sol.x, -1.0, 1.0), eta, seed)
+    best = int(np.argmax([csp_value(inst, x) for x in X]))   # earliest on ties
     return CutAssignment(values=X[best])
 
 

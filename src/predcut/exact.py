@@ -1,8 +1,9 @@
 """Brute-force exact optimizers used as ground truth in tests.
 
-Both enumerations split the variables into head and tail halves and score
-all combinations with one matrix product per head block (meet in the
-middle), which keeps n = 24 under a few seconds without leaving numpy.
+Both maximize a quadratic form over {-1,+1}^n with one meet-in-the-middle
+search: the variables split into head and tail halves and all
+combinations are scored with one matrix product per head block, which
+keeps n = 24 under a few seconds without leaving numpy.
 """
 
 from __future__ import annotations
@@ -25,63 +26,27 @@ def _sign_table(bits: int) -> np.ndarray:
     return 1.0 - 2.0 * np.stack(cols, axis=1).astype(np.float64)
 
 
-def exact_maxcut(g: Graph):
-    """(optimal cut value, one optimal assignment) by exhaustive search.
+def _max_quadratic(lin, Q, pin_first=False):
+    """(max of <lin, x> + <x, Q x> over x in {-1,+1}^n, one maximizer).
 
-    Fixes x_0 = +1 by the global flip symmetry, so 2^(n-1) candidates.
+    The head half enumerates 2^h sign rows (x_0 = +1 when pin_first), the
+    tail half 2^t; each block of head rows is scored against every tail row
+    with one matrix product. Ties keep the first maximizer in enumeration
+    order.
     """
-    n = g.n
-    if n > MAXCUT_LIMIT:
-        raise ParameterError(f"exact_maxcut enumerates up to n={MAXCUT_LIMIT}, got {n}")
-    A = g.adjacency
-    h = (n + 1) // 2
-    t = n - h
-    H = _sign_table(h - 1)
-    H = np.hstack([np.ones((H.shape[0], 1)), H])  # x_0 pinned to +1
-    T = _sign_table(t)
-    A_hh = A[:h, :h]
-    A_ht = A[:h, h:]
-    A_tt = A[h:, h:]
-    qh = np.einsum("ri,ij,rj->r", H, A_hh, H)
-    qt = np.einsum("ri,ij,rj->r", T, A_tt, T)
-    best_q = np.inf
-    best = None
-    chunk = 2048
-    cross_base = H @ A_ht if t else None
-    for r0 in range(0, H.shape[0], chunk):
-        r1 = min(r0 + chunk, H.shape[0])
-        total = qh[r0:r1, None] + qt[None, :]
-        if t:
-            total = total + 2.0 * (cross_base[r0:r1] @ T.T)
-        flat = int(np.argmin(total))
-        rr, tt = divmod(flat, T.shape[0])
-        if total[rr, tt] < best_q:
-            best_q = float(total[rr, tt])
-            best = np.concatenate([H[r0 + rr], T[tt]])
-    opt = 0.25 * (g.total_weight - best_q)
-    return opt, CutAssignment(values=best)
-
-
-def exact_csp(inst):
-    """(optimal normalized value, one optimal assignment) by exhaustive search."""
-    n = inst.n
-    if n > CSP_LIMIT:
-        raise ParameterError(f"exact_csp enumerates up to n={CSP_LIMIT}, got {n}")
-    const, lin, quad = inst.polynomial()
+    n = len(lin)
     h = (n + 1) // 2
     t = n - h
     H = _sign_table(h)
+    if pin_first:
+        H = np.ascontiguousarray(H[::2])    # the rows with x_0 = +1, in order
     T = _sign_table(t)
-    Q_hh = quad[:h, :h]
-    Q_ht = quad[:h, h:]
-    Q_th = quad[h:, :h]
-    Q_tt = quad[h:, h:]
-    sh = np.einsum("ri,ij,rj->r", H, Q_hh, H) + H @ lin[:h]
-    st = np.einsum("ri,ij,rj->r", T, Q_tt, T) + T @ lin[h:]
+    sh = np.einsum("ri,ij,rj->r", H, Q[:h, :h], H) + H @ lin[:h]
+    st = np.einsum("ri,ij,rj->r", T, Q[h:, h:], T) + T @ lin[h:]
+    cross = H @ (Q[:h, h:] + Q[h:, :h].T) if t else None
     best_s = -np.inf
     best = None
     chunk = 2048
-    cross = (H @ (Q_ht + Q_th.T)) if t else None
     for r0 in range(0, H.shape[0], chunk):
         r1 = min(r0 + chunk, H.shape[0])
         total = sh[r0:r1, None] + st[None, :]
@@ -91,6 +56,29 @@ def exact_csp(inst):
         rr, tt = divmod(flat, T.shape[0])
         if total[rr, tt] > best_s:
             best_s = float(total[rr, tt])
-            best = np.concatenate([H[r0 + rr], T[tt]]) if t else H[r0 + rr].copy()
-    opt = (const + best_s) / inst.total_weight if inst.total_weight > 0 else 0.0
-    return opt, CutAssignment(values=best)
+            best = np.concatenate([H[r0 + rr], T[tt]])
+    return best_s, best
+
+
+def exact_maxcut(g: Graph):
+    """(optimal cut value, one optimal assignment) by exhaustive search.
+
+    The cut is (W - <x, Ax>) / 4; x_0 = +1 by the global flip symmetry, so
+    2^(n-1) candidates.
+    """
+    n = g.n
+    if n > MAXCUT_LIMIT:
+        raise ParameterError(f"exact_maxcut enumerates up to n={MAXCUT_LIMIT}, got {n}")
+    best, x = _max_quadratic(np.zeros(n), -g.adjacency, pin_first=True)
+    return 0.25 * (g.total_weight + best), CutAssignment(values=x)
+
+
+def exact_csp(inst):
+    """(optimal normalized value, one optimal assignment) by exhaustive search."""
+    n = inst.n
+    if n > CSP_LIMIT:
+        raise ParameterError(f"exact_csp enumerates up to n={CSP_LIMIT}, got {n}")
+    const, lin, quad = inst.polynomial()
+    best, x = _max_quadratic(lin, quad)
+    opt = (const + best) / inst.total_weight if inst.total_weight > 0 else 0.0
+    return opt, CutAssignment(values=x)

@@ -9,7 +9,9 @@ with L = D - A.
 The "delta-prefix" of a vertex is its delta heaviest incident edges
 (ties broken toward the lower neighbor index); a vertex is wide when the
 prefix carries at most an eta fraction of its weighted degree, and a graph
-is wide when wide vertices carry at least a 1-eta fraction of W.
+is wide when wide vertices carry at least a 1-eta fraction of W. The same
+split applies to the literals of a 2-CSP (csp.py); both go through one
+PrefixOrder of (owner, neighbour, weight) entries.
 """
 
 from __future__ import annotations
@@ -77,9 +79,7 @@ class Graph:
                 raise DimensionError("planted assignment length mismatch")
         self.planted = planted
 
-        # per-vertex incident edges sorted by (-weight, neighbor index),
-        # with prefix-weight cumsums; built lazily on first prefix query
-        self._sorted_incident = None
+        self._prefix_order = None   # built on the first prefix query
 
     @property
     def num_edges(self):
@@ -89,28 +89,47 @@ class Graph:
     def laplacian(self):
         return np.diag(self.weighted_degrees) - self.adjacency
 
-    def neighbors(self, i):
-        """Pairs (j, w) of neighbors of i with positive-weight edges."""
-        self._check_vertex(i)
-        row = self.adjacency[i]
-        js = np.nonzero(row)[0]
-        return [(int(j), float(row[j])) for j in js]
+    @property
+    def prefix_order(self):
+        """Both orientations of every edge, in delta-prefix order (cached)."""
+        if self._prefix_order is None:
+            owner = np.concatenate([self.edge_i, self.edge_j])
+            other = np.concatenate([self.edge_j, self.edge_i])
+            self._prefix_order = PrefixOrder(self.n, owner, other,
+                                             np.concatenate([self.edge_w, self.edge_w]), other)
+        return self._prefix_order
 
-    def _check_vertex(self, i):
-        if not (0 <= i < self.n):
-            raise DomainError(f"invalid vertex id {i}")
 
-    def _incident(self, i):
-        if self._sorted_incident is None:
-            self._sorted_incident = [None] * self.n
-        if self._sorted_incident[i] is None:
-            row = self.adjacency[i]
-            js = np.nonzero(row)[0]
-            order = np.lexsort((js, -row[js]))
-            js = js[order]
-            ws = row[js]
-            self._sorted_incident[i] = (js, ws, np.concatenate(([0.0], np.cumsum(ws))))
-        return self._sorted_incident[i]
+class PrefixOrder:
+    """Weighted (owner, other) entries grouped by owner, heaviest first.
+
+    Equal weights keep the order of `tiebreak`: the neighbour index for
+    graphs, the storage position for CSPs. Owner i's entries sit at
+    positions indptr[i]:indptr[i+1]; `entries` maps a position back to
+    the caller's entry index, and the delta-prefix of i is its first
+    delta positions.
+    """
+
+    def __init__(self, n, owner, other, weight, tiebreak):
+        self.entries = np.lexsort((tiebreak, -weight, owner))
+        self.other = other[self.entries]
+        self.weight = weight[self.entries]
+        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=n))))
+
+    def span(self, i, delta):
+        """Positions of owner i's delta-prefix and of the rest, as two slices."""
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        cut = min(lo + int(delta), hi)
+        return slice(lo, cut), slice(cut, hi)
+
+    def prefix_weights(self, delta):
+        """Per-owner sum of the delta heaviest weights, added heaviest first."""
+        deg = np.diff(self.indptr)
+        total = np.zeros(len(deg))
+        for r in range(min(int(delta), int(deg.max(initial=0)))):
+            has = deg > r
+            total[has] += self.weight[self.indptr[:-1][has] + r]
+        return total
 
 
 @dataclass(frozen=True)
@@ -136,21 +155,18 @@ class CutAssignment:
 
 @dataclass(frozen=True)
 class WideNarrowReport:
-    """Per-vertex wide/narrow classification and the resulting graph class."""
+    """Wide/narrow split of the vertices (or CSP literals) and the resulting class."""
 
     delta: int
     eta: float
-    wide_mask: np.ndarray  # bool per vertex, True = wide
-    wide_weight: float     # summed weighted degree of wide vertices
+    wide_mask: np.ndarray  # bool per vertex or literal, True = wide
+    wide_weight: float     # summed weighted degree of the wide ones
     narrow_weight: float
     graph_class: str       # WIDE or NARROW
 
     @property
     def is_wide(self):
         return self.graph_class == WIDE
-
-    def vertex_class(self, i):
-        return WIDE if self.wide_mask[i] else NARROW
 
 
 def _values_of(x, n=None, integral=None):
@@ -164,6 +180,11 @@ def _values_of(x, n=None, integral=None):
     if n is not None and vals.shape != (n,):
         raise DimensionError(f"assignment length {vals.shape} != vertex count {n}")
     return vals
+
+
+def best_cut(g: Graph, cuts) -> CutAssignment:
+    """The earliest of the cuts with the largest cut_value."""
+    return max(cuts, key=lambda c: cut_value(g, c))
 
 
 def cut_value(g: Graph, x) -> float:
@@ -195,12 +216,36 @@ def delta_prefix_weight(g: Graph, i: int, delta: int) -> float:
     Ties between equal weights prefer the lower neighbor index. Returns W_i
     when delta is at least the degree.
     """
-    g._check_vertex(i)
+    if not (0 <= i < g.n):
+        raise DomainError(f"invalid vertex id {i}")
     if delta < 0:
         raise ParameterError(f"delta must be >= 0, got {delta}")
-    _, _, cum = g._incident(i)
-    k = min(int(delta), len(cum) - 1)
-    return float(cum[k])
+    return float(g.prefix_order.prefix_weights(delta)[i])
+
+
+def wide_mask(prefix, totals, eta) -> np.ndarray:
+    """Owners whose delta-prefix weight is at most eta times their total."""
+    return prefix <= eta * totals + WEIGHT_TOL
+
+
+def wide_narrow_report(delta, eta, prefix, totals, total_weight) -> WideNarrowReport:
+    """Classify owners by wide_mask and the whole instance by the wide share."""
+    if not (0.0 < eta < 0.5):
+        raise ParameterError(f"eta must lie in (0, 1/2), got {eta}")
+    if delta < 1:
+        raise ParameterError(f"delta must be >= 1, got {delta}")
+    wide = wide_mask(prefix, totals, eta)
+    wide_weight = float(totals[wide].sum())
+    narrow_weight = float(totals[~wide].sum())
+    graph_class = WIDE if wide_weight >= (1.0 - eta) * total_weight - WEIGHT_TOL else NARROW
+    return WideNarrowReport(
+        delta=int(delta),
+        eta=float(eta),
+        wide_mask=wide,
+        wide_weight=wide_weight,
+        narrow_weight=narrow_weight,
+        graph_class=graph_class,
+    )
 
 
 def classify(g: Graph, delta: int, eta: float) -> WideNarrowReport:
@@ -210,24 +255,8 @@ def classify(g: Graph, delta: int, eta: float) -> WideNarrowReport:
     (zero-degree vertices are vacuously wide); the graph is wide iff wide
     vertices carry at least (1 - eta) of the total degree weight W.
     """
-    if not (0.0 < eta < 0.5):
-        raise ParameterError(f"eta must lie in (0, 1/2), got {eta}")
-    if delta < 1:
-        raise ParameterError(f"delta must be >= 1, got {delta}")
-    wide = np.empty(g.n, dtype=bool)
-    for i in range(g.n):
-        wide[i] = delta_prefix_weight(g, i, delta) <= eta * g.weighted_degrees[i] + WEIGHT_TOL
-    wide_weight = float(g.weighted_degrees[wide].sum())
-    narrow_weight = float(g.weighted_degrees[~wide].sum())
-    graph_class = WIDE if wide_weight >= (1.0 - eta) * g.total_weight - WEIGHT_TOL else NARROW
-    return WideNarrowReport(
-        delta=int(delta),
-        eta=float(eta),
-        wide_mask=wide,
-        wide_weight=wide_weight,
-        narrow_weight=narrow_weight,
-        graph_class=graph_class,
-    )
+    return wide_narrow_report(delta, eta, g.prefix_order.prefix_weights(delta),
+                              g.weighted_degrees, g.total_weight)
 
 
 def truncated_adjacency(g: Graph, delta: int) -> np.ndarray:
@@ -240,11 +269,10 @@ def truncated_adjacency(g: Graph, delta: int) -> np.ndarray:
     if delta < 0:
         raise ParameterError(f"delta must be >= 0, got {delta}")
     At = np.array(g.adjacency, copy=True)
-    if delta == 0:
-        return At
-    for i in range(g.n):
-        js, _, _ = g._incident(i)
-        At[i, js[: int(delta)]] = 0.0
+    po = g.prefix_order
+    owner = np.repeat(np.arange(g.n), np.diff(po.indptr))
+    head = np.arange(len(owner)) - po.indptr[owner] < delta
+    At[owner[head], po.other[head]] = 0.0
     return At
 
 

@@ -125,10 +125,8 @@ def solve(lp: AbsSumLp) -> LpSolution:
         A_ub = b_ub = None
 
     bounds = [(-1.0, 1.0)] * n
-    boff = n
     for grp in lp.groups:
         bounds.extend([(0.0, grp.budget)] * grp.coeffs.shape[0])
-        boff += grp.coeffs.shape[0]
 
     res = linprog(c_full, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if res.status == 2:

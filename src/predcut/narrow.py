@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, ParameterError
-from .graph import CutAssignment, Graph, cut_value, _values_of
+from .graph import CutAssignment, Graph, best_cut, cut_value, _values_of
 from .sdp import SdpConfig, SdpSolution, round_by_direction, solve_sdp
 from .seeds import derive
 
@@ -102,15 +102,9 @@ def solve_narrow(g: Graph, delta: float, eta: float, seed=0, restarts: int = 20,
         raise ParameterError(f"restarts must be >= 1, got {restarts}")
     band = fkl_band_width(delta, eta, band_scale)
     sol = solve_sdp(g, SdpConfig(triangle=True, seed=sdp_seed if sdp_seed is not None else derive(seed, 0)))
-    best = None
-    best_val = -np.inf
-    for r in range(restarts):
-        rng = np.random.default_rng(derive(seed, 1, r))
-        gvec = rng.standard_normal(sol.dim)
-        x_hat = round_by_direction(sol, gvec)
-        flipped, _ = flip_step(g, x_hat, sol, gvec, band)
-        val = cut_value(g, flipped)
-        if val > best_val:
-            best_val = val
-            best = flipped
-    return best
+
+    def restart(r):
+        gvec = np.random.default_rng(derive(seed, 1, r)).standard_normal(sol.dim)
+        return flip_step(g, round_by_direction(sol, gvec), sol, gvec, band)[0]
+
+    return best_cut(g, (restart(r) for r in range(restarts)))

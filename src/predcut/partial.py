@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .graph import CutAssignment, Graph, cut_value
+from .graph import CutAssignment, Graph, best_cut
 from .predictions import PartialPrediction
-from .sdp import SdpConfig, hyperplane_round, rt_round, solve_sdp
+from .sdp import SdpConfig, rt_round, solve_gw, solve_sdp
 from .seeds import derive
 
 DEFAULT_TAU_STEP = 0.05
@@ -55,39 +55,9 @@ def _pins_of(y: PartialPrediction) -> dict:
     return {int(i): float(y.y[i]) for i in y.revealed_set}
 
 
-def _align_to_pins(x: CutAssignment, pins: dict) -> CutAssignment:
-    """Global flip (free for the cut value) so pinned vertices match.
-
-    All pins sit at +-v_0, so one flip aligns them all; only a rounding
-    direction exactly orthogonal to v_0 (measure zero) needs the explicit
-    fix-up at the end.
-    """
-    if not pins:
-        return x
-    v, s = next(iter(pins.items()))
-    vals = -x.values if x.values[v] != s else x.values
-    if any(vals[u] != t for u, t in pins.items()):
-        vals = vals.copy()
-        for u, t in pins.items():
-            vals[u] = t
-    return CutAssignment(values=vals)
-
-
 def solve_partial_gw(g: Graph, y: PartialPrediction, seed=0, roundings: int = 20) -> CutAssignment:
     """Label-fixed SDP plus best-of hyperplane roundings."""
-    if roundings < 1:
-        raise ParameterError(f"roundings must be >= 1, got {roundings}")
-    pins = _pins_of(y)
-    sol = solve_sdp(g, SdpConfig(fixed_labels=pins, seed=derive(seed, 0)))
-    best = None
-    best_val = -np.inf
-    for r in range(roundings):
-        x = _align_to_pins(hyperplane_round(sol, derive(seed, 1, r)), pins)
-        val = cut_value(g, x)
-        if val > best_val:
-            best_val = val
-            best = x
-    return best
+    return solve_gw(g, derive(seed, 0), derive(seed, 1), roundings, pins=_pins_of(y))
 
 
 def solve_partial_rt(g: Graph, y: PartialPrediction, tau_grid: TauGrid = None,
@@ -105,22 +75,19 @@ def solve_partial_rt(g: Graph, y: PartialPrediction, tau_grid: TauGrid = None,
     grid = tau_grid or TauGrid.for_graph(g)
     pins = _pins_of(y)
     subset = revealed_edge_set(g, y)
-    best = None
-    best_val = -np.inf
-    unreachable = np.inf
-    for t_idx, tau in enumerate(grid.values):
-        if tau >= unreachable:
-            continue
-        cfg = SdpConfig(fixed_labels=pins, subset_constraint=(subset, float(tau)),
-                        seed=derive(seed, 0))
-        sol = solve_sdp(g, cfg)
-        if not sol.feasible_at_tau:
-            unreachable = tau
-            continue
-        for r in range(roundings):
-            x = rt_round(sol, derive(seed, 1, t_idx, r))
-            val = cut_value(g, x)
-            if val > best_val:
-                best_val = val
-                best = x
-    return best
+
+    def grid_roundings():
+        unreachable = np.inf
+        for t_idx, tau in enumerate(grid.values):
+            if tau >= unreachable:
+                continue
+            cfg = SdpConfig(fixed_labels=pins, subset_constraint=(subset, float(tau)),
+                            seed=derive(seed, 0))
+            sol = solve_sdp(g, cfg)
+            if not sol.feasible_at_tau:
+                unreachable = tau
+                continue
+            for r in range(roundings):
+                yield rt_round(sol, derive(seed, 1, t_idx, r))
+
+    return best_cut(g, grid_roundings())

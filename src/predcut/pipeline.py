@@ -10,16 +10,12 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .graph import CutAssignment, Graph, classify, cut_value
+from .graph import CutAssignment, Graph, best_cut, classify
 from .narrow import solve_narrow
 from .predictions import NoisyPrediction
-from .sdp import SdpConfig, hyperplane_round, solve_sdp
+from .sdp import solve_gw
 from .seeds import derive
 from .wide import REPEAT, solve_wide
-
-BRANCH_PRIORITY = ("wide", "narrow", "gw", "prediction")
 
 
 def choose_delta(epsilon: float, eps_prime: float, c_delta: float = 1.0) -> int:
@@ -33,7 +29,8 @@ def solve_noisy(g: Graph, y: NoisyPrediction, eta: float = 0.05, eps_prime: floa
     """Best cut over {dispatched specialist, GW, raw prediction}.
 
     Returns (cut, tag) where tag names the winning branch; ties resolve by
-    the fixed priority wide > narrow > gw > prediction.
+    the fixed priority wide > narrow > gw > prediction. A narrow graph above
+    sdp.TRIANGLE_LIMIT vertices raises ParameterError before any solve.
     """
     delta = choose_delta(y.epsilon, eps_prime, c_delta)
     report = classify(g, delta, eta)
@@ -44,19 +41,8 @@ def solve_noisy(g: Graph, y: NoisyPrediction, eta: float = 0.05, eps_prime: floa
     else:
         candidates["narrow"] = solve_narrow(g, delta, eta, seed=derive(seed, 1),
                                             restarts=narrow_restarts)
-    sdp_sol = solve_sdp(g, SdpConfig(seed=derive(seed, 2)))
-    candidates["gw"] = max(
-        (hyperplane_round(sdp_sol, derive(seed, 3, r)) for r in range(gw_roundings)),
-        key=lambda c: cut_value(g, c),
-    )
+    candidates["gw"] = solve_gw(g, derive(seed, 2), derive(seed, 3), gw_roundings)
     candidates["prediction"] = CutAssignment(values=y.y.copy())
-
-    best_tag = None
-    best_val = -np.inf
-    for tag in BRANCH_PRIORITY:
-        if tag in candidates:
-            val = cut_value(g, candidates[tag])
-            if val > best_val:
-                best_val = val
-                best_tag = tag
-    return candidates[best_tag], best_tag
+    # insertion order is the tie priority
+    best = best_cut(g, candidates.values())
+    return best, next(tag for tag, cut in candidates.items() if cut is best)

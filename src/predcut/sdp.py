@@ -16,7 +16,9 @@ Three optional constraint families:
   * the odd-cycle triangle inequalities
         s (<v_j, v_k> + <v_i, v_k>) <= 1 + <v_i, v_j>,  s in {-1, +1},
     over distinct triples, enforced by a squared-hinge penalty whose
-    weight doubles until the worst violation is at most 1e-3.
+    weight doubles until the worst violation is at most 1e-3. The penalty
+    works on the dense O(n^3) triangle family, so it is refused above
+    TRIANGLE_LIMIT vertices.
 """
 
 from __future__ import annotations
@@ -29,9 +31,10 @@ import scipy.sparse as sp
 from scipy.stats import norm
 
 from .errors import DimensionError, ParameterError, ParseError
-from .graph import CutAssignment, Graph
+from .graph import CutAssignment, Graph, best_cut
 from .seeds import derive
 
+TRIANGLE_LIMIT = 200
 TRIANGLE_TOL = 1e-3
 SUBSET_TOL_FRAC = 1e-4
 ZERO_PERP_TOL = 1e-9
@@ -203,8 +206,10 @@ def _one_opt(A, x):
 def _penalty_continuation(A_eff, V, free_mask, scale, bail_below=None, g=None):
     """Doubling penalty rounds until the worst violation is at most 1e-3.
 
-    Optionally bails out once the true objective has sunk clearly below
-    `bail_below` (the run has collapsed and will be restarted elsewhere).
+    Stops after 50 rounds at the latest, and optionally bails out once the
+    true objective has sunk clearly below `bail_below` (the run has
+    collapsed and will be restarted elsewhere). Returns (worst violation,
+    rounds run).
     """
     n = V.shape[0]
     rho = max(1.0, scale / max(n, 1))
@@ -224,7 +229,7 @@ def _penalty_continuation(A_eff, V, free_mask, scale, bail_below=None, g=None):
         if bail_below is not None and rounds % 4 == 0:
             if _edge_contribution(g, V) < 0.9 * bail_below:
                 break
-    return maxv
+    return maxv, rounds
 
 
 def _penalized_ascent(A, V, free_mask, rho, iters, tol_abs, alpha=None):
@@ -276,6 +281,8 @@ def solve_sdp(g: Graph, cfg: SdpConfig = None) -> SdpSolution:
     n = g.n
     if n < 1:
         raise ParameterError("graph must have at least one vertex")
+    if cfg.triangle and n > TRIANGLE_LIMIT:
+        raise ParameterError(f"the triangle SDP is limited to n <= {TRIANGLE_LIMIT}, got n={n}")
     W = g.total_weight
     scale = max(W, 1.0)
 
@@ -394,8 +401,8 @@ def solve_sdp(g: Graph, cfg: SdpConfig = None) -> SdpSolution:
                 val = 0.25 * (W - float(x @ D @ x))
                 if val > floor_val:
                     floor_val, floor_x = val, x
-        maxv = _penalty_continuation(A_eff, V, free_mask, scale,
-                                     bail_below=floor_val, g=g)
+        maxv, penalty_rounds = _penalty_continuation(A_eff, V, free_mask, scale,
+                                                     bail_below=floor_val, g=g)
         obj_now = _edge_contribution(g, V)
         # second run from a barely-perturbed embedding of the floor cut,
         # which starts near-feasible at the floor objective and climbs;
@@ -407,7 +414,8 @@ def solve_sdp(g: Graph, cfg: SdpConfig = None) -> SdpSolution:
         V_b /= np.linalg.norm(V_b, axis=1, keepdims=True)
         for v, s in pins.items():
             V_b[v] = s * v0
-        maxv_b = _penalty_continuation(A_eff, V_b, free_mask, scale)
+        maxv_b, rounds_b = _penalty_continuation(A_eff, V_b, free_mask, scale)
+        penalty_rounds += rounds_b
         if maxv_b <= TRIANGLE_TOL and (maxv > TRIANGLE_TOL
                                        or _edge_contribution(g, V_b) > obj_now):
             V[:] = V_b
@@ -431,6 +439,7 @@ def solve_sdp(g: Graph, cfg: SdpConfig = None) -> SdpSolution:
         report["subset"] = float(max(0.0, tau - achieved))
     if cfg.triangle:
         report["triangle"] = float(max_triangle)
+        report["penalty_rounds"] = penalty_rounds
     objective = _edge_contribution(g, V)
     return SdpSolution(
         dim=k,
@@ -451,6 +460,38 @@ def hyperplane_round(sol: SdpSolution, seed) -> CutAssignment:
     """Goemans-Williamson rounding with a seeded Gaussian direction."""
     rng = np.random.default_rng(seed)
     return round_by_direction(sol, rng.standard_normal(sol.dim))
+
+
+def _align_to_pins(x: CutAssignment, pins: dict) -> CutAssignment:
+    """Global flip (free for the cut value) so pinned vertices match.
+
+    All pins sit at +-v_0, so one flip aligns them all; only a rounding
+    direction exactly orthogonal to v_0 (measure zero) needs the explicit
+    fix-up at the end.
+    """
+    if not pins:
+        return x
+    v, s = next(iter(pins.items()))
+    vals = -x.values if x.values[v] != s else x.values
+    if any(vals[u] != t for u, t in pins.items()):
+        vals = vals.copy()
+        for u, t in pins.items():
+            vals[u] = t
+    return CutAssignment(values=vals)
+
+
+def solve_gw(g: Graph, sdp_seed, round_seed, roundings: int, pins=None) -> CutAssignment:
+    """Goemans-Williamson: solve_sdp, then the best of `roundings` hyperplane roundings.
+
+    Rounding r uses derive(round_seed, r); with pins, the SDP fixes those
+    labels and every rounding is aligned to them.
+    """
+    if roundings < 1:
+        raise ParameterError(f"roundings must be >= 1, got {roundings}")
+    pins = pins or {}
+    sol = solve_sdp(g, SdpConfig(fixed_labels=pins, seed=sdp_seed))
+    return best_cut(g, (_align_to_pins(hyperplane_round(sol, derive(round_seed, r)), pins)
+                        for r in range(roundings)))
 
 
 def rt_round(sol: SdpSolution, seed) -> CutAssignment:

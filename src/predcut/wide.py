@@ -16,11 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .graph import (CutAssignment, Graph, cut_value, delta_prefix_weight,
-                    truncated_adjacency, _values_of)
+from .graph import (CutAssignment, Graph, best_cut, truncated_adjacency, wide_mask,
+                    _values_of)
 from .lp import AbsSumLp, LpGroup, LpSolution, solve as lp_solve
 from .predictions import NoisyPrediction
-from .sdp import SdpConfig, hyperplane_round, solve_sdp
+from .sdp import solve_gw
 from .seeds import derive
 
 REPEAT = "repeat"
@@ -59,10 +59,7 @@ def estimate_imbalance(g: Graph, y: NoisyPrediction, delta: int, eta: float) -> 
         raise ParameterError(f"eta must lie in (0, 1), got {eta}")
     if delta < 1:
         raise ParameterError(f"delta must be >= 1, got {delta}")
-    wide = np.array([
-        delta_prefix_weight(g, i, delta) <= eta * g.weighted_degrees[i] + 1e-12
-        for i in range(g.n)
-    ])
+    wide = wide_mask(g.prefix_order.prefix_weights(delta), g.weighted_degrees, eta)
     At = truncated_adjacency(g, delta)
     r_hat = (At @ y.y) / (2.0 * y.epsilon)
     r_hat[~wide] = 0.0
@@ -77,17 +74,19 @@ def build_wide_lp(g: Graph, est: ImbalanceEstimate, eps_prime: float, eta: float
     return AbsSumLp(objective=est.r_hat, groups=[group])
 
 
+def draw_roundings(x_hat, eta: float, seed) -> np.ndarray:
+    """rounding_trials(eta) independent rows with Pr[X_i = +1] = (1 + x_hat_i)/2."""
+    U = np.random.default_rng(seed).random((rounding_trials(eta), len(x_hat)))
+    return np.where(U < (1.0 + x_hat) / 2.0, 1.0, -1.0)
+
+
 def randomized_round_best(g: Graph, x_hat, eta: float, seed) -> CutAssignment:
     """Best of T independent roundings with Pr[X_i = +1] = (1 + x_hat_i)/2.
 
     "Best" minimizes <X, AX>, i.e. maximizes the cut. Deterministic given
     the seed; ties keep the earliest rounding.
     """
-    vals = _values_of(x_hat, g.n)
-    T = rounding_trials(eta)
-    rng = np.random.default_rng(seed)
-    U = rng.random((T, g.n))
-    X = np.where(U < (1.0 + vals) / 2.0, 1.0, -1.0)
+    X = draw_roundings(_values_of(x_hat, g.n), eta, seed)
     quad = np.einsum("ti,ti->t", X @ g.adjacency, X)
     best = int(np.argmin(quad))
     return CutAssignment(values=X[best])
@@ -119,13 +118,8 @@ def solve_wide(g: Graph, y: NoisyPrediction, delta: int, eta: float, eps_prime: 
     lp = build_wide_lp(g, est, eps_prime, eta)
     sol: LpSolution = lp_solve(lp)
     if not sol.optimal:
-        pred_cut = CutAssignment(values=y.y.copy())
-        sdp_sol = solve_sdp(g, SdpConfig(seed=derive(seed, 1)))
-        gw_best = max(
-            (hyperplane_round(sdp_sol, derive(seed, 2, r)) for r in range(20)),
-            key=lambda c: cut_value(g, c),
-        )
-        return max((pred_cut, gw_best), key=lambda c: cut_value(g, c))
+        return best_cut(g, (CutAssignment(values=y.y.copy()),
+                            solve_gw(g, derive(seed, 1), derive(seed, 2), 20)))
     x_hat = np.clip(sol.x, -1.0, 1.0)
     if rounding == PIPAGE:
         return pipage_round(g, x_hat)

@@ -65,6 +65,13 @@ def test_model_mismatch_is_an_error(workdir):
     assert rc == 1
 
 
+def test_narrow_limit_is_a_typed_error(workdir, capsys):
+    d, run = workdir
+    run("gen-graph", "--n", 201, "--p", 0.05, "--seed", 5, "--out", d / "g.txt")
+    rc, out = run("solve", "--graph", d / "g.txt", "--algo", "narrow", "--delta", 3)
+    assert rc == 1 and out == ""
+
+
 def test_unknown_flag_exits_nonzero(workdir):
     d, run = workdir
     with pytest.raises(SystemExit) as e:

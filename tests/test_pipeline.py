@@ -69,3 +69,21 @@ def test_determinism():
     b, tag_b = solve_noisy(g, y, seed=17, narrow_restarts=4, gw_roundings=6)
     assert tag_a == tag_b
     assert np.array_equal(a.values, b.values)
+
+
+def test_narrow_graph_above_the_triangle_limit_fails_before_solving(monkeypatch):
+    import pytest
+    from predcut import sdp
+    from predcut.errors import ParameterError
+    from predcut.graph import classify
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_noisy ran an SDP before refusing the graph")
+
+    monkeypatch.setattr(sdp, "_coordinate_ascent", no_solve)
+    monkeypatch.setattr(sdp, "_penalty_continuation", no_solve)
+    g = gen_erdos_renyi(sdp.TRIANGLE_LIMIT + 1, 0.05, "unit", seed=7)
+    y = sample_noisy(np.ones(g.n), 0.45, seed=8)
+    assert not classify(g, choose_delta(y.epsilon, 0.05), 0.05).is_wide
+    with pytest.raises(ParameterError, match="triangle SDP"):
+        solve_noisy(g, y)

@@ -191,6 +191,22 @@ def test_triangle_constraints_enforced():
         assert sol.objective_value >= opt - 1e-6 * max(g.total_weight, 1.0)
 
 
+def test_report_counts_penalty_rounds():
+    c5 = Graph(5, [(i, (i + 1) % 5, 1.0) for i in range(5)])
+    report = solve_sdp(c5, SdpConfig(triangle=True)).feasibility_report
+    # the plain optimum of C5 violates the triangle family; two runs of <= 50 rounds
+    assert 1 <= report["penalty_rounds"] <= 100
+    assert "penalty_rounds" not in solve_sdp(c5).feasibility_report
+
+
+def test_triangle_sdp_refuses_graphs_above_the_limit():
+    from predcut.sdp import TRIANGLE_LIMIT
+    g = Graph(TRIANGLE_LIMIT + 1, [(0, 1, 1.0)])
+    with pytest.raises(ParameterError, match="triangle SDP"):
+        solve_sdp(g, SdpConfig(triangle=True))
+    assert solve_sdp(g).feasibility_report["converged"]
+
+
 def test_subset_constraint_drives_edge():
     # C5 with one designated edge forced to carry ~its full weight
     g = Graph(5, [(i, (i + 1) % 5, 1.0) for i in range(5)])
