@@ -18,7 +18,11 @@ Three optional constraint families:
     over distinct triples, enforced by a squared-hinge penalty whose
     weight doubles until the worst violation is at most 1e-3. The penalty
     works on the dense O(n^3) triangle family, so it is refused above
-    TRIANGLE_LIMIT vertices.
+    TRIANGLE_LIMIT vertices. One penalty run starts from a perturbed
+    embedding of a floor cut (the exact cut for n <= 20 without pins,
+    otherwise the best of 20 locally-optimized roundings), and without
+    pins the result never falls below that cut. Each line-search trial
+    evaluates the penalty's value and gradient in one pass.
 """
 
 from __future__ import annotations
@@ -152,15 +156,22 @@ def _coordinate_ascent(M, V, classes, tol_abs, max_sweeps):
     return max_sweeps, False
 
 
-def _triangle_terms(V, need_grad, chunk=24):
+def _distinct_triples(n):
+    """Boolean (n, n, n) mask of the triples (i, j, k) with i, j, k pairwise distinct."""
+    i, j, k = np.ogrid[:n, :n, :n]
+    return (i != j) & (j != k) & (i != k)
+
+
+def _triangle_terms(V, need_grad, distinct, chunk=24):
     """Penalty value, worst violation, and dPenalty/dGram for the triangle family.
 
     Returns (sum of squared violations, max violation, dG) with the caller
-    applying the penalty weight. dG is None unless need_grad.
+    applying the penalty weight. dG is None unless need_grad; the penalty
+    and the violation do not depend on need_grad, bit for bit. `distinct`
+    is _distinct_triples(n) for the n rows of V.
     """
     n = V.shape[0]
     G = V @ V.T
-    idx = np.arange(n)
     pen = 0.0
     maxv = 0.0
     dG = np.zeros((n, n)) if need_grad else None
@@ -169,14 +180,10 @@ def _triangle_terms(V, need_grad, chunk=24):
         Gi = G[i0:i1]                                   # (c, n): G[i, :]
         S = G[None, :, :] + Gi[:, None, :]              # S[i,j,k] = G[j,k] + G[i,k]
         Dij = Gi[:, :, None]                            # G[i, j]
-        ii = idx[i0:i1][:, None, None]
-        jj = idx[None, :, None]
-        kk = idx[None, None, :]
-        distinct = (ii != jj) & (jj != kk) & (ii != kk)
         t1 = np.maximum(S - Dij - 1.0, 0.0)
         t2 = np.maximum(-S - Dij - 1.0, 0.0)
-        t1 *= distinct
-        t2 *= distinct
+        t1 *= distinct[i0:i1]
+        t2 *= distinct[i0:i1]
         pen += float(np.sum(t1 * t1) + np.sum(t2 * t2))
         if t1.size:
             maxv = max(maxv, float(t1.max()), float(t2.max()))
@@ -203,49 +210,47 @@ def _one_opt(A, x):
     return x
 
 
-def _penalty_continuation(A_eff, V, free_mask, scale, bail_below=None, g=None):
-    """Doubling penalty rounds until the worst violation is at most 1e-3.
+def _penalty_continuation(A_eff, V, free_mask, scale, distinct):
+    """Doubling penalty rounds on V, in place, until the worst violation is at most 1e-3.
 
-    Stops after 50 rounds at the latest, and optionally bails out once the
-    true objective has sunk clearly below `bail_below` (the run has
-    collapsed and will be restarted elsewhere). Returns (worst violation,
-    rounds run).
+    Stops after 50 rounds at the latest. The triangle terms are evaluated
+    once per visited point: the terms of the point a round ends on start
+    the next round. Returns (worst violation, rounds run).
     """
     n = V.shape[0]
     rho = max(1.0, scale / max(n, 1))
-    _, maxv, _ = _triangle_terms(V, need_grad=False)
+    terms = _triangle_terms(V, True, distinct)
     rounds = 0
     alpha = None
-    while maxv > TRIANGLE_TOL and rounds < 50:
+    while terms[1] > TRIANGLE_TOL and rounds < 50:
         # continuation: rough ascent while far from feasible, tight near it
-        close = maxv <= 4 * TRIANGLE_TOL
-        alpha = _penalized_ascent(A_eff, V, free_mask, rho,
-                                  iters=300 if close else 40,
-                                  tol_abs=(1e-9 if close else 1e-7) * scale,
-                                  alpha=alpha)
-        _, maxv, _ = _triangle_terms(V, need_grad=False)
+        close = terms[1] <= 4 * TRIANGLE_TOL
+        alpha, terms = _penalized_ascent(A_eff, V, free_mask, rho, terms, distinct,
+                                         iters=300 if close else 40,
+                                         tol_abs=(1e-9 if close else 1e-7) * scale,
+                                         alpha=alpha)
         rho *= 2.0
         rounds += 1
-        if bail_below is not None and rounds % 4 == 0:
-            if _edge_contribution(g, V) < 0.9 * bail_below:
-                break
-    return maxv, rounds
+    return terms[1], rounds
 
 
-def _penalized_ascent(A, V, free_mask, rho, iters, tol_abs, alpha=None):
-    """Projected gradient ascent on objective minus rho * triangle penalty.
+def _penalized_ascent(A, V, free_mask, rho, terms, distinct, iters, tol_abs, alpha=None):
+    """Projected gradient ascent on objective minus rho * triangle penalty, in place.
 
-    Stops at stationarity (three consecutive near-zero gains); returns the
-    last accepted step size so the next penalty round can resume from it.
+    `terms` is _triangle_terms(V, True, distinct) at the starting V; every
+    line-search trial is evaluated once, value and gradient together, and
+    an accepted trial's terms serve the next step. Stops at stationarity
+    (three consecutive near-zero gains). Returns the last accepted step
+    size, so the next penalty round can resume from it, and the terms at
+    the final V.
     """
-    pen, _, _ = _triangle_terms(V, need_grad=False)
     base = -0.5 * float(np.einsum("ik,ik->", V, A @ V))
-    f = base - rho * pen
+    f = base - rho * terms[0]
     if alpha is None:
         alpha = 1.0 / max(1.0, float(np.abs(A).sum(axis=1).max()))
     quiet = 0
     for _ in range(iters):
-        _, _, dG = _triangle_terms(V, need_grad=True)
+        dG = terms[2]
         grad = -A @ V - rho * ((dG + dG.T) @ V)
         # project onto the tangent space of the product of spheres
         grad -= (np.einsum("ik,ik->i", grad, V))[:, None] * V
@@ -258,13 +263,14 @@ def _penalized_ascent(A, V, free_mask, rho, iters, tol_abs, alpha=None):
             W_new = V + alpha * grad
             W_new /= np.linalg.norm(W_new, axis=1, keepdims=True)
             W_new[~free_mask] = V[~free_mask]
-            pen_new, _, _ = _triangle_terms(W_new, need_grad=False)
+            terms_new = _triangle_terms(W_new, True, distinct)
             base_new = -0.5 * float(np.einsum("ik,ik->", W_new, A @ W_new))
-            f_new = base_new - rho * pen_new
+            f_new = base_new - rho * terms_new[0]
             if f_new > f:
                 gain = f_new - f
                 V[:] = W_new
                 f = f_new
+                terms = terms_new
                 alpha *= 1.3
                 improved = True
                 quiet = quiet + 1 if gain < tol_abs else 0
@@ -272,7 +278,7 @@ def _penalized_ascent(A, V, free_mask, rho, iters, tol_abs, alpha=None):
             alpha *= 0.5
         if not improved or quiet >= 3:
             break
-    return alpha
+    return alpha, terms
 
 
 def solve_sdp(g: Graph, cfg: SdpConfig = None) -> SdpSolution:
@@ -387,13 +393,13 @@ def solve_sdp(g: Graph, cfg: SdpConfig = None) -> SdpSolution:
         # feasible point of this relaxation, so the stage must never return
         # less than the best cut it can find. Tiny instances enumerate the
         # exact cut; larger ones take locally-optimized roundings.
-        floor_x = None
-        floor_val = -np.inf
         if not pins and n <= 20:
             from .exact import exact_maxcut
             floor_val, floor_cut = exact_maxcut(g)
             floor_x = floor_cut.values
+            start = "floor-exact"
         else:
+            floor_x, floor_val = None, -np.inf
             for r in range(20):
                 rng_r = np.random.default_rng(derive(cfg.seed, 90, r))
                 proj = V @ rng_r.standard_normal(k)
@@ -401,33 +407,29 @@ def solve_sdp(g: Graph, cfg: SdpConfig = None) -> SdpSolution:
                 val = 0.25 * (W - float(x @ D @ x))
                 if val > floor_val:
                     floor_val, floor_x = val, x
-        maxv, penalty_rounds = _penalty_continuation(A_eff, V, free_mask, scale,
-                                                     bail_below=floor_val, g=g)
-        obj_now = _edge_contribution(g, V)
-        # second run from a barely-perturbed embedding of the floor cut,
-        # which starts near-feasible at the floor objective and climbs;
-        # keep whichever feasible run scores higher
+            start = "floor-rounded"
+        # one penalty run from a barely-perturbed embedding of the floor cut,
+        # which starts near-feasible at the floor objective
         blend = 0.02
         rng_b = np.random.default_rng(derive(cfg.seed, 91))
-        V_b = ((1 - blend) * floor_x[:, None] * v0[None, :]
-               + blend * rng_b.standard_normal((n, k)))
-        V_b /= np.linalg.norm(V_b, axis=1, keepdims=True)
+        V = ((1 - blend) * floor_x[:, None] * v0[None, :]
+             + blend * rng_b.standard_normal((n, k)))
+        V /= np.linalg.norm(V, axis=1, keepdims=True)
         for v, s in pins.items():
-            V_b[v] = s * v0
-        maxv_b, rounds_b = _penalty_continuation(A_eff, V_b, free_mask, scale)
-        penalty_rounds += rounds_b
-        if maxv_b <= TRIANGLE_TOL and (maxv > TRIANGLE_TOL
-                                       or _edge_contribution(g, V_b) > obj_now):
-            V[:] = V_b
-            maxv = maxv_b
+            V[v] = s * v0
+        distinct = _distinct_triples(n)
+        max_triangle, penalty_rounds = _penalty_continuation(A_eff, V, free_mask, scale,
+                                                             distinct)
         # hard floor: fall back to the floor cut's own embedding (exactly
-        # feasible, objective floor_val) if both ascents landed under it
-        if not pins and (_edge_contribution(g, V) < floor_val or maxv > TRIANGLE_TOL):
+        # feasible, objective floor_val) if the ascent landed under it
+        fallback = False
+        if not pins and (_edge_contribution(g, V) < floor_val or max_triangle > TRIANGLE_TOL):
             V_f = floor_x[:, None] * v0[None, :]
-            if _edge_contribution(g, V_f) >= _edge_contribution(g, V) or maxv > TRIANGLE_TOL:
-                V[:] = V_f
-                _, maxv, _ = _triangle_terms(V, need_grad=False)
-        max_triangle = maxv
+            if (_edge_contribution(g, V_f) >= _edge_contribution(g, V)
+                    or max_triangle > TRIANGLE_TOL):
+                V = V_f
+                max_triangle = _triangle_terms(V, False, distinct)[1]
+                fallback = True
 
     full = np.vstack([v0, V])
     report = {"unit_norm": float(np.max(np.abs(np.linalg.norm(full, axis=1) - 1.0))),
@@ -440,6 +442,8 @@ def solve_sdp(g: Graph, cfg: SdpConfig = None) -> SdpSolution:
     if cfg.triangle:
         report["triangle"] = float(max_triangle)
         report["penalty_rounds"] = penalty_rounds
+        report["start"] = start
+        report["fallback"] = fallback
     objective = _edge_contribution(g, V)
     return SdpSolution(
         dim=k,

@@ -1,4 +1,4 @@
-"""Byte-for-byte CLI and experiment outputs, pinned across commits.
+"""CLI stdout, experiment CSVs and triangle-SDP vectors, pinned byte for byte.
 
 The files under tests/data/golden are the inputs and the expected outputs.
 Regenerate them only for an intended change of output:
@@ -16,6 +16,8 @@ import pytest
 
 from predcut.cli import main
 from predcut.csp import CspInstance, predicate_from_bits, save_csp
+from predcut.graph import gen_erdos_renyi
+from predcut.sdp import SdpConfig, save_solution, solve_sdp
 
 DATA = Path(__file__).parent / "data" / "golden"
 
@@ -105,6 +107,14 @@ path = {out}
 """,
 }
 
+# triangle-SDP vectors: an exact floor (n <= 20), a rounded floor (n = 22)
+# and a pinned solve; name -> (gen_erdos_renyi arguments, pins)
+TRIANGLE = {
+    "triangle_exact": ((12, 0.6, "uniform", 0), {}),
+    "triangle_rounded": ((22, 0.5, "planted", 0), {}),
+    "triangle_pinned": ((10, 0.6, "uniform", 0), {0: 1, 3: -1}),
+}
+
 
 def _stdout(argv):
     argv = [str(DATA / a) if (DATA / a).is_file() else a for a in argv]
@@ -132,6 +142,18 @@ def test_stdout_is_pinned(name):
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
 def test_experiment_csv_is_pinned(name, tmp_path):
     assert _experiment(name, tmp_path) == (DATA / f"{name}.csv").read_bytes()
+
+
+def _triangle_vectors(name):
+    (n, p, law, seed), pins = TRIANGLE[name]
+    g = gen_erdos_renyi(n, p, law, seed=seed, q_cross=0.6, q_within=0.3)
+    sol = solve_sdp(g, SdpConfig(triangle=True, fixed_labels=pins, seed=seed))
+    return save_solution(sol).encode()
+
+
+@pytest.mark.parametrize("name", sorted(TRIANGLE))
+def test_triangle_vectors_are_pinned(name):
+    assert _triangle_vectors(name) == (DATA / f"{name}.txt").read_bytes()
 
 
 def _write_inputs():
@@ -168,3 +190,5 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for name in EXPERIMENTS:
             (DATA / f"{name}.csv").write_bytes(_experiment(name, tmp))
+    for name in TRIANGLE:
+        (DATA / f"{name}.txt").write_bytes(_triangle_vectors(name))

@@ -7,9 +7,9 @@ from predcut.errors import DimensionError, ParameterError
 from predcut.exact import exact_maxcut
 from predcut.graph import Graph, cut_value, gen_erdos_renyi
 from predcut.sdp import (SdpConfig, SdpSolution, _colour_classes, _coordinate_ascent,
-                         _edge_matrix, hyperplane_round, load_solution,
-                         round_by_direction, rt_round, save_solution,
-                         sdp_objective, solve_sdp)
+                         _distinct_triples, _edge_matrix, _triangle_terms,
+                         hyperplane_round, load_solution, round_by_direction, rt_round,
+                         save_solution, sdp_objective, solve_sdp)
 
 from conftest import random_graph, three_sigma
 
@@ -194,9 +194,75 @@ def test_triangle_constraints_enforced():
 def test_report_counts_penalty_rounds():
     c5 = Graph(5, [(i, (i + 1) % 5, 1.0) for i in range(5)])
     report = solve_sdp(c5, SdpConfig(triangle=True)).feasibility_report
-    # the plain optimum of C5 violates the triangle family; two runs of <= 50 rounds
-    assert 1 <= report["penalty_rounds"] <= 100
+    # the floor cut's perturbed embedding violates the triangle family; one
+    # run of <= 50 rounds
+    assert 1 <= report["penalty_rounds"] <= 50
     assert "penalty_rounds" not in solve_sdp(c5).feasibility_report
+
+
+def test_report_names_the_start_and_the_fallback():
+    g = gen_erdos_renyi(12, 0.6, "uniform", seed=0)
+    report = solve_sdp(g, SdpConfig(triangle=True)).feasibility_report
+    assert report["start"] == "floor-exact" and report["fallback"] is False
+    g22 = gen_erdos_renyi(22, 0.5, "planted", seed=0, q_cross=0.6, q_within=0.3)
+    assert solve_sdp(g22, SdpConfig(triangle=True)).feasibility_report["start"] == "floor-rounded"
+    pinned = solve_sdp(g, SdpConfig(triangle=True, fixed_labels={0: 1})).feasibility_report
+    assert pinned["start"] == "floor-rounded"
+    # C5 plus the chord (0, 2): the perturbed floor embedding already meets
+    # the tolerance, so it stays under the exact floor and the floor cut's
+    # own embedding is returned
+    g5 = Graph(5, [(i, (i + 1) % 5, 1.0) for i in range(5)] + [(0, 2, 1.0)])
+    sol = solve_sdp(g5, SdpConfig(triangle=True))
+    assert sol.feasibility_report["fallback"] is True
+    opt, cut = exact_maxcut(g5)
+    assert sol.objective_value == opt
+    assert np.array_equal(sol.vertex_vectors, cut.values[:, None] * sol.v0[None, :])
+    for key in ("start", "fallback"):
+        assert key not in solve_sdp(g5).feasibility_report
+
+
+def test_triangle_sdp_on_an_odd_cycle_with_chords():
+    # C7 plus chords (2, 4) and (1, 5): a start from a random embedding used
+    # to end above the floor-started run here, so only the contract is checked
+    g = Graph(7, [(i, (i + 1) % 7, 1.0) for i in range(7)] + [(2, 4, 1.0), (1, 5, 1.0)])
+    sol = solve_sdp(g, SdpConfig(triangle=True))
+    assert max_triangle_violation(sol) <= 1e-3 + 1e-9
+    assert sol.feasibility_report["triangle"] <= 1e-3
+    opt, _ = exact_maxcut(g)
+    assert sol.objective_value >= opt
+
+
+@pytest.mark.parametrize("n", [3, 12, 28, 30])
+def test_triangle_terms_value_does_not_depend_on_the_gradient_flag(n):
+    # the fused line search takes a trial's value from a gradient evaluation;
+    # random rank-3 rows violate the family, so every hinge path is live
+    V = random_unit_rows(np.random.default_rng(n), n, 3)
+    distinct = _distinct_triples(n)
+    pen_g, maxv_g, dG = _triangle_terms(V, True, distinct)
+    pen, maxv, none = _triangle_terms(V, False, distinct)
+    assert pen > 0 and none is None and dG.shape == (n, n)
+    assert np.float64(pen_g).tobytes() == np.float64(pen).tobytes()
+    assert np.float64(maxv_g).tobytes() == np.float64(maxv).tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 12, 28, 30])
+def test_triangle_gradient_matches_central_differences(n):
+    # dpen/dV = (dG + dG^T) V, since G = V V^T; n = 30 crosses the 24-row chunk
+    rng = np.random.default_rng(100 + n)
+    V = random_unit_rows(rng, n, 3)
+    distinct = _distinct_triples(n)
+    pen, _, dG = _triangle_terms(V, True, distinct)
+    assert pen > 0
+    grad = (dG + dG.T) @ V
+    h = 1e-6
+    for _ in range(8):
+        i, c = int(rng.integers(n)), int(rng.integers(3))
+        Vp, Vm = V.copy(), V.copy()
+        Vp[i, c] += h
+        Vm[i, c] -= h
+        fd = (_triangle_terms(Vp, False, distinct)[0]
+              - _triangle_terms(Vm, False, distinct)[0]) / (2 * h)
+        assert fd == pytest.approx(grad[i, c], rel=1e-5, abs=1e-6)
 
 
 def test_triangle_sdp_refuses_graphs_above_the_limit():
