@@ -21,8 +21,12 @@ Three optional constraint families:
     TRIANGLE_LIMIT vertices. One penalty run starts from a perturbed
     embedding of a floor cut (the exact cut for n <= 20 without pins,
     otherwise the best of 20 locally-optimized roundings), and without
-    pins the result never falls below that cut. Each line-search trial
-    evaluates the penalty's value and gradient in one pass.
+    pins the result never falls below that cut; the exact cut needs no
+    plain solve, so that case runs no plain ascent and reports 0 sweeps.
+    Each line-search trial evaluates the penalty's value and gradient in
+    one pass: one hinge per ordered triple (the two signs are never both
+    violated), a gradient that uses the (i, j) mirror symmetry of each
+    triple, and rows taken in passes of about TRIANGLE_CHUNK hinge elements.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from .seeds import derive
 TRIANGLE_LIMIT = 200
 TRIANGLE_TOL = 1e-3
 SUBSET_TOL_FRAC = 1e-4
+TRIANGLE_CHUNK = 1 << 18     # hinge elements per pass of _triangle_terms
 ZERO_PERP_TOL = 1e-9
 
 
@@ -162,37 +167,42 @@ def _distinct_triples(n):
     return (i != j) & (j != k) & (i != k)
 
 
-def _triangle_terms(V, need_grad, distinct, chunk=24):
+def _triangle_terms(V, need_grad, distinct, chunk_elems=TRIANGLE_CHUNK):
     """Penalty value, worst violation, and dPenalty/dGram for the triangle family.
 
     Returns (sum of squared violations, max violation, dG) with the caller
     applying the penalty weight. dG is None unless need_grad; the penalty
     and the violation do not depend on need_grad, bit for bit. `distinct`
-    is _distinct_triples(n) for the n rows of V.
+    is _distinct_triples(n) for the n rows of V. Rows i are taken in
+    chunks of about chunk_elems hinge elements.
+
+    For a triple (i, j, k) with S = G[j,k] + G[i,k] and D = G[i,j], the two
+    signs' hinges S - D - 1 and -S - D - 1 are never both positive, since
+    D >= -1; one hinge T = max(|S| - D - 1, 0) carries the active sign. S
+    and D are symmetric in (i, j), so the d/dG[j,k] and d/dG[i,k] sums of
+    2 sign(S) T are equal and one reduction serves both.
     """
     n = V.shape[0]
     G = V @ V.T
     pen = 0.0
     maxv = 0.0
     dG = np.zeros((n, n)) if need_grad else None
-    for i0 in range(0, n, chunk):
-        i1 = min(i0 + chunk, n)
+    rows = max(1, chunk_elems // max(n * n, 1))
+    for i0 in range(0, n, rows):
+        i1 = min(i0 + rows, n)
         Gi = G[i0:i1]                                   # (c, n): G[i, :]
         S = G[None, :, :] + Gi[:, None, :]              # S[i,j,k] = G[j,k] + G[i,k]
-        Dij = Gi[:, :, None]                            # G[i, j]
-        t1 = np.maximum(S - Dij - 1.0, 0.0)
-        t2 = np.maximum(-S - Dij - 1.0, 0.0)
-        t1 *= distinct[i0:i1]
-        t2 *= distinct[i0:i1]
-        pen += float(np.sum(t1 * t1) + np.sum(t2 * t2))
-        if t1.size:
-            maxv = max(maxv, float(t1.max()), float(t2.max()))
+        T = np.abs(S)
+        T -= Gi[:, :, None]                             # G[i, j]
+        T -= 1.0
+        np.maximum(T, 0.0, out=T)
+        T *= distinct[i0:i1]
+        pen += float((T * T).sum())
+        if T.size:
+            maxv = max(maxv, float(T.max()))
         if need_grad:
-            M = 2.0 * (t1 - t2)
-            P = 2.0 * (t1 + t2)
-            dG += M.sum(axis=0)                          # d/dG[j,k]
-            dG[i0:i1] += M.sum(axis=1)                   # d/dG[i,k]
-            dG[i0:i1] -= P.sum(axis=2)                   # d/dG[i,j]
+            dG += 4.0 * np.copysign(T, S, out=S).sum(axis=0)   # d/dG[j,k] and d/dG[i,k]
+            dG[i0:i1] -= 2.0 * T.sum(axis=2)                   # d/dG[i,j]
     return pen, maxv, dG
 
 
@@ -242,16 +252,16 @@ def _penalized_ascent(A, V, free_mask, rho, terms, distinct, iters, tol_abs, alp
     an accepted trial's terms serve the next step. Stops at stationarity
     (three consecutive near-zero gains). Returns the last accepted step
     size, so the next penalty round can resume from it, and the terms at
-    the final V.
+    the final V. The accepted trial's A @ V also serves the next gradient.
     """
-    base = -0.5 * float(np.einsum("ik,ik->", V, A @ V))
-    f = base - rho * terms[0]
+    AV = A @ V
+    f = -0.5 * float(np.einsum("ik,ik->", V, AV)) - rho * terms[0]
     if alpha is None:
         alpha = 1.0 / max(1.0, float(np.abs(A).sum(axis=1).max()))
     quiet = 0
     for _ in range(iters):
         dG = terms[2]
-        grad = -A @ V - rho * ((dG + dG.T) @ V)
+        grad = -AV - rho * ((dG + dG.T) @ V)
         # project onto the tangent space of the product of spheres
         grad -= (np.einsum("ik,ik->i", grad, V))[:, None] * V
         grad[~free_mask] = 0.0
@@ -264,11 +274,12 @@ def _penalized_ascent(A, V, free_mask, rho, terms, distinct, iters, tol_abs, alp
             W_new /= np.linalg.norm(W_new, axis=1, keepdims=True)
             W_new[~free_mask] = V[~free_mask]
             terms_new = _triangle_terms(W_new, True, distinct)
-            base_new = -0.5 * float(np.einsum("ik,ik->", W_new, A @ W_new))
-            f_new = base_new - rho * terms_new[0]
+            AW = A @ W_new
+            f_new = -0.5 * float(np.einsum("ik,ik->", W_new, AW)) - rho * terms_new[0]
             if f_new > f:
                 gain = f_new - f
                 V[:] = W_new
+                AV = AW
                 f = f_new
                 terms = terms_new
                 alpha *= 1.3
@@ -322,6 +333,7 @@ def solve_sdp(g: Graph, cfg: SdpConfig = None) -> SdpSolution:
     for v, s in pins.items():
         V[v] = s * v0
 
+    exact_floor = cfg.triangle and not pins and n <= 20
     free_mask = np.ones(n, dtype=bool)
     free_mask[list(pins)] = False
     A = _edge_matrix(g)
@@ -335,7 +347,10 @@ def solve_sdp(g: Graph, cfg: SdpConfig = None) -> SdpSolution:
         if subset_idx is not None:
             # empty subset contributes 0; only tau == 0 is satisfiable
             feasible_at_tau = tau <= SUBSET_TOL_FRAC * scale
-        runs.append(_coordinate_ascent(A, V, classes, tol_abs, cfg.max_iters))
+        # an exact-floor triangle solve overwrites V before reading it, and
+        # with no multiplier to find, the plain ascent would go unused
+        if not exact_floor:
+            runs.append(_coordinate_ascent(A, V, classes, tol_abs, cfg.max_iters))
     else:
         A_sub = _edge_matrix(g, subset_idx)
         sub_tol = SUBSET_TOL_FRAC * scale
@@ -393,7 +408,7 @@ def solve_sdp(g: Graph, cfg: SdpConfig = None) -> SdpSolution:
         # feasible point of this relaxation, so the stage must never return
         # less than the best cut it can find. Tiny instances enumerate the
         # exact cut; larger ones take locally-optimized roundings.
-        if not pins and n <= 20:
+        if exact_floor:
             from .exact import exact_maxcut
             floor_val, floor_cut = exact_maxcut(g)
             floor_x = floor_cut.values

@@ -155,27 +155,29 @@ def test_small_bound_sanity():
     assert np.mean(ratios_rt) >= 0.85
 
 
-def test_rt_pruned_sweep_matches_unpruned_loop(monkeypatch):
-    g = gen_erdos_renyi(14, 0.5, "uniform", seed=113)
-    _, x_star = exact_maxcut(g)
-    y = sample_partial(x_star, 0.3, seed=114)
-    grid = TauGrid.for_graph(g, 0.1)
+def unpruned_rt(g, y, grid, seed, roundings):
+    """solve_partial_rt's sweep with every grid point solved, as before pruning.
+
+    Returns the first best cut and each grid point's feasibility.
+    """
     pins = {int(i): float(y.y[i]) for i in y.revealed_set}
     subset = revealed_edge_set(g, y)
-    # reference: solve every grid point, as the sweep did before pruning
-    ref, ref_val, infeasible = None, -np.inf, 0
+    best, best_val, feasible = None, -np.inf, []
     for t_idx, tau in enumerate(grid.values):
         sol = solve_sdp(g, SdpConfig(fixed_labels=pins, subset_constraint=(subset, float(tau)),
-                                     seed=[5, 0]))
+                                     seed=[seed, 0]))
+        feasible.append(sol.feasible_at_tau)
         if not sol.feasible_at_tau:
-            infeasible += 1
             continue
-        for r in range(4):
-            x = rt_round(sol, [5, 1, t_idx, r])
-            if cut_value(g, x) > ref_val:
-                ref, ref_val = x, cut_value(g, x)
-    assert infeasible >= 2
+        for r in range(roundings):
+            x = rt_round(sol, [seed, 1, t_idx, r])
+            if cut_value(g, x) > best_val:
+                best, best_val = x, cut_value(g, x)
+    return best, feasible
 
+
+def counted_solves(monkeypatch):
+    """Make solve_partial_rt record every solve_sdp call in the returned list."""
     calls = []
 
     def counting_solve(g, cfg):
@@ -183,6 +185,36 @@ def test_rt_pruned_sweep_matches_unpruned_loop(monkeypatch):
         return solve_sdp(g, cfg)
 
     monkeypatch.setattr(predcut.partial, "solve_sdp", counting_solve)
+    return calls
+
+
+def test_rt_pruned_sweep_matches_unpruned_loop(monkeypatch):
+    g = gen_erdos_renyi(14, 0.5, "uniform", seed=113)
+    _, x_star = exact_maxcut(g)
+    y = sample_partial(x_star, 0.3, seed=114)
+    grid = TauGrid.for_graph(g, 0.1)
+    ref, feasible = unpruned_rt(g, y, grid, 5, 4)
+    infeasible = feasible.count(False)
+    assert infeasible >= 2
+
+    calls = counted_solves(monkeypatch)
     out = solve_partial_rt(g, y, grid, seed=5, roundings=4)
     assert np.array_equal(out.values, ref.values)
     assert len(calls) == len(grid.values) - infeasible + 1
+
+
+def test_rt_skips_taus_above_the_subset_weight_without_a_solve(monkeypatch):
+    # a bipartite graph pinned to its planted sides meets every tau up to the
+    # subset's weight, so the first unmet tau lies above it and is never solved
+    g = gen_erdos_renyi(14, 0.0, "planted", seed=117, q_cross=0.6, q_within=0.0)
+    y = sample_partial(g.planted, 0.3, seed=118)
+    grid = TauGrid.for_graph(g, 0.1)
+    ref, feasible = unpruned_rt(g, y, grid, 5, 4)
+    subset_weight = float(np.sum(g.edge_w[revealed_edge_set(g, y)]))
+    assert feasible.count(False) >= 2
+    assert all(tau > subset_weight for tau, ok in zip(grid.values, feasible) if not ok)
+
+    calls = counted_solves(monkeypatch)
+    out = solve_partial_rt(g, y, grid, seed=5, roundings=4)
+    assert np.array_equal(out.values, ref.values)
+    assert len(calls) == feasible.count(True)

@@ -247,7 +247,7 @@ def test_triangle_terms_value_does_not_depend_on_the_gradient_flag(n):
 
 @pytest.mark.parametrize("n", [3, 12, 28, 30])
 def test_triangle_gradient_matches_central_differences(n):
-    # dpen/dV = (dG + dG^T) V, since G = V V^T; n = 30 crosses the 24-row chunk
+    # dpen/dV = (dG + dG^T) V, since G = V V^T
     rng = np.random.default_rng(100 + n)
     V = random_unit_rows(rng, n, 3)
     distinct = _distinct_triples(n)
@@ -263,6 +263,66 @@ def test_triangle_gradient_matches_central_differences(n):
         fd = (_triangle_terms(Vp, False, distinct)[0]
               - _triangle_terms(Vm, False, distinct)[0]) / (2 * h)
         assert fd == pytest.approx(grad[i, c], rel=1e-5, abs=1e-6)
+
+
+def triangle_terms_by_loop(V):
+    """(pen, maxv, dG) by a plain loop over ordered distinct triples and both signs.
+
+    dG[a, b] is the derivative with respect to G[a, b] taken as its own
+    variable, as _triangle_terms reports it.
+    """
+    G = V @ V.T
+    n = G.shape[0]
+    pen, maxv, dG = 0.0, 0.0, np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if i == j or j == k or i == k:
+                    continue
+                for s in (1.0, -1.0):
+                    v = s * (G[j, k] + G[i, k]) - 1.0 - G[i, j]
+                    if v > 0:
+                        pen += v * v
+                        maxv = max(maxv, v)
+                        dG[j, k] += 2 * s * v
+                        dG[i, k] += 2 * s * v
+                        dG[i, j] -= 2 * v
+    return pen, maxv, dG
+
+
+@pytest.mark.parametrize("n, chunk_elems", [(3, None), (12, None), (28, None), (30, None),
+                                            (30, 7 * 30 * 30)])
+def test_triangle_terms_match_a_per_triple_loop(n, chunk_elems):
+    # 7 rows per pass splits n = 30 into five passes, the last one short
+    V = random_unit_rows(np.random.default_rng(200 + n), n, 3)
+    distinct = _distinct_triples(n)
+    if chunk_elems is None:
+        pen, maxv, dG = _triangle_terms(V, True, distinct)
+    else:
+        pen, maxv, dG = _triangle_terms(V, True, distinct, chunk_elems)
+    ref_pen, ref_maxv, ref_dG = triangle_terms_by_loop(V)
+    assert ref_pen > 0
+    assert pen == pytest.approx(ref_pen, rel=1e-12, abs=0)
+    assert maxv == pytest.approx(ref_maxv, rel=1e-12, abs=0)
+    assert np.max(np.abs(dG - ref_dG)) <= 1e-12 * max(1.0, np.max(np.abs(ref_dG)))
+
+
+def test_exact_floor_triangle_solve_runs_no_plain_ascent():
+    # the exact cut replaces the plain vectors, so no sweep is run for them
+    g = gen_erdos_renyi(12, 0.6, "uniform", seed=0)
+    report = solve_sdp(g, SdpConfig(triangle=True)).feasibility_report
+    assert report["start"] == "floor-exact"
+    assert report["sweeps"] == 0 and report["converged"]
+
+
+def test_rounded_floor_and_pinned_triangle_solves_still_run_the_plain_ascent():
+    # both floors round the plain vectors
+    g22 = gen_erdos_renyi(22, 0.5, "planted", seed=0, q_cross=0.6, q_within=0.3)
+    g12 = gen_erdos_renyi(12, 0.6, "uniform", seed=0)
+    for g, pins in ((g22, {}), (g12, {0: 1})):
+        report = solve_sdp(g, SdpConfig(triangle=True, fixed_labels=pins)).feasibility_report
+        assert report["start"] == "floor-rounded"
+        assert report["sweeps"] >= 1
 
 
 def test_triangle_sdp_refuses_graphs_above_the_limit():
