@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import DimensionError, DomainError, ParameterError, ParseError
 from .graph import (CutAssignment, Graph, PrefixOrder, WideNarrowReport, wide_narrow_report,
@@ -214,6 +215,18 @@ def classify_literals(inst: CspInstance, delta: int, eta: float) -> WideNarrowRe
     return wide_narrow_report(delta, eta, prefix, totals, inst.total_weight)
 
 
+def _summed_csr(rows, cols, vals, shape):
+    """CSR matrix whose (r, c) entry is the sum of the vals at (r, c).
+
+    Repeated positions are added one by one in input order, as np.add.at
+    into a zero row would add them.
+    """
+    keys, at = np.unique(rows * shape[1] + cols, return_inverse=True)
+    sums = np.zeros(len(keys))
+    np.add.at(sums, at, vals)
+    return sp.csr_matrix((sums, (keys // shape[1], keys % shape[1])), shape=shape)
+
+
 def build_csp_lp(inst: CspInstance, z, delta: int, eta: float, eps_prime: float,
                  C: float = 4.0) -> AbsSumLp:
     """LP over the box whose objective freezes the partner variables at Z.
@@ -234,7 +247,8 @@ def build_csp_lp(inst: CspInstance, z, delta: int, eta: float, eps_prime: float,
     a0, a1, a2, a12 = inst.coeffs.T
 
     objective = np.zeros(n)
-    forms_g = []
+    # form k is sum over its (k, partner, kappa) triples of kappa x_partner
+    form, partner, kappa = [], [], []
     forms_h = []
     for i in range(n):
         if report.wide_mask[i]:
@@ -246,22 +260,23 @@ def build_csp_lp(inst: CspInstance, z, delta: int, eta: float, eps_prime: float,
             # objective: terms affine in x_i with the partner frozen at Z
             objective[i] += float(np.sum(w[tail] * (a1[tail] + a12[tail] * z[other[tail]])))
             # deviation form: sum w (a2 + a12)(x_partner - Z_partner)
-            gvec = np.zeros(n)
-            kappa = w[tail] * (a2[tail] + a12[tail])
-            np.add.at(gvec, other[tail], kappa)
-            forms_g.append(gvec)
-            forms_h.append(-float(np.sum(kappa * z[other[tail]])))
+            k_tail = w[tail] * (a2[tail] + a12[tail])
+            form.append(np.full(len(tail), len(forms_h)))
+            partner.append(other[tail])
+            kappa.append(k_tail)
+            forms_h.append(-float(np.sum(k_tail * z[other[tail]])))
         if len(head):
-            gvec = np.zeros(n)
-            np.add.at(gvec, other[head], w[head] * (a2[head] + a12[head]))
-            forms_g.append(gvec)
+            form.append(np.full(len(head), len(forms_h)))
+            partner.append(other[head])
+            kappa.append(w[head] * (a2[head] + a12[head]))
             forms_h.append(float(np.sum(w[head] * (a0[head] + a1[head]))))
 
     budget = C * (eps_prime + 2.0 * eta) * inst.total_weight
     groups = []
-    if forms_g:
-        groups.append(LpGroup(coeffs=np.vstack(forms_g), offsets=np.array(forms_h),
-                              budget=budget))
+    if forms_h:
+        groups.append(LpGroup(coeffs=_summed_csr(np.concatenate(form), np.concatenate(partner),
+                                                 np.concatenate(kappa), (len(forms_h), n)),
+                              offsets=np.array(forms_h), budget=budget))
     # AbsSumLp minimizes, the algorithm maximizes
     return AbsSumLp(objective=-objective, groups=groups)
 

@@ -1,7 +1,11 @@
 """Weighted graphs, cut objectives, and heavy-edge prefix machinery.
 
 A graph on n vertices is a symmetric nonnegative weighted adjacency matrix
-with zero diagonal. W_i is the weighted degree of vertex i and
+with zero diagonal. A Graph stores its edges as three sorted arrays and
+builds one symmetric CSR matrix from them on first use; every kernel here
+and on the wide path reads those. The dense n x n `adjacency` is built only
+when something asks for it: the exact oracle (n <= 24), the triangle SDP
+(n <= 200) and tests. W_i is the weighted degree of vertex i and
 W = sum_i W_i, so W counts each edge weight twice (once per endpoint).
 The cut value of x in {-1,+1}^n is (1/4) <x, Lx> = (1/4) (W - <x, Ax>)
 with L = D - A.
@@ -17,8 +21,10 @@ PrefixOrder of (owner, neighbour, weight) entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import DimensionError, DomainError, ParameterError, ParseError
 
@@ -35,42 +41,22 @@ class Graph:
     """Immutable undirected weighted graph.
 
     Edges are (i, j, w) with i < j and w >= 0; no self-loops, no duplicates.
-    `planted` optionally stores the ground-truth assignment a generator
-    built the graph around.
+    They are held as the arrays edge_i, edge_j, edge_w, sorted by (i, j).
+    The symmetric CSR matrix `csr`, the dense `adjacency` and the tuple list
+    `edges` are each built on first access and cached. `planted` optionally
+    stores the ground-truth assignment a generator built the graph around.
     """
 
     def __init__(self, n, edges, planted=None):
         if n < 1:
             raise ParameterError(f"need at least one vertex, got n={n}")
         self.n = int(n)
-        canon = []
-        seen = set()
-        for (i, j, w) in edges:
-            i, j, w = int(i), int(j), float(w)
-            if i == j:
-                raise DomainError(f"self-loop at vertex {i}")
-            if not (0 <= i < n and 0 <= j < n):
-                raise DomainError(f"vertex id out of range: ({i}, {j})")
-            if w < 0:
-                raise DomainError(f"negative weight {w} on edge ({i}, {j})")
-            if i > j:
-                i, j = j, i
-            if (i, j) in seen:
-                raise DomainError(f"duplicate edge ({i}, {j})")
-            seen.add((i, j))
-            canon.append((i, j, w))
-        canon.sort()
-        self.edges = canon
-        self.edge_i = np.array([e[0] for e in canon], dtype=np.intp)
-        self.edge_j = np.array([e[1] for e in canon], dtype=np.intp)
-        self.edge_w = np.array([e[2] for e in canon], dtype=np.float64)
-
-        A = np.zeros((self.n, self.n))
-        A[self.edge_i, self.edge_j] = self.edge_w
-        A[self.edge_j, self.edge_i] = self.edge_w
-        self.adjacency = A
-        self.adjacency.setflags(write=False)
-        self.weighted_degrees = A.sum(axis=1)
+        self.edge_i, self.edge_j, self.edge_w = _canonical_edges(self.n, edges)
+        # each vertex's weights added one by one in neighbour order, which is
+        # what csr @ ones computes
+        self.weighted_degrees = np.bincount(
+            np.concatenate([self.edge_j, self.edge_i]),
+            weights=np.concatenate([self.edge_w, self.edge_w]), minlength=self.n)
         self.total_weight = float(self.weighted_degrees.sum())
 
         if planted is not None:
@@ -79,25 +65,78 @@ class Graph:
                 raise DimensionError("planted assignment length mismatch")
         self.planted = planted
 
-        self._prefix_order = None   # built on the first prefix query
-
     @property
     def num_edges(self):
-        return len(self.edges)
+        return len(self.edge_w)
 
-    @property
-    def laplacian(self):
-        return np.diag(self.weighted_degrees) - self.adjacency
+    @cached_property
+    def edges(self):
+        """The canonical (i, j, w) tuples, in (i, j) order."""
+        return list(zip(self.edge_i.tolist(), self.edge_j.tolist(), self.edge_w.tolist()))
 
-    @property
+    @cached_property
+    def csr(self):
+        """Symmetric CSR weight matrix with sorted column indices.
+
+        Zero-weight edges are stored entries.
+        """
+        return sp.csr_matrix((np.concatenate([self.edge_w, self.edge_w]),
+                              (np.concatenate([self.edge_i, self.edge_j]),
+                               np.concatenate([self.edge_j, self.edge_i]))),
+                             shape=(self.n, self.n))
+
+    @cached_property
+    def adjacency(self):
+        """Dense read-only n x n weight matrix, for the exact oracle and the triangle SDP."""
+        A = np.zeros((self.n, self.n))
+        A[self.edge_i, self.edge_j] = self.edge_w
+        A[self.edge_j, self.edge_i] = self.edge_w
+        A.setflags(write=False)
+        return A
+
+    @cached_property
     def prefix_order(self):
         """Both orientations of every edge, in delta-prefix order (cached)."""
-        if self._prefix_order is None:
-            owner = np.concatenate([self.edge_i, self.edge_j])
-            other = np.concatenate([self.edge_j, self.edge_i])
-            self._prefix_order = PrefixOrder(self.n, owner, other,
-                                             np.concatenate([self.edge_w, self.edge_w]), other)
-        return self._prefix_order
+        owner = np.concatenate([self.edge_i, self.edge_j])
+        other = np.concatenate([self.edge_j, self.edge_i])
+        return PrefixOrder(self.n, owner, other,
+                           np.concatenate([self.edge_w, self.edge_w]), other)
+
+
+def _canonical_edges(n, edges):
+    """(edge_i, edge_j, edge_w) with i < j, sorted by (i, j).
+
+    Ids are truncated to integers and weights read as floats. Edges are
+    checked in input order; for each one a self-loop, an id out of range,
+    a negative weight and a repeat of an earlier pair are tested in that
+    order, and the first failing test raises.
+    """
+    if not isinstance(edges, (list, tuple, np.ndarray)):
+        edges = list(edges)
+    E = np.array(edges, dtype=np.float64) if len(edges) else np.empty((0, 3))
+    if E.ndim != 2 or E.shape[1] != 3:
+        raise ValueError("edges must be (i, j, w) triples")
+    lo, hi = np.sort(np.trunc(E[:, :2]), axis=1).T
+    w = E[:, 2]
+    loop = lo == hi
+    out_of_range = ~((lo >= 0) & (hi < n))
+    negative = w < 0
+    order = np.lexsort((hi, lo))      # stable: the first of equal pairs leads
+    repeat = np.zeros(len(w), dtype=bool)
+    repeat[order[1:]] = (np.diff(lo[order]) == 0) & (np.diff(hi[order]) == 0)
+    bad = loop | out_of_range | negative | repeat
+    if bad.any():
+        k = int(np.argmax(bad))
+        a, b, wk = edges[k]
+        a, b, wk = int(a), int(b), float(wk)
+        if loop[k]:
+            raise DomainError(f"self-loop at vertex {a}")
+        if out_of_range[k]:
+            raise DomainError(f"vertex id out of range: ({a}, {b})")
+        if negative[k]:
+            raise DomainError(f"negative weight {wk} on edge ({a}, {b})")
+        raise DomainError(f"duplicate edge ({min(a, b)}, {max(a, b)})")
+    return lo[order].astype(np.intp), hi[order].astype(np.intp), w[order]
 
 
 class PrefixOrder:
@@ -207,7 +246,7 @@ def frac_objective(g: Graph, x) -> float:
     vals = _values_of(x, g.n)
     if np.any(np.abs(vals) > 1.0 + BOX_TOL):
         raise DomainError("fractional assignment entries must lie in [-1, 1]")
-    return 0.25 * (g.total_weight - float(vals @ (g.adjacency @ vals)))
+    return 0.25 * (g.total_weight - float(vals @ (g.csr @ vals)))
 
 
 def delta_prefix_weight(g: Graph, i: int, delta: int) -> float:
@@ -259,8 +298,8 @@ def classify(g: Graph, delta: int, eta: float) -> WideNarrowReport:
                               g.weighted_degrees, g.total_weight)
 
 
-def truncated_adjacency(g: Graph, delta: int) -> np.ndarray:
-    """Adjacency with each row's delta-prefix entries zeroed.
+def truncated_adjacency(g: Graph, delta: int) -> sp.csr_matrix:
+    """CSR adjacency with each row's delta-prefix entries removed.
 
     Row i keeps only the delta-suffix of vertex i, so the result is
     generally not symmetric; every surviving entry in row i is at most
@@ -268,12 +307,10 @@ def truncated_adjacency(g: Graph, delta: int) -> np.ndarray:
     """
     if delta < 0:
         raise ParameterError(f"delta must be >= 0, got {delta}")
-    At = np.array(g.adjacency, copy=True)
     po = g.prefix_order
     owner = np.repeat(np.arange(g.n), np.diff(po.indptr))
-    head = np.arange(len(owner)) - po.indptr[owner] < delta
-    At[owner[head], po.other[head]] = 0.0
-    return At
+    tail = np.arange(len(owner)) - po.indptr[owner] >= delta
+    return sp.csr_matrix((po.weight[tail], (owner[tail], po.other[tail])), shape=(g.n, g.n))
 
 
 def gen_erdos_renyi(n, p, weight_law="unit", seed=0, q_cross=None, q_within=None,
@@ -298,8 +335,7 @@ def gen_erdos_renyi(n, p, weight_law="unit", seed=0, q_cross=None, q_within=None
             w = np.ones(int(present.sum()))
         else:
             w = 1.0 - rng.random(int(present.sum()))  # uniform on (0, 1]
-        edges = list(zip(iu[present].tolist(), ju[present].tolist(), w.tolist()))
-        return Graph(n, edges)
+        return Graph(n, np.column_stack((iu[present], ju[present], w)))
     if weight_law == "planted":
         for name, q in (("q_cross", q_cross), ("q_within", q_within)):
             if q is None or not (0.0 <= q <= 1.0):
@@ -314,8 +350,8 @@ def gen_erdos_renyi(n, p, weight_law="unit", seed=0, q_cross=None, q_within=None
         cross = truth[iu] != truth[ju]
         prob = np.where(cross, q_cross, q_within)
         present = rng.random(len(iu)) < prob
-        edges = [(int(i), int(j), 1.0) for i, j in zip(iu[present], ju[present])]
-        return Graph(n, edges, planted=truth)
+        return Graph(n, np.column_stack((iu[present], ju[present], np.ones(int(present.sum())))),
+                     planted=truth)
     raise ParameterError(f"unknown weight law {weight_law!r}")
 
 

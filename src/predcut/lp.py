@@ -3,7 +3,10 @@
 Minimize <c, x> over x in [-1, 1]^n subject to, for each group t,
 sum_k |<g_k, x> + h_k| <= B_t. Each absolute value is linearized with one
 slack s_k >= +-(<g_k, x> + h_k) and each group adds sum_k s_k <= B_t; the
-resulting standard-form LP goes to scipy's HiGHS backend. The contract is
+resulting standard-form LP goes to scipy's HiGHS backend. A group's forms
+may be a dense array or a scipy.sparse matrix (held as CSR); either way the
+constraint matrix is assembled sparse, with the zero coefficients dropped,
+so HiGHS receives the same matrix for the same coefficients. The contract is
 the tolerance pair (1e-7 feasibility, 1e-6 relative optimality), not the
 method. The objective is normalized by its largest magnitude before
 solving, so rescaling c by a positive constant cannot change the argmin.
@@ -14,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from .errors import DimensionError, ParameterError, PredcutError
@@ -29,12 +33,15 @@ OPT_TOL = 1e-6
 class LpGroup:
     """Affine forms <g_k, x> + h_k sharing one absolute-value budget."""
 
-    coeffs: np.ndarray   # (K, n) rows g_k
+    coeffs: object       # (K, n) rows g_k: a dense array, or CSR if given sparse
     offsets: np.ndarray  # (K,) entries h_k
     budget: float
 
     def __post_init__(self):
-        coeffs = np.atleast_2d(np.asarray(self.coeffs, dtype=np.float64))
+        if sp.issparse(self.coeffs):
+            coeffs = sp.csr_matrix(self.coeffs, dtype=np.float64)
+        else:
+            coeffs = np.atleast_2d(np.asarray(self.coeffs, dtype=np.float64))
         offsets = np.atleast_1d(np.asarray(self.offsets, dtype=np.float64))
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "offsets", offsets)
@@ -77,11 +84,15 @@ class LpSolution:
 
 
 def check_feasibility(lp: AbsSumLp, x) -> float:
-    """Worst constraint violation of x (box overrun or group budget excess)."""
+    """Worst constraint violation of x (box overrun or group budget excess).
+
+    Forms are evaluated through the CSR form of coeffs, so dense coeffs and
+    the same coefficients given sparse give the same value.
+    """
     x = np.asarray(x, dtype=np.float64)
     worst = float(np.max(np.abs(x)) - 1.0) if len(x) else 0.0
     for grp in lp.groups:
-        total = float(np.abs(grp.coeffs @ x + grp.offsets).sum())
+        total = float(np.abs(sp.csr_matrix(grp.coeffs) @ x + grp.offsets).sum())
         worst = max(worst, total - grp.budget)
     return worst
 
@@ -99,27 +110,27 @@ def solve(lp: AbsSumLp) -> LpSolution:
     c_full = np.zeros(dim)
     c_full[:n] = c_norm
 
-    rows = []
+    blocks = []
     rhs = []
-    offset = n
+    start = 0       # first slack of the group, counted from column n
     for grp in lp.groups:
         K = grp.coeffs.shape[0]
-        eye = np.zeros((K, num_slacks))
-        eye[np.arange(K), np.arange(offset - n, offset - n + K)] = 1.0
+        G = sp.csr_matrix(grp.coeffs)
+        S = sp.eye(K, num_slacks, k=start, format="csr")     # the group's slacks
         # s_k >= (g_k x + h_k)   ->   g_k x - s_k <= -h_k
-        rows.append(np.hstack([grp.coeffs, -eye]))
+        blocks.append(sp.hstack([G, -S]))
         rhs.append(-grp.offsets)
         # s_k >= -(g_k x + h_k)  ->  -g_k x - s_k <= h_k
-        rows.append(np.hstack([-grp.coeffs, -eye]))
+        blocks.append(sp.hstack([-G, -S]))
         rhs.append(grp.offsets)
         # group budget
-        row = np.zeros(dim)
-        row[offset:offset + K] = 1.0
-        rows.append(row.reshape(1, -1))
+        blocks.append(sp.csr_matrix((np.ones(K), n + start + np.arange(K), [0, K]),
+                                    shape=(1, dim)))
         rhs.append(np.array([grp.budget]))
-        offset += K
-    if rows:
-        A_ub = np.vstack(rows)
+        start += K
+    if blocks:
+        A_ub = sp.vstack(blocks, format="csr")
+        A_ub.eliminate_zeros()
         b_ub = np.concatenate(rhs)
     else:
         A_ub = b_ub = None

@@ -70,7 +70,7 @@ def flip_step(g: Graph, x_hat, sol: SdpSolution, gvec, delta_band: float):
         raise ContractViolationError("assignment is not the rounding of the given direction")
     in_band = np.abs(proj) <= delta_band
 
-    A = g.adjacency
+    A = g.csr
     out = ~in_band
     plus_out = A @ (out & (x > 0)).astype(np.float64)
     minus_out = A @ (out & (x < 0)).astype(np.float64)

@@ -4,10 +4,11 @@ The relaxation max sum_{i<j} w_ij (1 - <v_i, v_j>)/2 over unit vectors is
 optimized on a rank-k factorization with k = ceil(sqrt(2n)) + 1, which is
 past the Burer-Monteiro rank threshold, by block-coordinate ascent (the
 Mixing method): with all other rows fixed the optimal v_i is -u/||u|| for
-u = sum_j w_ij v_j. The weights are held as a symmetric CSR matrix and the
-free vertices are coloured greedily in index order; each colour class is
-an independent set, so its rows are updated together from one sparse
-product and the update stays exact. A sweep costs O(nnz * k).
+u = sum_j w_ij v_j. The weights are the graph's cached symmetric CSR
+matrix (Graph.csr), and the free vertices are coloured greedily in index
+order; each colour class is an independent set, so its rows are updated
+together from one sparse product and the update stays exact. A sweep
+costs O(nnz * k).
 
 Three optional constraint families:
   * fixed labels pin v_i = +-v_0 structurally (v_0 = e_1, never updated),
@@ -100,10 +101,11 @@ def _edge_contribution(g: Graph, V, edge_idx=None):
 
 
 def _edge_matrix(g: Graph, edge_idx=None):
-    """Symmetric CSR weight matrix over vertices, of all edges or of edge_idx."""
-    i, j, w = g.edge_i, g.edge_j, g.edge_w
-    if edge_idx is not None:
-        i, j, w = i[edge_idx], j[edge_idx], w[edge_idx]
+    """Symmetric CSR weight matrix over vertices, of all edges (the graph's
+    cached g.csr) or of edge_idx."""
+    if edge_idx is None:
+        return g.csr
+    i, j, w = g.edge_i[edge_idx], g.edge_j[edge_idx], g.edge_w[edge_idx]
     return sp.csr_matrix((np.concatenate([w, w]),
                           (np.concatenate([i, j]), np.concatenate([j, i]))),
                          shape=(g.n, g.n))

@@ -70,7 +70,7 @@ def estimate_imbalance(g: Graph, y: NoisyPrediction, delta: int, eta: float) -> 
 def build_wide_lp(g: Graph, est: ImbalanceEstimate, eps_prime: float, eta: float) -> AbsSumLp:
     """LP whose single group bounds sum_i |r_hat_i - (Ax)_i| by (eps'+2 eta) W."""
     budget = (eps_prime + 2.0 * eta) * g.total_weight
-    group = LpGroup(coeffs=-g.adjacency, offsets=est.r_hat, budget=budget)
+    group = LpGroup(coeffs=-g.csr, offsets=est.r_hat, budget=budget)
     return AbsSumLp(objective=est.r_hat, groups=[group])
 
 
@@ -87,7 +87,7 @@ def randomized_round_best(g: Graph, x_hat, eta: float, seed) -> CutAssignment:
     the seed; ties keep the earliest rounding.
     """
     X = draw_roundings(_values_of(x_hat, g.n), eta, seed)
-    quad = np.einsum("ti,ti->t", X @ g.adjacency, X)
+    quad = np.einsum("it,ti->t", g.csr @ X.T, X)
     best = int(np.argmin(quad))
     return CutAssignment(values=X[best])
 
@@ -100,11 +100,12 @@ def pipage_round(g: Graph, x_hat) -> CutAssignment:
     already at +-1 stay put.
     """
     x = _values_of(x_hat, g.n).copy()
-    A = g.adjacency
+    A = g.csr
     for i in range(g.n):
         if x[i] == 1.0 or x[i] == -1.0:
             continue
-        x[i] = -1.0 if A[i] @ x > 0 else 1.0
+        row = slice(A.indptr[i], A.indptr[i + 1])
+        x[i] = -1.0 if A.data[row] @ x[A.indices[row]] > 0 else 1.0
     return CutAssignment(values=x)
 
 

@@ -79,7 +79,8 @@ def test_quadratic_form_identity():
     for _ in range(20):
         g = random_graph(rng)
         x = random_cut(rng, g.n)
-        assert x @ g.laplacian @ x == pytest.approx(4 * cut_value(g, x), abs=1e-9)
+        L = np.diag(g.weighted_degrees) - g.adjacency
+        assert x @ L @ x == pytest.approx(4 * cut_value(g, x), abs=1e-9)
 
 
 def star_vertex_graph():
@@ -155,14 +156,14 @@ def test_classify_parameter_errors():
 def test_truncated_adjacency_tie_break_lower_index():
     # path 1 - 0 - 2, unit weights; row 0 zeroes the edge to neighbor 1
     g = Graph(3, [(0, 1, 1.0), (0, 2, 1.0)])
-    At = truncated_adjacency(g, 1)
+    At = truncated_adjacency(g, 1).toarray()
     assert At[0, 1] == 0.0 and At[0, 2] == 1.0
     assert not At[1].any() and not At[2].any()
 
 
 def test_truncated_adjacency_delta_zero_is_adjacency():
     g = random_graph(np.random.default_rng(15))
-    assert np.array_equal(truncated_adjacency(g, 0), g.adjacency)
+    assert np.array_equal(truncated_adjacency(g, 0).toarray(), g.adjacency)
 
 
 def test_truncated_adjacency_entry_bound():
@@ -171,7 +172,7 @@ def test_truncated_adjacency_entry_bound():
     for _ in range(20):
         g = random_graph(rng)
         delta = int(rng.integers(1, 5))
-        At = truncated_adjacency(g, delta)
+        At = truncated_adjacency(g, delta).toarray()
         for i in range(g.n):
             row = At[i]
             assert np.all(row <= g.weighted_degrees[i] / delta + 1e-12)
@@ -275,3 +276,38 @@ def test_graph_construction_validation():
         Graph(3, [(0, 1, -1.0)])
     with pytest.raises(DomainError):
         Graph(3, [(0, 1, 1.0), (1, 0, 2.0)])
+
+
+def test_only_the_exact_oracle_and_the_triangle_sdp_build_the_dense_adjacency():
+    # the dense n x n matrix is a cached attribute, so its absence from the
+    # instance dict means no call has built it
+    from predcut.exact import exact_maxcut
+    from predcut.pipeline import choose_delta, solve_noisy
+    from predcut.predictions import sample_noisy
+    from predcut.sdp import SdpConfig, solve_gw, solve_sdp
+    from predcut.wide import solve_wide
+
+    def fresh():
+        return gen_erdos_renyi(40, 0.0, "planted", seed=3, q_cross=0.6, q_within=0.3)
+
+    y = sample_noisy(fresh().planted, 0.3, seed=1)
+    assert classify(fresh(), choose_delta(0.3, 0.2, 0.003), 0.3).is_wide
+    calls = {
+        "solve_wide repeat": lambda g: solve_wide(g, y, 2, 0.3, 0.2, rounding="repeat", seed=1),
+        "solve_wide pipage": lambda g: solve_wide(g, y, 2, 0.3, 0.2, rounding="pipage", seed=1),
+        "solve_noisy wide": lambda g: solve_noisy(g, y, eta=0.3, eps_prime=0.2, c_delta=0.003,
+                                                  seed=2),
+        "solve_sdp": lambda g: solve_sdp(g, SdpConfig(seed=1)),
+        "solve_gw": lambda g: solve_gw(g, 1, 2, 5),
+    }
+    for name, call in calls.items():
+        g = fresh()
+        call(g)
+        assert "adjacency" not in vars(g), name
+    g = fresh()
+    assert "adjacency" not in vars(g)
+    solve_sdp(g, SdpConfig(triangle=True, seed=1))
+    assert "adjacency" in vars(g)
+    g = Graph(5, [(0, 1, 1.0), (1, 2, 2.0), (3, 4, 0.5)])
+    exact_maxcut(g)
+    assert "adjacency" in vars(g)

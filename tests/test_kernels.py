@@ -1,19 +1,23 @@
 """Property tests of the shared kernels against plain reference code.
 
 The exhaustive search is checked against itertools.product, the delta-prefix
-order against a per-owner sort, and best_cut against a first-wins scan.
+order against a per-owner sort, best_cut against a first-wins scan, and
+Graph construction against a per-edge loop.
 """
 
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from predcut.csp import CspInstance, classify_literals, csp_value, predicate_from_bits
+from predcut.errors import DomainError
 from predcut.exact import exact_csp, exact_maxcut
 from predcut.graph import (CutAssignment, Graph, WEIGHT_TOL, best_cut, classify, cut_value,
-                           delta_prefix_weight, truncated_adjacency)
+                           delta_prefix_weight, load_edge_list, save_edge_list,
+                           truncated_adjacency)
 
 PROPS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 # few distinct weights, so ties are common; 0.0 gives zero-weight entries
@@ -81,7 +85,7 @@ def _graph_reference(g, i, delta):
 @PROPS
 @given(g=graphs(), delta=st.integers(0, 10))
 def test_graph_prefix_matches_sorted_reference(g, delta):
-    At = truncated_adjacency(g, delta)
+    At = truncated_adjacency(g, delta).toarray()
     for i in range(g.n):
         head = _graph_reference(g, i, delta)
         # added heaviest first, left to right, as the reference lists them
@@ -97,7 +101,7 @@ def test_graph_prefix_matches_sorted_reference(g, delta):
 
 def test_graph_prefix_tie_prefers_the_lower_neighbour():
     g = Graph(4, [(0, 3, 1.0), (0, 2, 1.0), (0, 1, 1.0)])
-    At = truncated_adjacency(g, 2)
+    At = truncated_adjacency(g, 2).toarray()
     assert At[0].tolist() == [0.0, 0.0, 0.0, 1.0]
 
 
@@ -136,3 +140,98 @@ def test_best_cut_is_the_earliest_maximum(g, picks):
             best, best_val = c, cut_value(g, c)
     assert best_cut(g, cuts) is best
     assert best_cut(g, iter(cuts)) is best
+
+
+def _reference_graph(n, edges):
+    """The per-edge construction loop: (sorted canonical triples, degrees), or the first error."""
+    canon, seen = [], set()
+    for (i, j, w) in edges:
+        i, j, w = int(i), int(j), float(w)
+        if i == j:
+            raise DomainError(f"self-loop at vertex {i}")
+        if not (0 <= i < n and 0 <= j < n):
+            raise DomainError(f"vertex id out of range: ({i}, {j})")
+        if w < 0:
+            raise DomainError(f"negative weight {w} on edge ({i}, {j})")
+        if i > j:
+            i, j = j, i
+        if (i, j) in seen:
+            raise DomainError(f"duplicate edge ({i}, {j})")
+        seen.add((i, j))
+        canon.append((i, j, w))
+    canon.sort()
+    deg = np.zeros(n)
+    for i, j, w in canon:
+        deg[i] += w
+        deg[j] += w
+    return canon, deg
+
+
+# weights whose sums round, so the degree test sees the order of additions
+ROUNDING_WEIGHTS = st.sampled_from([0.0, 0.1, 0.2, 0.3, 1 / 3, 0.7, 1.0])
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, edges): distinct valid edges in random orientation, then injected faults."""
+    n = draw(st.integers(1, 8))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = [(j, i, draw(ROUNDING_WEIGHTS)) if draw(st.booleans())
+             else (i, j, draw(ROUNDING_WEIGHTS)) for i, j in chosen]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        kind = draw(st.sampled_from(["loop", "range", "negative", "repeat", "flipped"]))
+        at = draw(st.integers(0, len(edges)))
+        v = draw(st.integers(0, n - 1))
+        if kind == "loop":
+            bad = (v, v, 1.0)
+        elif kind == "range":
+            bad = draw(st.sampled_from([(v, n, 1.0), (-1, v, 1.0), (n + 2, -3, 0.5)]))
+        elif kind == "negative" or not edges:
+            bad = (v, (v + 1) % max(n, 2), -0.3)
+        else:
+            i, j, _ = edges[draw(st.integers(0, len(edges) - 1))]
+            bad = (i, j, 2.5) if kind == "repeat" else (j, i, 2.5)
+        edges.insert(at, bad)
+    return n, edges
+
+
+@settings(PROPS, max_examples=300)
+@given(case=edge_lists(), as_iterator=st.booleans())
+def test_graph_construction_matches_a_per_edge_loop(case, as_iterator):
+    n, edges = case
+    try:
+        canon, deg = _reference_graph(n, edges)
+    except DomainError as err:
+        with pytest.raises(DomainError) as got:
+            Graph(n, iter(edges) if as_iterator else edges)
+        assert str(got.value) == str(err)
+        return
+    g = Graph(n, iter(edges) if as_iterator else edges)
+    assert g.edges == canon
+    assert all(type(i) is int and type(j) is int and type(w) is float for i, j, w in g.edges)
+    assert g.edge_i.tolist() == [e[0] for e in canon]
+    assert g.edge_j.tolist() == [e[1] for e in canon]
+    assert g.edge_w.tolist() == [e[2] for e in canon]
+    assert g.num_edges == len(canon)
+    assert np.array_equal(g.weighted_degrees, deg)
+    assert g.total_weight == float(deg.sum())
+    h = load_edge_list(save_edge_list(g))
+    assert h.edges == g.edges and h.n == g.n
+    assert np.array_equal(h.weighted_degrees, g.weighted_degrees)
+
+
+def test_edges_must_be_triples():
+    for edges in ([(0, 1)], [(0, 1, 1.0, 2.0)], [(0, 1, 1.0), (1, 2)]):
+        with pytest.raises(ValueError):
+            Graph(3, edges)
+
+
+def test_zero_edge_graph():
+    g = Graph(3, [])
+    assert g.edges == [] and g.num_edges == 0 and g.total_weight == 0.0
+    assert g.edge_i.dtype == np.intp and g.edge_w.dtype == np.float64
+    assert np.array_equal(g.weighted_degrees, np.zeros(3))
+    assert g.csr.shape == (3, 3) and g.csr.nnz == 0
+    assert np.array_equal(g.adjacency, np.zeros((3, 3)))
+    assert load_edge_list(save_edge_list(g)).edges == []

@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from predcut.errors import DimensionError
 from predcut.lp import (AbsSumLp, INFEASIBLE, LpGroup, OPTIMAL, check_feasibility,
@@ -180,3 +183,68 @@ def test_dimension_mismatch():
     with pytest.raises(DimensionError):
         AbsSumLp(objective=np.zeros(3),
                  groups=[LpGroup(np.zeros((1, 2)), np.zeros(1), 1.0)])
+
+
+# Coefficients, offsets and test points on a grid of quarters, so every
+# product and sum below is exact and the two evaluation orders (dense
+# matrix-vector product, CSR row sums) cannot round apart.
+QUARTERS = st.sampled_from([0.0, 0.0, 0.0, 0.25, -0.5, 1.0, -1.0, 2.0])
+
+
+@st.composite
+def sparse_lp_data(draw):
+    """(objective, [(coeffs, offsets, budget)]) with mostly-zero coefficient rows."""
+    n = draw(st.integers(1, 6))
+    objective = np.array(draw(st.lists(QUARTERS, min_size=n, max_size=n)))
+    groups = []
+    for _ in range(draw(st.integers(1, 3))):
+        K = draw(st.integers(1, 4))
+        coeffs = np.array(draw(st.lists(QUARTERS, min_size=K * n, max_size=K * n))).reshape(K, n)
+        offsets = np.array(draw(st.lists(QUARTERS, min_size=K, max_size=K)))
+        groups.append((coeffs, offsets, draw(st.sampled_from([0.0, 0.25, 1.0, 4.0]))))
+    return objective, groups
+
+
+def _sparse(coeffs, fmt):
+    """coeffs in a scipy.sparse format; "stored zeros" keeps every entry, zeros included."""
+    if fmt == "stored zeros":
+        rows, cols = np.indices(coeffs.shape).reshape(2, -1)
+        return sp.csr_matrix((coeffs.ravel(), (rows, cols)), shape=coeffs.shape)
+    return sp.csr_matrix(coeffs).asformat(fmt)
+
+
+def _bytes(v):
+    return np.asarray(v, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=sparse_lp_data(), fmt=st.sampled_from(["csr", "csc", "coo", "stored zeros"]))
+# one one-form group whose budget cannot be met: |x - 3| <= 0.5 on [-1, 1]
+@example(data=(np.array([1.0]), [(np.array([[1.0]]), np.array([-3.0]), 0.5)]), fmt="csr")
+@example(data=(np.array([0.5, 0.0, 0.0]),
+               [(np.array([[1.0, 0.0, 0.0], [0.0, -0.5, 0.0]]), np.array([0.0, 0.0]), 0.25)]),
+         fmt="stored zeros")
+# several groups, one of them a single form, and an all-zero form
+@example(data=(np.array([1.0, -1.0, 0.0]),
+               [(np.array([[0.0, 1.0, 0.0]]), np.array([0.5]), 1.0),
+                (np.array([[1.0, 0.0, -1.0], [0.0, 0.0, 0.0]]), np.array([0.0, 0.25]), 0.25),
+                (np.array([[2.0, -0.5, 0.0]]), np.array([-1.0]), 4.0)]), fmt="coo")
+def test_sparse_and_dense_coefficients_give_the_same_lp(data, fmt):
+    objective, groups = data
+    dense = AbsSumLp(objective=objective, groups=[LpGroup(c, h, b) for c, h, b in groups])
+    sparse = AbsSumLp(objective=objective,
+                      groups=[LpGroup(_sparse(c, fmt), h, b) for c, h, b in groups])
+    for grp in sparse.groups:
+        assert sp.issparse(grp.coeffs) and grp.coeffs.format == "csr"
+    for grp in dense.groups:
+        assert isinstance(grp.coeffs, np.ndarray)
+    a, b = solve(dense), solve(sparse)
+    assert a.status == b.status
+    assert _bytes(a.x) == _bytes(b.x)
+    assert _bytes(a.objective_value) == _bytes(b.objective_value)
+    n = len(objective)
+    points = [np.full(n, 0.5), np.linspace(-1.0, 1.0, n), -np.ones(n)]
+    if a.optimal:
+        points.append(a.x)
+    for x in points:
+        assert check_feasibility(dense, x) == check_feasibility(sparse, x)
