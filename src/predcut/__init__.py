@@ -9,7 +9,7 @@ from .predictions import (NoisyPrediction, PartialPrediction, bias_grid,
                           load_prediction, sample_noisy, sample_partial,
                           save_prediction, scaled_prediction)
 from .lp import AbsSumLp, LpGroup, LpSolution, solve as solve_lp
-from .sdp import (SdpConfig, SdpSolution, hyperplane_round, load_solution,
+from .sdp import (SdpConfig, SdpSolution, SubsetLadder, hyperplane_round, load_solution,
                   rt_round, save_solution, sdp_objective, solve_gw, solve_sdp)
 from .exact import exact_csp, exact_maxcut
 from .wide import (ImbalanceEstimate, build_wide_lp, estimate_imbalance,

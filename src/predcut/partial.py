@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ParameterError
 from .graph import CutAssignment, Graph, best_cut
 from .predictions import PartialPrediction
-from .sdp import SUBSET_TOL_FRAC, SdpConfig, rt_round, solve_gw, solve_sdp
+from .sdp import SUBSET_TOL_FRAC, SdpConfig, SubsetLadder, rt_round, solve_gw
 from .seeds import derive
 
 DEFAULT_TAU_STEP = 0.05
@@ -66,27 +66,27 @@ def solve_partial_rt(g: Graph, y: PartialPrediction, tau_grid: TauGrid = None,
 
     Infeasible grid points are skipped (tau = 0 is always feasible); ties
     between equal cuts keep the smaller tau, then the smaller draw index.
-    Every grid point shares one seed, pin set and subset, so feasibility is
-    monotone in tau (see solve_sdp): once a tau is found infeasible, every
-    tau at or above it is skipped without a solve. A tau above the subset's
-    own weight, plus solve_sdp's feasibility tolerance, is skipped without a
-    solve as well, since the subset contributes at most its weight.
+    Every grid point shares one seed, pin set and subset, and so one
+    multiplier ladder (see SubsetLadder): each rung is solved once for the
+    whole grid. Feasibility is monotone in tau, so once a tau is found
+    infeasible, every tau at or above it is skipped without a solve. A tau
+    above the subset's own weight, plus solve_sdp's feasibility tolerance,
+    is skipped without a solve as well, since the subset contributes at
+    most its weight.
     """
     if roundings < 1:
         raise ParameterError(f"roundings must be >= 1, got {roundings}")
     grid = tau_grid or TauGrid.for_graph(g)
-    pins = _pins_of(y)
     subset = revealed_edge_set(g, y)
     reach = float(np.sum(g.edge_w[subset])) + SUBSET_TOL_FRAC * max(g.total_weight, 1.0)
+    ladder = SubsetLadder(g, subset, SdpConfig(fixed_labels=_pins_of(y), seed=derive(seed, 0)))
 
     def grid_roundings():
         unreachable = np.inf
         for t_idx, tau in enumerate(grid.values):
             if tau >= unreachable or tau > reach:
                 continue
-            cfg = SdpConfig(fixed_labels=pins, subset_constraint=(subset, float(tau)),
-                            seed=derive(seed, 0))
-            sol = solve_sdp(g, cfg)
+            sol = ladder.solve(tau)
             if not sol.feasible_at_tau:
                 unreachable = tau
                 continue

@@ -13,7 +13,13 @@ costs O(nnz * k).
 Three optional constraint families:
   * fixed labels pin v_i = +-v_0 structurally (v_0 = e_1, never updated),
   * a lower bound tau on the weight-contribution of an edge subset,
-    enforced by bisecting a Lagrange multiplier added to those edges,
+    enforced by a Lagrange multiplier added to those edges: a ladder of
+    multipliers 0, 1, 2, 4, ..., 2^20, then bisection below the first rung
+    that meets tau. The ladder does not depend on tau until a rung meets
+    it, so SubsetLadder solves each rung once and serves every tau of a
+    sweep from the same rungs, with the output of a solve per tau; the
+    colour-class row blocks are built once per ladder and each rung only
+    rewrites their data,
   * the odd-cycle triangle inequalities
         s (<v_j, v_k> + <v_i, v_k>) <= 1 + <v_i, v_j>,  s in {-1, +1},
     over distinct triples, enforced by a squared-hinge penalty whose
@@ -37,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .errors import DimensionError, ParameterError, ParseError
 from .graph import CutAssignment, Graph, best_cut
@@ -132,21 +138,77 @@ def _colour_classes(M, free):
     return [np.array(c, dtype=np.intp) for c in classes]
 
 
-def _coordinate_ascent(M, V, classes, tol_abs, max_sweeps):
+def _on_pattern(A, B):
+    """B's values on A's stored entries, 0 on the others.
+
+    B's pattern lies within A's, and both have sorted column indices.
+    """
+    def keys(M):
+        rows = np.repeat(np.arange(M.shape[0], dtype=np.int64), np.diff(M.indptr))
+        return rows * M.shape[1] + M.indices
+
+    s = np.zeros(A.nnz)
+    s[np.searchsorted(keys(A), keys(B))] = B.data
+    return s
+
+
+class _ClassRows:
+    """The ascent's weight matrix M = A + l * A_sub and its colour-class row blocks M[c].
+
+    Both keep A's sparsity pattern and are built once. set_multiplier(l)
+    rewrites their data in place with a + l * s, where s is A_sub's weight
+    on subset entries and 0 elsewhere: entry by entry the value scipy's
+    A + l * A_sub holds. That sum drops stored zeros and these keep them,
+    but a stored zero adds a +-0 product to a sum that starts at +0, which
+    leaves the sum's bits unchanged. The blocks' data arrays are views of
+    one array laid out class by class.
+    """
+
+    def __init__(self, A, classes, A_sub=None):
+        self.classes = classes
+        self.a = A.data
+        self.s = None if A_sub is None else _on_pattern(A, A_sub)
+        self.M = A if A_sub is None else sp.csr_matrix((A.data.copy(), A.indices, A.indptr),
+                                                         shape=A.shape)
+        rows = np.concatenate(classes) if classes else np.empty(0, dtype=np.intp)
+        counts = np.diff(A.indptr)[rows]
+        bounds = np.concatenate([[0], np.cumsum(counts)])
+        # positions in M.data of the rows' entries, class by class
+        self.gather = np.repeat(A.indptr[rows] - bounds[:-1], counts) + np.arange(bounds[-1])
+        self.data = self.M.data[self.gather]
+        indices = A.indices[self.gather]
+        self.blocks = []
+        r0 = 0
+        for c in classes:
+            r1 = r0 + len(c)
+            d0, d1 = bounds[r0], bounds[r1]
+            blk = sp.csr_matrix((self.data[d0:d1], indices[d0:d1], bounds[r0:r1 + 1] - d0),
+                                shape=(len(c), A.shape[1]))
+            blk.data = self.data[d0:d1]      # the constructor copied it
+            self.blocks.append(blk)
+            r0 = r1
+
+    def set_multiplier(self, l):
+        np.add(self.a, l * self.s, out=self.M.data)
+        np.take(self.M.data, self.gather, out=self.data)
+
+
+def _coordinate_ascent(rows, V, tol_abs, max_sweeps):
     """Block-coordinate ascent on the factorized relaxation, in place.
 
-    M is the sparse (possibly multiplier-adjusted) weight matrix over
-    vertices; V holds vertex rows only. Each sweep updates the colour
-    classes in turn; sweeps stop when an entire pass improves the objective
-    by less than tol_abs. Returns (sweeps run, whether the tolerance was met).
+    `rows` is the _ClassRows of the (possibly multiplier-adjusted) weight
+    matrix over vertices; V holds vertex rows only. Each sweep updates the
+    colour classes in turn; sweeps stop when an entire pass improves the
+    objective by less than tol_abs. Returns (sweeps run, whether the
+    tolerance was met).
     """
-    if not classes:
+    if not rows.classes:
         return 0, True
-    blocks = [M[c] for c in classes]
+    M = rows.M
     prev = None
     quiet = 0
     for sweep in range(1, max_sweeps + 1):
-        for c, B in zip(classes, blocks):
+        for c, B in zip(rows.classes, rows.blocks):
             U = B @ V
             nrm = np.linalg.norm(U, axis=1)
             ok = nrm > 1e-300
@@ -297,178 +359,211 @@ def _penalized_ascent(A, V, free_mask, rho, terms, distinct, iters, tol_abs, alp
 def solve_sdp(g: Graph, cfg: SdpConfig = None) -> SdpSolution:
     """Solve the (optionally constrained) MaxCut relaxation for g."""
     cfg = cfg or SdpConfig()
-    n = g.n
-    if n < 1:
-        raise ParameterError("graph must have at least one vertex")
-    if cfg.triangle and n > TRIANGLE_LIMIT:
-        raise ParameterError(f"the triangle SDP is limited to n <= {TRIANGLE_LIMIT}, got n={n}")
-    W = g.total_weight
-    scale = max(W, 1.0)
+    subset, tau = cfg.subset_constraint or (None, 0.0)
+    return SubsetLadder(g, subset, cfg).solve(tau)
 
-    pins = {}
-    for v, s in cfg.fixed_labels.items():
-        v = int(v)
-        if not (0 <= v < n):
-            raise ParameterError(f"pinned vertex {v} out of range")
-        if s not in (1, -1, 1.0, -1.0):
-            raise ParameterError(f"pin for vertex {v} must be +-1, got {s}")
-        if v in pins and pins[v] != float(s):
-            raise ParameterError(f"vertex {v} pinned to both signs")
-        pins[v] = float(s)
 
-    subset_idx = tau = None
-    if cfg.subset_constraint is not None:
-        subset_idx, tau = cfg.subset_constraint
-        subset_idx = np.asarray(subset_idx, dtype=np.intp)
-        tau = float(tau)
-        if tau < 0:
-            raise ParameterError(f"tau must be >= 0, got {tau}")
-        if tau > W:
-            raise ParameterError(f"tau={tau} exceeds total weight {W}: trivially infeasible")
+# multipliers of the ladder's rungs: l = 0, 1, 2, 4, ..., 2^20
+_MULTIPLIERS = (0.0,) + tuple(2.0 ** e for e in range(21))
 
-    k = math.ceil(math.sqrt(2 * n)) + 1
-    rng = np.random.default_rng(cfg.seed)
-    V = rng.standard_normal((n, k))
-    V /= np.linalg.norm(V, axis=1, keepdims=True)
-    v0 = np.zeros(k)
-    v0[0] = 1.0
-    for v, s in pins.items():
-        V[v] = s * v0
 
-    exact_floor = cfg.triangle and not pins and n <= 20
-    free_mask = np.ones(n, dtype=bool)
-    free_mask[list(pins)] = False
-    A = _edge_matrix(g)
-    classes = _colour_classes(A, np.flatnonzero(free_mask))
-    tol_abs = cfg.tolerance * scale
-    runs = []       # (sweeps, tolerance met) of every coordinate-ascent run
+class SubsetLadder:
+    """The multiplier ladder of one graph, subset and SdpConfig, climbed once for every tau.
 
-    lam = 0.0
-    feasible_at_tau = True
-    if subset_idx is None or len(subset_idx) == 0:
-        if subset_idx is not None:
-            # empty subset contributes 0; only tau == 0 is satisfiable
-            feasible_at_tau = tau <= SUBSET_TOL_FRAC * scale
-        # an exact-floor triangle solve overwrites V before reading it, and
-        # with no multiplier to find, the plain ascent would go unused
-        if not exact_floor:
-            runs.append(_coordinate_ascent(A, V, classes, tol_abs, cfg.max_iters))
-    else:
-        A_sub = _edge_matrix(g, subset_idx)
-        sub_tol = SUBSET_TOL_FRAC * scale
+    A subset constraint sum_{e in subset} w_e (1 - <v_i, v_j>)/2 >= tau is
+    enforced by running the ascent on A + l * A_sub at the rungs l = 0, 1,
+    2, 4, ..., 2^20, each rung starting from the V the previous one ended
+    on. The ladder starts from the seeded V, and its path does not depend
+    on tau until a rung meets tau, so every tau's ladder is a prefix of the
+    longest one. Each rung is therefore solved once, when a tau first needs
+    it, and its V and subset value are kept. solve(tau) reads the rungs up
+    to the first that meets tau and bisects the multiplier from a copy of
+    that rung's V; a tau that no rung meets gets the earliest best rung and
+    the top rung's multiplier. A tau no rung meets is unmet for every
+    larger tau as well.
 
-        def run(l):
-            runs.append(_coordinate_ascent(A + l * A_sub, V, classes, tol_abs, cfg.max_iters))
-            return _edge_contribution(g, V, subset_idx)
+    With no subset (a plain or pinned solve) or an empty one, the ladder is
+    rung 0 alone, since no multiplier moves anything. solve(tau) equals
+    solve_sdp with subset_constraint=(subset, tau), byte for byte, in any
+    order of taus. cfg's own subset_constraint is not read.
+    """
 
-        # The ladder l = 0, 1, 2, ..., 2^20 starts from the seeded V and its
-        # path does not depend on tau until a rung meets tau. A tau that no
-        # rung meets is therefore unmet for every larger tau as well, with the
-        # same seed, pins and subset; solve_partial_rt relies on this to stop
-        # its tau sweep at the first infeasible threshold.
-        s_val = run(0.0)
-        if s_val < tau - sub_tol:
-            lo, hi = 0.0, 1.0
-            found = False
-            best_V = V.copy()
-            best_s = s_val
-            while hi <= 2.0 ** 20:
-                s_val = run(hi)
-                if s_val > best_s:
-                    best_s, best_V = s_val, V.copy()
-                if s_val >= tau - sub_tol:
-                    found = True
-                    break
-                lo = hi
-                hi *= 2.0
-            if not found:
-                feasible_at_tau = False
-                V = best_V
-                lam = lo
-            else:
-                # shrink toward the smallest multiplier that still meets tau
-                lam = hi
-                sat_V = V.copy()
-                for _ in range(30):
-                    if hi - lo <= 1e-3 * max(hi, 1.0):
-                        break
-                    mid = 0.5 * (lo + hi)
-                    s_val = run(mid)
-                    if s_val >= tau - sub_tol:
-                        hi, lam, sat_V = mid, mid, V.copy()
-                    else:
-                        lo = mid
-                V = sat_V
+    def __init__(self, g: Graph, subset=None, cfg: SdpConfig = None):
+        cfg = cfg or SdpConfig()
+        n = g.n
+        if n < 1:
+            raise ParameterError("graph must have at least one vertex")
+        if cfg.triangle and n > TRIANGLE_LIMIT:
+            raise ParameterError(f"the triangle SDP is limited to n <= {TRIANGLE_LIMIT}, got n={n}")
+        pins = {}
+        for v, s in cfg.fixed_labels.items():
+            v = int(v)
+            if not (0 <= v < n):
+                raise ParameterError(f"pinned vertex {v} out of range")
+            if s not in (1, -1, 1.0, -1.0):
+                raise ParameterError(f"pin for vertex {v} must be +-1, got {s}")
+            if v in pins and pins[v] != float(s):
+                raise ParameterError(f"vertex {v} pinned to both signs")
+            pins[v] = float(s)
+        self.g, self.cfg, self.pins = g, cfg, pins
+        self.subset = None if subset is None else np.asarray(subset, dtype=np.intp)
+        self.scale = max(g.total_weight, 1.0)
 
-    max_triangle = None
-    if cfg.triangle:
-        # the penalty rounds work on the dense Gram matrix, so they take
-        # dense weights as well
-        D = g.adjacency
-        A_eff = D if lam == 0.0 else (A + lam * A_sub).toarray()
-        # relaxation-sanity floor: any integral cut embeds as an exactly
-        # feasible point of this relaxation, so the stage must never return
-        # less than the best cut it can find. Tiny instances enumerate the
-        # exact cut; larger ones take locally-optimized roundings.
-        if exact_floor:
-            from .exact import exact_maxcut
-            floor_val, floor_cut = exact_maxcut(g)
-            floor_x = floor_cut.values
-            start = "floor-exact"
-        else:
-            floor_x, floor_val = None, -np.inf
-            for r in range(20):
-                rng_r = np.random.default_rng(derive(cfg.seed, 90, r))
-                proj = V @ rng_r.standard_normal(k)
-                x = _one_opt(D, np.where(proj > 0, 1.0, -1.0))
-                val = 0.25 * (W - float(x @ D @ x))
-                if val > floor_val:
-                    floor_val, floor_x = val, x
-            start = "floor-rounded"
-        # one penalty run from a barely-perturbed embedding of the floor cut,
-        # which starts near-feasible at the floor objective
-        blend = 0.02
-        rng_b = np.random.default_rng(derive(cfg.seed, 91))
-        V = ((1 - blend) * floor_x[:, None] * v0[None, :]
-             + blend * rng_b.standard_normal((n, k)))
+        self.k = k = math.ceil(math.sqrt(2 * n)) + 1
+        rng = np.random.default_rng(cfg.seed)
+        V = rng.standard_normal((n, k))
         V /= np.linalg.norm(V, axis=1, keepdims=True)
+        self.v0 = np.zeros(k)
+        self.v0[0] = 1.0
         for v, s in pins.items():
-            V[v] = s * v0
-        distinct = _distinct_triples(n)
-        max_triangle, penalty_rounds = _penalty_continuation(A_eff, V, free_mask, scale,
-                                                             distinct)
-        # hard floor: fall back to the floor cut's own embedding (exactly
-        # feasible, objective floor_val) if the ascent landed under it
-        fallback = False
-        if not pins and (_edge_contribution(g, V) < floor_val or max_triangle > TRIANGLE_TOL):
-            V_f = floor_x[:, None] * v0[None, :]
-            if (_edge_contribution(g, V_f) >= _edge_contribution(g, V)
-                    or max_triangle > TRIANGLE_TOL):
-                V = V_f
-                max_triangle = _triangle_terms(V, False, distinct)[1]
-                fallback = True
+            V[v] = s * self.v0
+        self.V = V                  # where the next rung starts
 
-    full = np.vstack([v0, V])
-    report = {"unit_norm": float(np.max(np.abs(np.linalg.norm(full, axis=1) - 1.0))),
-              "sweeps": sum(r[0] for r in runs), "converged": all(r[1] for r in runs)}
-    if pins:
-        report["pins"] = float(max(np.linalg.norm(V[v] - s * v0) for v, s in pins.items()))
-    if subset_idx is not None:
-        achieved = _edge_contribution(g, V, subset_idx)
-        report["subset"] = float(max(0.0, tau - achieved))
-    if cfg.triangle:
-        report["triangle"] = float(max_triangle)
-        report["penalty_rounds"] = penalty_rounds
-        report["start"] = start
-        report["fallback"] = fallback
-    objective = _edge_contribution(g, V)
-    return SdpSolution(
-        dim=k,
-        vectors=full,
-        objective_value=objective,
-        feasibility_report=report,
-        feasible_at_tau=feasible_at_tau,
-    )
+        self.free_mask = np.ones(n, dtype=bool)
+        self.free_mask[list(pins)] = False
+        self.exact_floor = cfg.triangle and not pins and n <= 20
+        self.top = 0 if self.subset is None or len(self.subset) == 0 else len(_MULTIPLIERS) - 1
+        self.A_sub = _edge_matrix(g, self.subset) if self.top else None
+        self.rows = _ClassRows(g.csr, _colour_classes(g.csr, np.flatnonzero(self.free_mask)),
+                               self.A_sub)
+        self.rungs = []             # (V after the rung, subset value, its run or None)
+
+    def _run(self, l, V):
+        """One coordinate-ascent run at multiplier l, in place; returns (sweeps, converged)."""
+        if self.top:
+            self.rows.set_multiplier(l)
+        return _coordinate_ascent(self.rows, V, self.cfg.tolerance * self.scale,
+                                  self.cfg.max_iters)
+
+    def _value(self, V):
+        return _edge_contribution(self.g, V, self.subset) if self.top else 0.0
+
+    def _rung(self, m):
+        """Rung m, solved on first need."""
+        while len(self.rungs) <= m:
+            # an exact-floor triangle solve overwrites V before reading it, and
+            # with no multiplier to find, the plain ascent would go unused
+            run = None
+            if self.top or not self.exact_floor:
+                run = self._run(_MULTIPLIERS[len(self.rungs)], self.V)
+            self.rungs.append((self.V.copy(), self._value(self.V), run))
+        return self.rungs[m]
+
+    def solve(self, tau) -> SdpSolution:
+        """solve_sdp's solution with subset_constraint=(subset, tau), from the shared rungs.
+
+        feasible_at_tau says whether the subset's contribution reached tau
+        within 1e-4 * max(W, 1).
+        """
+        tau = float(tau)
+        if not tau >= 0:
+            raise ParameterError(f"tau must be >= 0, got {tau}")
+        if tau > self.g.total_weight:
+            raise ParameterError(f"tau={tau} exceeds total weight {self.g.total_weight}: "
+                                 "trivially infeasible")
+        target = tau - SUBSET_TOL_FRAC * self.scale
+        m = 0
+        while self._rung(m)[1] < target and m < self.top:
+            m += 1
+        read = self.rungs[:m + 1]
+        runs = [r[2] for r in read if r[2] is not None]
+        V, value, _ = read[-1]
+        feasible = value >= target
+        if not feasible:
+            V = max(read, key=lambda r: r[1])[0]       # the earliest best rung
+            lam = _MULTIPLIERS[m]
+        elif m == 0:
+            lam = 0.0
+        else:
+            # shrink toward the smallest multiplier that still meets tau
+            lo, hi = _MULTIPLIERS[m - 1], _MULTIPLIERS[m]
+            lam, W = hi, V.copy()
+            for _ in range(30):
+                if hi - lo <= 1e-3 * max(hi, 1.0):
+                    break
+                mid = 0.5 * (lo + hi)
+                runs.append(self._run(mid, W))
+                if self._value(W) >= target:
+                    hi, lam, V = mid, mid, W.copy()
+                else:
+                    lo = mid
+        return self._solution(V, runs, tau, lam, feasible, m + 1)
+
+    def _solution(self, V, runs, tau, lam, feasible_at_tau, rungs):
+        """The triangle stage, if any, and the report, from the ladder's V for tau."""
+        g, cfg, pins, v0, k = self.g, self.cfg, self.pins, self.v0, self.k
+        n, W = g.n, g.total_weight
+        max_triangle = None
+        if cfg.triangle:
+            # the penalty rounds work on the dense Gram matrix, so they take
+            # dense weights as well
+            D = g.adjacency
+            A_eff = D if lam == 0.0 else (g.csr + lam * self.A_sub).toarray()
+            # relaxation-sanity floor: any integral cut embeds as an exactly
+            # feasible point of this relaxation, so the stage must never return
+            # less than the best cut it can find. Tiny instances enumerate the
+            # exact cut; larger ones take locally-optimized roundings.
+            if self.exact_floor:
+                from .exact import exact_maxcut
+                floor_val, floor_cut = exact_maxcut(g)
+                floor_x = floor_cut.values
+                start = "floor-exact"
+            else:
+                floor_x, floor_val = None, -np.inf
+                for r in range(20):
+                    rng_r = np.random.default_rng(derive(cfg.seed, 90, r))
+                    proj = V @ rng_r.standard_normal(k)
+                    x = _one_opt(D, np.where(proj > 0, 1.0, -1.0))
+                    val = 0.25 * (W - float(x @ D @ x))
+                    if val > floor_val:
+                        floor_val, floor_x = val, x
+                start = "floor-rounded"
+            # one penalty run from a barely-perturbed embedding of the floor cut,
+            # which starts near-feasible at the floor objective
+            blend = 0.02
+            rng_b = np.random.default_rng(derive(cfg.seed, 91))
+            V = ((1 - blend) * floor_x[:, None] * v0[None, :]
+                 + blend * rng_b.standard_normal((n, k)))
+            V /= np.linalg.norm(V, axis=1, keepdims=True)
+            for v, s in pins.items():
+                V[v] = s * v0
+            distinct = _distinct_triples(n)
+            max_triangle, penalty_rounds = _penalty_continuation(A_eff, V, self.free_mask,
+                                                                 self.scale, distinct)
+            # hard floor: fall back to the floor cut's own embedding (exactly
+            # feasible, objective floor_val) if the ascent landed under it
+            fallback = False
+            if not pins and (_edge_contribution(g, V) < floor_val or max_triangle > TRIANGLE_TOL):
+                V_f = floor_x[:, None] * v0[None, :]
+                if (_edge_contribution(g, V_f) >= _edge_contribution(g, V)
+                        or max_triangle > TRIANGLE_TOL):
+                    V = V_f
+                    max_triangle = _triangle_terms(V, False, distinct)[1]
+                    fallback = True
+
+        full = np.vstack([v0, V])
+        report = {"unit_norm": float(np.max(np.abs(np.linalg.norm(full, axis=1) - 1.0))),
+                  "sweeps": sum(r[0] for r in runs), "converged": all(r[1] for r in runs)}
+        if pins:
+            report["pins"] = float(max(np.linalg.norm(V[v] - s * v0) for v, s in pins.items()))
+        if self.subset is not None:
+            achieved = _edge_contribution(g, V, self.subset)
+            report["subset"] = float(max(0.0, tau - achieved))
+        if cfg.triangle:
+            report["triangle"] = float(max_triangle)
+            report["penalty_rounds"] = penalty_rounds
+            report["start"] = start
+            report["fallback"] = fallback
+        if self.subset is not None:
+            report["rungs"] = rungs
+            report["multiplier"] = lam
+        return SdpSolution(
+            dim=k,
+            vectors=full,
+            objective_value=_edge_contribution(g, V),
+            feasibility_report=report,
+            feasible_at_tau=feasible_at_tau,
+        )
 
 
 def round_by_direction(sol: SdpSolution, gvec) -> CutAssignment:
@@ -535,9 +630,16 @@ def rt_round(sol: SdpSolution, seed) -> CutAssignment:
     gvec = rng.standard_normal(sol.dim)
     gvec = gvec - float(gvec @ v0) * v0
     xi = wbar @ gvec
-    with np.errstate(invalid="ignore"):
-        t = norm.ppf(np.clip(mu, -1.0, 1.0) / 2.0 + 0.5)
-    return CutAssignment(values=np.where(xi <= t, 1.0, -1.0))
+    return CutAssignment(values=np.where(xi <= _rt_thresholds(mu), 1.0, -1.0))
+
+
+def _rt_thresholds(mu):
+    """Phi^{-1}(mu/2 + 1/2) for mu clipped to [-1, 1]; -inf at -1 and +inf at 1.
+
+    ndtri is the function scipy.stats.norm.ppf evaluates, without its
+    argument checks and without importing scipy.stats.
+    """
+    return ndtri(np.clip(mu, -1.0, 1.0) / 2.0 + 0.5)
 
 
 def sdp_objective(g: Graph, sol: SdpSolution) -> float:

@@ -1,4 +1,4 @@
-"""CLI stdout, experiment CSVs and triangle-SDP vectors, pinned byte for byte.
+"""CLI stdout, experiment CSVs, triangle- and subset-SDP vectors, pinned byte for byte.
 
 The files under tests/data/golden are the inputs and the expected outputs.
 Regenerate them only for an intended change of output:
@@ -17,6 +17,8 @@ import pytest
 from predcut.cli import main
 from predcut.csp import CspInstance, predicate_from_bits, save_csp
 from predcut.graph import gen_erdos_renyi
+from predcut.partial import revealed_edge_set
+from predcut.predictions import PartialPrediction
 from predcut.sdp import SdpConfig, save_solution, solve_sdp
 
 DATA = Path(__file__).parent / "data" / "golden"
@@ -116,6 +118,12 @@ TRIANGLE = {
 }
 
 
+# subset-SDP vectors of one pinned graph, the subset being the edges at the
+# pins: a tau met at the first multiplier rung, one that bisects the
+# multiplier and one that no rung meets; name -> tau
+SUBSET = {"subset_met": 2.0, "subset_bisected": 3.75, "subset_infeasible": 4.0}
+
+
 def _stdout(argv):
     argv = [str(DATA / a) if (DATA / a).is_file() else a for a in argv]
     buf = io.StringIO()
@@ -156,6 +164,19 @@ def test_triangle_vectors_are_pinned(name):
     assert _triangle_vectors(name) == (DATA / f"{name}.txt").read_bytes()
 
 
+def _subset_vectors(name):
+    g = gen_erdos_renyi(12, 0.6, "uniform", seed=0)
+    y = PartialPrediction(y=np.array([1.0, 0, 0, -1.0] + [0] * 8), epsilon=0.2)
+    cfg = SdpConfig(fixed_labels={0: 1, 3: -1},
+                    subset_constraint=(revealed_edge_set(g, y), SUBSET[name]))
+    return save_solution(solve_sdp(g, cfg)).encode()
+
+
+@pytest.mark.parametrize("name", sorted(SUBSET))
+def test_subset_vectors_are_pinned(name):
+    assert _subset_vectors(name) == (DATA / f"{name}.txt").read_bytes()
+
+
 def _write_inputs():
     DATA.mkdir(parents=True, exist_ok=True)
     with contextlib.redirect_stdout(io.StringIO()):
@@ -192,3 +213,5 @@ if __name__ == "__main__":
             (DATA / f"{name}.csv").write_bytes(_experiment(name, tmp))
     for name in TRIANGLE:
         (DATA / f"{name}.txt").write_bytes(_triangle_vectors(name))
+    for name in SUBSET:
+        (DATA / f"{name}.txt").write_bytes(_subset_vectors(name))

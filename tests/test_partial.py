@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-import predcut.partial
+import predcut.sdp
 from predcut.errors import ParameterError
 from predcut.exact import exact_maxcut
 from predcut.graph import Graph, cut_value, gen_erdos_renyi
 from predcut.partial import (TauGrid, revealed_edge_set, solve_partial_gw,
                              solve_partial_rt)
 from predcut.predictions import PartialPrediction, sample_partial
-from predcut.sdp import SdpConfig, rt_round, solve_sdp
+from predcut.sdp import SdpConfig, SubsetLadder, rt_round, solve_sdp
 
 from conftest import random_graph
 
@@ -177,14 +177,15 @@ def unpruned_rt(g, y, grid, seed, roundings):
 
 
 def counted_solves(monkeypatch):
-    """Make solve_partial_rt record every solve_sdp call in the returned list."""
+    """Make solve_partial_rt record every tau it solves in the returned list."""
     calls = []
+    solve = SubsetLadder.solve
 
-    def counting_solve(g, cfg):
-        calls.append(cfg)
-        return solve_sdp(g, cfg)
+    def counting_solve(ladder, tau):
+        calls.append(tau)
+        return solve(ladder, tau)
 
-    monkeypatch.setattr(predcut.partial, "solve_sdp", counting_solve)
+    monkeypatch.setattr(SubsetLadder, "solve", counting_solve)
     return calls
 
 
@@ -218,3 +219,43 @@ def test_rt_skips_taus_above_the_subset_weight_without_a_solve(monkeypatch):
     out = solve_partial_rt(g, y, grid, seed=5, roundings=4)
     assert np.array_equal(out.values, ref.values)
     assert len(calls) == feasible.count(True)
+
+
+def test_rt_solves_each_rung_once(monkeypatch):
+    # a sweep's ascent runs are the distinct ladder rungs its taus read plus
+    # each tau's bisection runs: a single-tau solve's runs less its rungs.
+    # The taus come unsorted and reach the subset's weight.
+    g = gen_erdos_renyi(14, 0.5, "uniform", seed=113)
+    _, x_star = exact_maxcut(g)
+    y = sample_partial(x_star, 0.3, seed=114)
+    subset = revealed_edge_set(g, y)
+    taus = np.linspace(0.0, float(np.sum(g.edge_w[subset])), 13)
+    grid = TauGrid(step=1 / 12, values=np.random.default_rng(115).permutation(taus))
+    runs, solved = [], []
+    ascent, solve = predcut.sdp._coordinate_ascent, SubsetLadder.solve
+
+    def counting_ascent(*args):
+        runs.append(args)
+        return ascent(*args)
+
+    def recording_solve(ladder, tau):
+        solved.append((tau, solve(ladder, tau)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(predcut.sdp, "_coordinate_ascent", counting_ascent)
+    monkeypatch.setattr(SubsetLadder, "solve", recording_solve)
+    solve_partial_rt(g, y, grid, seed=5, roundings=4)
+    monkeypatch.setattr(SubsetLadder, "solve", solve)
+    sweep_runs = len(runs)
+    rungs = max(sol.feasibility_report["rungs"] for _, sol in solved)
+
+    pins = {int(i): float(y.y[i]) for i in y.revealed_set}
+    bisections = 0
+    for tau, sol in solved:
+        del runs[:]
+        alone = solve_sdp(g, SdpConfig(fixed_labels=pins, subset_constraint=(subset, tau),
+                                       seed=[5, 0]))
+        assert alone.feasibility_report == sol.feasibility_report
+        bisections += len(runs) - alone.feasibility_report["rungs"]
+    assert rungs == 22 and bisections > 0
+    assert sweep_runs == rungs + bisections

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import norm
 
 from predcut.errors import DimensionError, ParameterError
 from predcut.exact import exact_maxcut
 from predcut.graph import Graph, cut_value, gen_erdos_renyi
-from predcut.sdp import (SdpConfig, SdpSolution, _colour_classes, _coordinate_ascent,
-                         _distinct_triples, _edge_matrix, _triangle_terms,
-                         hyperplane_round, load_solution, round_by_direction, rt_round,
-                         save_solution, sdp_objective, solve_sdp)
+from predcut.sdp import (SUBSET_TOL_FRAC, SdpConfig, SdpSolution, SubsetLadder, _ClassRows,
+                         _colour_classes, _coordinate_ascent, _distinct_triples, _edge_matrix,
+                         _rt_thresholds, _triangle_terms, hyperplane_round, load_solution,
+                         round_by_direction, rt_round, save_solution, sdp_objective, solve_sdp)
 
 from conftest import random_graph, three_sigma
 
@@ -132,6 +133,18 @@ def test_rt_round_expectation_matches_mu():
     for i, m in enumerate(mus):
         p = m / 2 + 0.5
         assert abs(acc[i] / draws - m) <= 2 * (three_sigma(p, draws) + 0.01)
+
+
+def test_rt_thresholds_equal_norm_ppf_bit_for_bit():
+    rng = np.random.default_rng(52)
+    mus = np.concatenate([[-1.0, 0.0, 1.0, 1e-300, -1e-300, -0.0],
+                          rng.uniform(-1.0, 1.0, 2000), 1.0 - rng.uniform(0, 1e-9, 50),
+                          -1.0 + rng.uniform(0, 1e-9, 50), rng.uniform(-1e-12, 1e-12, 50)])
+    with np.errstate(invalid="ignore"):
+        ref = norm.ppf(np.clip(mus, -1.0, 1.0) / 2.0 + 0.5)
+    t = _rt_thresholds(mus)
+    assert t.tobytes() == ref.tobytes()
+    assert t[0] == -np.inf and t[2] == np.inf
 
 
 def test_sdp_objective_all_equal_vectors():
@@ -427,7 +440,7 @@ def test_ascent_objective_never_decreases():
         V = random_unit_rows(rng, n, 8)
         prev = dense_objective(g, V)
         for _ in range(40):
-            assert _coordinate_ascent(M, V, classes, 0.0, 1) == (1, False)
+            assert _coordinate_ascent(_ClassRows(M, classes), V, 0.0, 1) == (1, False)
             obj = dense_objective(g, V)
             assert obj >= prev - 1e-12 * g.total_weight
             prev = obj
@@ -441,7 +454,7 @@ def test_ascent_never_writes_pinned_rows():
     free = np.setdiff1d(np.arange(g.n), pinned)
     V = random_unit_rows(rng, g.n, 7)
     before = V.copy()
-    _coordinate_ascent(M, V, _colour_classes(M, free), 0.0, 50)
+    _coordinate_ascent(_ClassRows(M, _colour_classes(M, free)), V, 0.0, 50)
     assert np.array_equal(V[pinned], before[pinned])
     assert not np.array_equal(V[free], before[free])
 
@@ -479,3 +492,177 @@ def test_relaxation_dominates_exact_with_unit_vectors(n, p, law, seed):
     sol = solve_sdp(g, SdpConfig(seed=seed))
     assert sol.objective_value >= opt - 1e-6 * max(g.total_weight, 1.0)
     assert np.max(np.abs(np.linalg.norm(sol.vectors, axis=1) - 1.0)) <= 1e-6
+
+
+def class_rows_reference(A, A_sub, l, classes, V):
+    """scipy's A + l * A_sub, its products with V over all rows and by colour class."""
+    M = A + l * A_sub
+    return (M @ V).tobytes(), [(M[c] @ V).tobytes() for c in classes], M.toarray()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 14), data=st.data())
+def test_class_rows_equal_scipy_sums_bit_for_bit(n, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31 - 1)))
+    weights = [0.0, 1.0, 2.5, float(rng.uniform(0, 1))]
+    edges = [(i, j, weights[int(rng.integers(4))]) for i in range(n) for j in range(i + 1, n)
+             if rng.random() < 0.5]
+    g = Graph(n, edges)
+    sub = np.flatnonzero(rng.random(g.num_edges) < 0.4)
+    classes = _colour_classes(g.csr, np.flatnonzero(rng.random(n) < 0.8))
+    rows = _ClassRows(g.csr, classes, _edge_matrix(g, sub))
+    V = random_unit_rows(rng, n, 4)
+    for l in (0.0, 1.0, 3.0, 0.5 * (2.0 + 4.0), float(rng.uniform(0, 2 ** 20)), 2.0 ** 20):
+        rows.set_multiplier(l)
+        full, blocks, dense = class_rows_reference(g.csr, _edge_matrix(g, sub), l, classes, V)
+        assert (rows.M @ V).tobytes() == full
+        assert [(B @ V).tobytes() for B in rows.blocks] == blocks
+        assert np.array_equal(rows.M.toarray(), dense)
+
+
+def per_tau_reference(g, pins, subset, tau, seed):
+    """The multiplier search of one tau, as solve_sdp ran it before the ladder was shared.
+
+    Every run forms scipy's A + l * A_sub and slices its colour-class rows.
+    Returns (vertex rows, sweeps, converged, feasible at tau, multiplier).
+    """
+    n = g.n
+    k = int(np.ceil(np.sqrt(2 * n))) + 1
+    V = np.random.default_rng(seed).standard_normal((n, k))
+    V /= np.linalg.norm(V, axis=1, keepdims=True)
+    v0 = np.eye(k)[0]
+    for v, s in pins.items():
+        V[v] = s * v0
+    free = np.setdiff1d(np.arange(n), list(pins))
+    A = g.csr
+    classes = _colour_classes(A, free)
+    scale = max(g.total_weight, 1.0)
+    tol_abs, sub_tol = 1e-8 * scale, SUBSET_TOL_FRAC * scale
+    runs = []
+
+    def value():
+        i, j, w = g.edge_i[subset], g.edge_j[subset], g.edge_w[subset]
+        return float(np.sum(w * (1.0 - np.einsum("ek,ek->e", V[i], V[j]))) / 2.0) if len(w) else 0.0
+
+    def run(l):
+        if not classes:
+            runs.append((0, True))
+            return value()
+        M = A + l * _edge_matrix(g, subset)
+        blocks, prev, quiet = [M[c] for c in classes], None, 0
+        for sweep in range(1, 1501):
+            for c, B in zip(classes, blocks):
+                U = B @ V
+                nrm = np.linalg.norm(U, axis=1)
+                ok = nrm > 1e-300
+                V[c[ok]] = -U[ok] / nrm[ok, None]
+            obj = -0.5 * float(np.einsum("ik,ik->", V, M @ V))
+            if prev is not None and obj - prev < tol_abs:
+                quiet += 1
+                if quiet >= 2:
+                    runs.append((sweep, True))
+                    return value()
+            else:
+                quiet = 0
+            prev = obj
+        runs.append((1500, False))
+        return value()
+
+    s_val = run(0.0)
+    if len(subset) == 0:
+        return V, sum(r[0] for r in runs), True, tau <= sub_tol, 0.0
+    lam, feasible = 0.0, True
+    if s_val < tau - sub_tol:
+        lo, hi, found, best_V, best_s = 0.0, 1.0, False, V.copy(), s_val
+        while hi <= 2.0 ** 20:
+            s_val = run(hi)
+            if s_val > best_s:
+                best_s, best_V = s_val, V.copy()
+            if s_val >= tau - sub_tol:
+                found = True
+                break
+            lo, hi = hi, 2 * hi
+        if not found:
+            return best_V, sum(r[0] for r in runs), all(r[1] for r in runs), False, lo
+        lam, sat_V = hi, V.copy()
+        for _ in range(30):
+            if hi - lo <= 1e-3 * max(hi, 1.0):
+                break
+            mid = 0.5 * (lo + hi)
+            if run(mid) >= tau - sub_tol:
+                hi, lam, sat_V = mid, mid, V.copy()
+            else:
+                lo = mid
+        V = sat_V
+    return V, sum(r[0] for r in runs), all(r[1] for r in runs), feasible, lam
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 12), data=st.data())
+def test_shared_ladder_equals_a_single_tau_solve_per_tau(n, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31 - 1)))
+    weights = [0.0, 1.0, 2.0, float(rng.uniform(0, 1))]
+    edges = [(i, j, weights[int(rng.integers(4))]) for i in range(n) for j in range(i + 1, n)
+             if rng.random() < rng.uniform(0.2, 0.9)]
+    g = Graph(n, edges)
+    revealed = rng.random(n) < data.draw(st.sampled_from([0.0, 0.3, 0.6]))
+    pins = {int(v): float(rng.choice([-1.0, 1.0])) for v in np.flatnonzero(revealed)}
+    if data.draw(st.booleans()):
+        revealed = rng.random(n) < 0.3          # a subset that is not the pins' edges
+    subset = np.flatnonzero(revealed[g.edge_i] | revealed[g.edge_j])
+    triangle = data.draw(st.booleans())
+    seed = int(rng.integers(0, 1000))
+    cfg = SdpConfig(fixed_labels=pins, triangle=triangle, seed=seed)
+    # taus between consecutive rung values of a probe ladder bisect at the
+    # later rung; the subset's weight is met late or by no rung
+    reach = min(float(np.sum(g.edge_w[subset])), g.total_weight)
+    probe = SubsetLadder(g, subset, cfg)
+    probe.solve(reach)
+    values = [r[1] for r in probe.rungs]
+    taus = [0.0, reach] + [min(f * reach, g.total_weight) for f in rng.uniform(0.0, 1.1, 2)]
+    taus += [0.5 * (a + b) for a, b in zip(values, values[1:]) if b > a + 1e-3][:3]
+    rng.shuffle(taus)
+    ladder = SubsetLadder(g, subset, cfg)
+    for tau in taus:
+        shared = ladder.solve(tau)
+        alone = solve_sdp(g, SdpConfig(fixed_labels=pins, triangle=triangle, seed=seed,
+                                       subset_constraint=(subset, tau)))
+        assert save_solution(shared) == save_solution(alone)
+        assert shared.feasibility_report == alone.feasibility_report
+        assert shared.feasible_at_tau == alone.feasible_at_tau
+        assert shared.objective_value == alone.objective_value
+        if not triangle:
+            V, sweeps, converged, feasible, lam = per_tau_reference(g, pins, subset, tau, seed)
+            report = shared.feasibility_report
+            assert shared.vertex_vectors.tobytes() == V.tobytes()
+            assert (report["sweeps"], report["converged"]) == (sweeps, converged)
+            assert (shared.feasible_at_tau, report["multiplier"]) == (feasible, lam)
+
+
+def test_ladder_reports_rungs_and_multiplier():
+    # the instance of the golden subset pins: tau 2.0 is met at rung 0,
+    # 3.75 bisects between rungs and 4.0 is met by no rung
+    g = gen_erdos_renyi(12, 0.6, "uniform", seed=0)
+    subset = np.flatnonzero(np.isin(g.edge_i, [0, 3]) | np.isin(g.edge_j, [0, 3]))
+    cfg = SdpConfig(fixed_labels={0: 1, 3: -1})
+    ladder = SubsetLadder(g, subset, cfg)
+    reports = {tau: ladder.solve(tau).feasibility_report for tau in (4.0, 0.0, 3.75, 2.0)}
+    assert (reports[2.0]["rungs"], reports[2.0]["multiplier"]) == (1, 0.0)
+    assert reports[0.0] == reports[2.0] | {"subset": 0.0}
+    met = reports[3.75]
+    assert 1 < met["rungs"] < 22
+    assert 2.0 ** (met["rungs"] - 3) < met["multiplier"] <= 2.0 ** (met["rungs"] - 2)
+    assert (reports[4.0]["rungs"], reports[4.0]["multiplier"]) == (22, 2.0 ** 20)
+    assert len(ladder.rungs) == 22
+    for tau, report in reports.items():
+        alone = solve_sdp(g, SdpConfig(fixed_labels={0: 1, 3: -1},
+                                       subset_constraint=(subset, tau)))
+        assert alone.feasibility_report == report
+    # a plain solve reports neither key; an empty subset has rung 0 alone
+    assert "rungs" not in solve_sdp(g, cfg).feasibility_report
+    empty = SubsetLadder(g, [], cfg)
+    assert empty.solve(0.0).feasibility_report["rungs"] == 1
+    assert not empty.solve(1.0).feasible_at_tau
+    assert (empty.solve(1.0).feasibility_report["multiplier"], len(empty.rungs)) == (0.0, 1)
+    with pytest.raises(ParameterError):
+        ladder.solve(float("nan"))
