@@ -8,7 +8,9 @@ u = sum_j w_ij v_j. The weights are the graph's cached symmetric CSR
 matrix (Graph.csr), and the free vertices are coloured greedily in index
 order; each colour class is an independent set, so its rows are updated
 together from one sparse product and the update stays exact. A sweep
-costs O(nnz * k).
+costs O(nnz * k). The products call scipy's csr_matvecs kernel directly,
+the kernel B @ V runs, since on small graphs the sparse operator's
+dispatch costs more than the product.
 
 Three optional constraint families:
   * fixed labels pin v_i = +-v_0 structurally (v_0 = e_1, never updated),
@@ -30,19 +32,23 @@ Three optional constraint families:
     otherwise the best of 20 locally-optimized roundings), and without
     pins the result never falls below that cut; the exact cut needs no
     plain solve, so that case runs no plain ascent and reports 0 sweeps.
-    Each line-search trial evaluates the penalty's value and gradient in
-    one pass: one hinge per ordered triple (the two signs are never both
-    violated), a gradient that uses the (i, j) mirror symmetry of each
-    triple, and rows taken in passes of about TRIANGLE_CHUNK hinge elements.
+    The penalty takes one hinge per ordered triple (the two signs are never
+    both violated), a gradient that uses the (i, j) mirror symmetry of each
+    triple, and rows in passes of about TRIANGLE_CHUNK hinge elements. A
+    line-search trial evaluates the value only; the gradient is finished
+    from the same pass's arrays when the trial is accepted, and the worst
+    violation once per penalty round.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvecs
 from scipy.special import ndtri
 
 from .errors import DimensionError, ParameterError, ParseError
@@ -52,7 +58,7 @@ from .seeds import derive
 TRIANGLE_LIMIT = 200
 TRIANGLE_TOL = 1e-3
 SUBSET_TOL_FRAC = 1e-4
-TRIANGLE_CHUNK = 1 << 18     # hinge elements per pass of _triangle_terms
+TRIANGLE_CHUNK = 1 << 18     # hinge elements per pass of _TriangleTerms
 ZERO_PERP_TOL = 1e-9
 
 
@@ -93,6 +99,24 @@ class SdpSolution:
     def mu(self):
         """Inner products <v_0, v_i> for the n vertices."""
         return self.vertex_vectors @ self.v0
+
+    @cached_property
+    def _rt_parts(self):
+        """rt_round's draw-independent part, computed on the first draw.
+
+        Returns (wbar, thresholds): the unit rows w_i/||w_i|| of the parts of
+        v_i perpendicular to v_0 (0 where ||w_i|| <= ZERO_PERP_TOL), and
+        Phi^{-1}(mu_i/2 + 1/2). Later draws reuse it, so the vectors must not
+        change after the first draw.
+        """
+        v0, Vv = self.v0, self.vertex_vectors
+        mu = self.mu()
+        W_perp = Vv - mu[:, None] * v0[None, :]
+        norms = _row_norms(W_perp)
+        safe = norms > ZERO_PERP_TOL
+        wbar = np.zeros_like(W_perp)
+        wbar[safe] = W_perp[safe] / norms[safe, None]
+        return wbar, _rt_thresholds(mu)
 
 
 def _edge_contribution(g: Graph, V, edge_idx=None):
@@ -193,27 +217,59 @@ class _ClassRows:
         np.take(self.M.data, self.gather, out=self.data)
 
 
+def _row_norms(U, keepdims=False):
+    """np.linalg.norm(U, axis=1, keepdims=keepdims) for real U, bit for bit.
+
+    It is the expression norm evaluates for a real matrix along one axis,
+    without norm's argument handling.
+    """
+    return np.sqrt(np.add.reduce(U * U, axis=1, keepdims=keepdims))
+
+
+def _csr_product(indptr, indices, data, V):
+    """The CSR matrix (indptr, indices, data) times the dense V, bit for bit as scipy's B @ V.
+
+    csr_matvecs is the kernel B @ V calls for a dense V of two or more
+    columns: it adds each row's stored products, in stored order, into a
+    zeroed output. Calling it directly skips scipy's operator dispatch,
+    which costs more than the product on the ascent's small blocks. indptr
+    and indices share one integer type, as in a scipy CSR matrix, and V is
+    a float64 array with as many rows as the matrix has columns.
+    """
+    m, k = len(indptr) - 1, V.shape[1]
+    out = np.zeros((m, k))
+    csr_matvecs(m, V.shape[0], k, indptr, indices, data, V, out)
+    return out
+
+
 def _coordinate_ascent(rows, V, tol_abs, max_sweeps):
     """Block-coordinate ascent on the factorized relaxation, in place.
 
     `rows` is the _ClassRows of the (possibly multiplier-adjusted) weight
     matrix over vertices; V holds vertex rows only. Each sweep updates the
     colour classes in turn; sweeps stop when an entire pass improves the
-    objective by less than tol_abs. Returns (sweeps run, whether the
-    tolerance was met).
+    objective by less than tol_abs. A row whose u has norm <= 1e-300 (a
+    vertex with no weighted neighbour) keeps its value. Returns (sweeps run,
+    whether the tolerance was met).
     """
     if not rows.classes:
         return 0, True
     M = rows.M
+    full = (M.indptr, M.indices, M.data)
+    blocks = [(c, B.indptr, B.indices, B.data) for c, B in zip(rows.classes, rows.blocks)]
     prev = None
     quiet = 0
     for sweep in range(1, max_sweeps + 1):
-        for c, B in zip(rows.classes, rows.blocks):
-            U = B @ V
-            nrm = np.linalg.norm(U, axis=1)
-            ok = nrm > 1e-300
-            V[c[ok]] = -U[ok] / nrm[ok, None]
-        obj = -0.5 * float(np.einsum("ik,ik->", V, M @ V))  # affine part dropped
+        for c, indptr, indices, data in blocks:
+            U = _csr_product(indptr, indices, data, V)
+            nrm = _row_norms(U)
+            if nrm[nrm.argmin()] > 1e-300:     # argmin finds a NaN as well
+                U /= nrm[:, None]
+                V[c] = np.negative(U, out=U)    # -(u/n), the bits of (-u)/n
+            else:
+                ok = nrm > 1e-300
+                V[c[ok]] = -U[ok] / nrm[ok, None]
+        obj = -0.5 * float(np.einsum("ik,ik->", V, _csr_product(*full, V)))  # affine part dropped
         # two consecutive low-gain sweeps guard the geometric tail of the gap
         if prev is not None and obj - prev < tol_abs:
             quiet += 1
@@ -226,48 +282,95 @@ def _coordinate_ascent(rows, V, tol_abs, max_sweeps):
 
 
 def _distinct_triples(n):
-    """Boolean (n, n, n) mask of the triples (i, j, k) with i, j, k pairwise distinct."""
-    i, j, k = np.ogrid[:n, :n, :n]
-    return (i != j) & (j != k) & (i != k)
+    """(n, n, n) float64 mask, 1.0 on the triples (i, j, k) with i, j, k pairwise distinct.
 
-
-def _triangle_terms(V, need_grad, distinct, chunk_elems=TRIANGLE_CHUNK):
-    """Penalty value, worst violation, and dPenalty/dGram for the triangle family.
-
-    Returns (sum of squared violations, max violation, dG) with the caller
-    applying the penalty weight. dG is None unless need_grad; the penalty
-    and the violation do not depend on need_grad, bit for bit. `distinct`
-    is _distinct_triples(n) for the n rows of V. Rows i are taken in
-    chunks of about chunk_elems hinge elements.
-
-    For a triple (i, j, k) with S = G[j,k] + G[i,k] and D = G[i,j], the two
-    signs' hinges S - D - 1 and -S - D - 1 are never both positive, since
-    D >= -1; one hinge T = max(|S| - D - 1, 0) carries the active sign. S
-    and D are symmetric in (i, j), so the d/dG[j,k] and d/dG[i,k] sums of
-    2 sign(S) T are equal and one reduction serves both.
+    A float mask multiplies faster than a bool one and gives the same bits,
+    since numpy casts a bool operand to 0.0 and 1.0.
     """
-    n = V.shape[0]
-    G = V @ V.T
-    pen = 0.0
-    maxv = 0.0
-    dG = np.zeros((n, n)) if need_grad else None
-    rows = max(1, chunk_elems // max(n * n, 1))
-    for i0 in range(0, n, rows):
-        i1 = min(i0 + rows, n)
-        Gi = G[i0:i1]                                   # (c, n): G[i, :]
-        S = G[None, :, :] + Gi[:, None, :]              # S[i,j,k] = G[j,k] + G[i,k]
-        T = np.abs(S)
-        T -= Gi[:, :, None]                             # G[i, j]
-        T -= 1.0
-        np.maximum(T, 0.0, out=T)
-        T *= distinct[i0:i1]
-        pen += float((T * T).sum())
-        if T.size:
-            maxv = max(maxv, float(T.max()))
-        if need_grad:
-            dG += 4.0 * np.copysign(T, S, out=S).sum(axis=0)   # d/dG[j,k] and d/dG[i,k]
-            dG[i0:i1] -= 2.0 * T.sum(axis=2)                   # d/dG[i,j]
-    return pen, maxv, dG
+    i, j, k = np.ogrid[:n, :n, :n]
+    return ((i != j) & (j != k) & (i != k)).astype(np.float64)
+
+
+def _hinges(G, i0, i1, distinct):
+    """One pass of the triangle family over the rows i0:i1 of the Gram matrix G.
+
+    Returns (T, S), both (i1 - i0, n, n): S[i,j,k] = G[j,k] + G[i,k] and the
+    hinge T = max(|S| - G[i,j] - 1, 0) on distinct triples, 0 elsewhere.
+    For a triple with D = G[i,j] the two signs' hinges S - D - 1 and
+    -S - D - 1 are never both positive, since D >= -1, so T carries the
+    active sign's violation and sign(S) says which sign it is.
+    """
+    Gi = G[i0:i1]
+    S = np.empty((i1 - i0,) + G.shape)
+    S[:] = G
+    S += Gi[:, None, :]
+    T = np.abs(S)
+    T -= Gi[:, :, None]
+    T -= 1.0
+    np.maximum(T, 0.0, out=T)
+    T *= distinct[i0:i1]
+    return T, S
+
+
+class _TriangleTerms:
+    """The triangle penalty at the rows V: its value at once, the rest on request.
+
+    pen is the sum of squared violations over ordered distinct triples,
+    with the caller applying the penalty weight. worst() (the largest
+    violation) and grad() (dPenalty/dG, with G[a, b] and G[b, a] as separate
+    variables) are finished on their first call. The line search reads only
+    pen of a trial and grad() of an accepted one, and the penalty rounds
+    read worst() once per round, so a rejected trial costs one value pass.
+
+    `distinct` is _distinct_triples(n) for the n rows of V. Rows i are taken
+    in passes of about chunk_elems hinge elements (_hinges). With one pass
+    (n <= 64 at TRIANGLE_CHUNK) its T and S are kept for worst and grad;
+    with more, each pass is recomputed, so no n^3 array is kept. Either way
+    each value is the one an eager evaluation of the same passes gives, bit
+    for bit. The d/dG[j,k] and d/dG[i,k] sums of 2 sign(S) T are equal, S
+    and T being symmetric in (i, j), so one reduction serves both.
+    """
+
+    def __init__(self, V, distinct, chunk_elems=TRIANGLE_CHUNK):
+        n = V.shape[0]
+        self.G = G = V @ V.T
+        self.distinct = distinct
+        self.passes = range(0, n, max(1, chunk_elems // max(n * n, 1)))
+        self.pen = 0.0
+        for i0 in self.passes:
+            T, S = _hinges(G, i0, min(i0 + self.passes.step, n), distinct)
+            # np.add.reduce is what ndarray.sum calls, without its wrapper
+            self.pen += float(np.add.reduce(T * T, axis=None))
+        self.kept = (T, S) if len(self.passes) == 1 else None
+        self._worst = self._grad = None
+
+    def _each_pass(self):
+        """(i0, i1, T, S) of every pass in order: the kept arrays, or each recomputed."""
+        n = self.G.shape[0]
+        if self.kept is not None:
+            yield (0, n) + self.kept
+            return
+        for i0 in self.passes:
+            i1 = min(i0 + self.passes.step, n)
+            yield (i0, i1) + _hinges(self.G, i0, i1, self.distinct)
+
+    def worst(self):
+        if self._worst is None:
+            maxv = 0.0
+            for _, _, T, _ in self._each_pass():
+                maxv = max(maxv, float(T.max()))
+            self._worst = maxv
+        return self._worst
+
+    def grad(self):
+        if self._grad is None:
+            n = self.G.shape[0]
+            dG = np.zeros((n, n))
+            for i0, i1, T, S in self._each_pass():
+                dG += 4.0 * np.add.reduce(np.copysign(T, S, out=S), axis=0)  # d/dG[j,k], d/dG[i,k]
+                dG[i0:i1] -= 2.0 * np.add.reduce(T, axis=2)                  # d/dG[i,j]
+            self._grad = dG
+        return self._grad
 
 
 def _one_opt(A, x):
@@ -289,57 +392,61 @@ def _penalty_continuation(A_eff, V, free_mask, scale, distinct):
 
     Stops after 50 rounds at the latest. The triangle terms are evaluated
     once per visited point: the terms of the point a round ends on start
-    the next round. Returns (worst violation, rounds run).
+    the next round, and their worst violation is finished once per round.
+    Returns (worst violation, rounds run).
     """
     n = V.shape[0]
     rho = max(1.0, scale / max(n, 1))
-    terms = _triangle_terms(V, True, distinct)
+    terms = _TriangleTerms(V, distinct)
     rounds = 0
     alpha = None
-    while terms[1] > TRIANGLE_TOL and rounds < 50:
+    while terms.worst() > TRIANGLE_TOL and rounds < 50:
         # continuation: rough ascent while far from feasible, tight near it
-        close = terms[1] <= 4 * TRIANGLE_TOL
+        close = terms.worst() <= 4 * TRIANGLE_TOL
         alpha, terms = _penalized_ascent(A_eff, V, free_mask, rho, terms, distinct,
                                          iters=300 if close else 40,
                                          tol_abs=(1e-9 if close else 1e-7) * scale,
                                          alpha=alpha)
         rho *= 2.0
         rounds += 1
-    return terms[1], rounds
+    return terms.worst(), rounds
 
 
 def _penalized_ascent(A, V, free_mask, rho, terms, distinct, iters, tol_abs, alpha=None):
     """Projected gradient ascent on objective minus rho * triangle penalty, in place.
 
-    `terms` is _triangle_terms(V, True, distinct) at the starting V; every
-    line-search trial is evaluated once, value and gradient together, and
-    an accepted trial's terms serve the next step. Stops at stationarity
+    `terms` is the _TriangleTerms of the starting V. A line-search trial
+    evaluates the penalty's value only; the gradient is finished for the
+    accepted trial, whose terms serve the next step. Stops at stationarity
     (three consecutive near-zero gains). Returns the last accepted step
     size, so the next penalty round can resume from it, and the terms at
     the final V. The accepted trial's A @ V also serves the next gradient.
     """
     AV = A @ V
-    f = -0.5 * float(np.einsum("ik,ik->", V, AV)) - rho * terms[0]
+    f = -0.5 * float(np.einsum("ik,ik->", V, AV)) - rho * terms.pen
     if alpha is None:
         alpha = 1.0 / max(1.0, float(np.abs(A).sum(axis=1).max()))
+    pinned = None if free_mask.all() else ~free_mask
     quiet = 0
     for _ in range(iters):
-        dG = terms[2]
+        dG = terms.grad()
         grad = -AV - rho * ((dG + dG.T) @ V)
         # project onto the tangent space of the product of spheres
         grad -= (np.einsum("ik,ik->i", grad, V))[:, None] * V
-        grad[~free_mask] = 0.0
-        gnorm = float(np.max(np.linalg.norm(grad, axis=1)))
+        if pinned is not None:
+            grad[pinned] = 0.0
+        gnorm = float(_row_norms(grad).max())
         if gnorm < 1e-9:
             break
         improved = False
         for _ in range(30):
             W_new = V + alpha * grad
-            W_new /= np.linalg.norm(W_new, axis=1, keepdims=True)
-            W_new[~free_mask] = V[~free_mask]
-            terms_new = _triangle_terms(W_new, True, distinct)
+            W_new /= _row_norms(W_new, keepdims=True)
+            if pinned is not None:
+                W_new[pinned] = V[pinned]
+            terms_new = _TriangleTerms(W_new, distinct)
             AW = A @ W_new
-            f_new = -0.5 * float(np.einsum("ik,ik->", W_new, AW)) - rho * terms_new[0]
+            f_new = -0.5 * float(np.einsum("ik,ik->", W_new, AW)) - rho * terms_new.pen
             if f_new > f:
                 gain = f_new - f
                 V[:] = W_new
@@ -538,7 +645,7 @@ class SubsetLadder:
                 if (_edge_contribution(g, V_f) >= _edge_contribution(g, V)
                         or max_triangle > TRIANGLE_TOL):
                     V = V_f
-                    max_triangle = _triangle_terms(V, False, distinct)[1]
+                    max_triangle = _TriangleTerms(V, distinct).worst()
                     fallback = True
 
         full = np.vstack([v0, V])
@@ -617,20 +724,14 @@ def rt_round(sol: SdpSolution, seed) -> CutAssignment:
     standard Gaussian g orthogonal to v_0, and set x_i = +1 iff
     <g, w_i/||w_i||> <= Phi^{-1}(mu_i/2 + 1/2). Then Pr[x_i = +1] is
     exactly mu_i/2 + 1/2; vertices pinned to +-v_0 come out deterministic.
+    The decomposition and the thresholds are computed once per solution
+    (SdpSolution._rt_parts); a draw only samples g and compares.
     """
-    rng = np.random.default_rng(seed)
+    wbar, thresholds = sol._rt_parts
     v0 = sol.v0
-    Vv = sol.vertex_vectors
-    mu = Vv @ v0
-    W_perp = Vv - mu[:, None] * v0[None, :]
-    norms = np.linalg.norm(W_perp, axis=1)
-    safe = norms > ZERO_PERP_TOL
-    wbar = np.zeros_like(W_perp)
-    wbar[safe] = W_perp[safe] / norms[safe, None]
-    gvec = rng.standard_normal(sol.dim)
+    gvec = np.random.default_rng(seed).standard_normal(sol.dim)
     gvec = gvec - float(gvec @ v0) * v0
-    xi = wbar @ gvec
-    return CutAssignment(values=np.where(xi <= _rt_thresholds(mu), 1.0, -1.0))
+    return CutAssignment(values=np.where(wbar @ gvec <= thresholds, 1.0, -1.0))
 
 
 def _rt_thresholds(mu):

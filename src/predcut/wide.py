@@ -96,8 +96,12 @@ def pipage_round(g: Graph, x_hat) -> CutAssignment:
     """Deterministic coordinate rounding that never decreases the objective.
 
     <x, Ax> is affine in each coordinate (zero diagonal), so each fractional
-    x_i moves to the endpoint minimizing it; ties go to +1 and coordinates
-    already at +-1 stay put.
+    x_i, in index order, moves to the endpoint minimizing it: -1 if the
+    computed row value sum_j A_ij x_j (row i's stored entries, in stored
+    order) is > 0, else +1. A computed value of exactly 0 goes to +1, but a
+    row value that is 0 in real arithmetic can come out as a rounding
+    residue of either sign (such as +-5.6e-17), so such a tie may go either
+    way. Coordinates already at +-1 stay put.
     """
     x = _values_of(x_hat, g.n).copy()
     A = g.csr

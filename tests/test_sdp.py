@@ -1,15 +1,22 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+import predcut
 from predcut.errors import DimensionError, ParameterError
 from predcut.exact import exact_maxcut
 from predcut.graph import Graph, cut_value, gen_erdos_renyi
-from predcut.sdp import (SUBSET_TOL_FRAC, SdpConfig, SdpSolution, SubsetLadder, _ClassRows,
-                         _colour_classes, _coordinate_ascent, _distinct_triples, _edge_matrix,
-                         _rt_thresholds, _triangle_terms, hyperplane_round, load_solution,
+from predcut.sdp import (SUBSET_TOL_FRAC, TRIANGLE_TOL, SdpConfig, SdpSolution, SubsetLadder,
+                         _ClassRows, _colour_classes, _coordinate_ascent, _csr_product,
+                         _distinct_triples, _edge_matrix, _penalty_continuation, _row_norms,
+                         _rt_thresholds, _TriangleTerms, hyperplane_round, load_solution,
                          round_by_direction, rt_round, save_solution, sdp_objective, solve_sdp)
 
 from conftest import random_graph, three_sigma
@@ -245,17 +252,75 @@ def test_triangle_sdp_on_an_odd_cycle_with_chords():
     assert sol.objective_value >= opt
 
 
-@pytest.mark.parametrize("n", [3, 12, 28, 30])
-def test_triangle_terms_value_does_not_depend_on_the_gradient_flag(n):
-    # the fused line search takes a trial's value from a gradient evaluation;
-    # random rank-3 rows violate the family, so every hinge path is live
+def triangle_terms_eager(V, need_grad, distinct, chunk_elems=1 << 18):
+    """(pen, maxv, dG or None) as the eager kernel computed them, one pass per chunk of rows.
+
+    The reference for _TriangleTerms, which finishes maxv and dG on request
+    and masks with a float64 array where this masks with a bool one.
+    """
+    distinct = distinct.astype(bool)
+    n = V.shape[0]
+    G = V @ V.T
+    pen = 0.0
+    maxv = 0.0
+    dG = np.zeros((n, n)) if need_grad else None
+    rows = max(1, chunk_elems // max(n * n, 1))
+    for i0 in range(0, n, rows):
+        i1 = min(i0 + rows, n)
+        Gi = G[i0:i1]
+        S = G[None, :, :] + Gi[:, None, :]
+        T = np.abs(S)
+        T -= Gi[:, :, None]
+        T -= 1.0
+        np.maximum(T, 0.0, out=T)
+        T *= distinct[i0:i1]
+        pen += float((T * T).sum())
+        if T.size:
+            maxv = max(maxv, float(T.max()))
+        if need_grad:
+            dG += 4.0 * np.copysign(T, S, out=S).sum(axis=0)
+            dG[i0:i1] -= 2.0 * T.sum(axis=2)
+    return pen, maxv, dG
+
+
+def as_bytes(*values):
+    return [np.asarray(v, dtype=np.float64).tobytes() for v in values]
+
+
+@pytest.mark.parametrize("n, chunk_elems", [(3, 1 << 18), (12, 1 << 18), (28, 1 << 18),
+                                            (30, 1 << 18), (30, 7 * 30 * 30), (70, 1 << 18)])
+def test_triangle_terms_equal_an_eager_evaluation_in_any_order(n, chunk_elems):
+    # a trial's value is computed at once, worst and grad on request: each
+    # equals the eager kernel's bit for bit, whichever is finished first.
+    # n = 70 takes two passes at the default chunk size, and 7 rows per pass
+    # split n = 30 into five. Random rank-3 rows violate the family, so
+    # every hinge path is live.
     V = random_unit_rows(np.random.default_rng(n), n, 3)
     distinct = _distinct_triples(n)
-    pen_g, maxv_g, dG = _triangle_terms(V, True, distinct)
-    pen, maxv, none = _triangle_terms(V, False, distinct)
-    assert pen > 0 and none is None and dG.shape == (n, n)
-    assert np.float64(pen_g).tobytes() == np.float64(pen).tobytes()
-    assert np.float64(maxv_g).tobytes() == np.float64(maxv).tobytes()
+    assert distinct.dtype == np.float64
+    ref = triangle_terms_eager(V, True, distinct, chunk_elems)
+    assert ref[0] > 0
+    grad_first = _TriangleTerms(V, distinct, chunk_elems)
+    worst_first = _TriangleTerms(V, distinct, chunk_elems)
+    assert (grad_first.kept is None) == (chunk_elems < n ** 3)
+    dG = grad_first.grad()
+    assert as_bytes(grad_first.pen, grad_first.worst(), dG) == as_bytes(*ref)
+    maxv = worst_first.worst()
+    assert as_bytes(worst_first.pen, maxv, worst_first.grad()) == as_bytes(*ref)
+    assert grad_first.grad() is dG
+
+
+@pytest.mark.parametrize("n", [3, 12, 28, 30])
+def test_triangle_terms_value_does_not_depend_on_the_gradient_flag(n):
+    # a line-search trial computes the value only; finishing the gradient
+    # of the same point, before its worst violation, changes neither
+    V = random_unit_rows(np.random.default_rng(n), n, 3)
+    distinct = _distinct_triples(n)
+    with_grad = _TriangleTerms(V, distinct)
+    dG = with_grad.grad()
+    alone = _TriangleTerms(V, distinct)
+    assert alone.pen > 0 and dG.shape == (n, n)
+    assert as_bytes(with_grad.pen, with_grad.worst()) == as_bytes(alone.pen, alone.worst())
 
 
 @pytest.mark.parametrize("n", [3, 12, 28, 30])
@@ -264,8 +329,9 @@ def test_triangle_gradient_matches_central_differences(n):
     rng = np.random.default_rng(100 + n)
     V = random_unit_rows(rng, n, 3)
     distinct = _distinct_triples(n)
-    pen, _, dG = _triangle_terms(V, True, distinct)
-    assert pen > 0
+    terms = _TriangleTerms(V, distinct)
+    assert terms.pen > 0
+    dG = terms.grad()
     grad = (dG + dG.T) @ V
     h = 1e-6
     for _ in range(8):
@@ -273,8 +339,7 @@ def test_triangle_gradient_matches_central_differences(n):
         Vp, Vm = V.copy(), V.copy()
         Vp[i, c] += h
         Vm[i, c] -= h
-        fd = (_triangle_terms(Vp, False, distinct)[0]
-              - _triangle_terms(Vm, False, distinct)[0]) / (2 * h)
+        fd = (_TriangleTerms(Vp, distinct).pen - _TriangleTerms(Vm, distinct).pen) / (2 * h)
         assert fd == pytest.approx(grad[i, c], rel=1e-5, abs=1e-6)
 
 
@@ -282,7 +347,7 @@ def triangle_terms_by_loop(V):
     """(pen, maxv, dG) by a plain loop over ordered distinct triples and both signs.
 
     dG[a, b] is the derivative with respect to G[a, b] taken as its own
-    variable, as _triangle_terms reports it.
+    variable, as _TriangleTerms.grad reports it.
     """
     G = V @ V.T
     n = G.shape[0]
@@ -310,14 +375,113 @@ def test_triangle_terms_match_a_per_triple_loop(n, chunk_elems):
     V = random_unit_rows(np.random.default_rng(200 + n), n, 3)
     distinct = _distinct_triples(n)
     if chunk_elems is None:
-        pen, maxv, dG = _triangle_terms(V, True, distinct)
+        terms = _TriangleTerms(V, distinct)
     else:
-        pen, maxv, dG = _triangle_terms(V, True, distinct, chunk_elems)
+        terms = _TriangleTerms(V, distinct, chunk_elems)
+    pen, maxv, dG = terms.pen, terms.worst(), terms.grad()
     ref_pen, ref_maxv, ref_dG = triangle_terms_by_loop(V)
     assert ref_pen > 0
     assert pen == pytest.approx(ref_pen, rel=1e-12, abs=0)
     assert maxv == pytest.approx(ref_maxv, rel=1e-12, abs=0)
     assert np.max(np.abs(dG - ref_dG)) <= 1e-12 * max(1.0, np.max(np.abs(ref_dG)))
+
+
+def penalty_continuation_eager(A, V, free_mask, scale, distinct):
+    """The penalty rounds as they ran with an eager line search, in place.
+
+    Every trial computes value, worst violation and gradient
+    (triangle_terms_eager), rows are normalized by np.linalg.norm and the
+    pinned rows are gathered with ~free_mask. Returns (worst violation, rounds).
+    """
+    n = V.shape[0]
+    rho = max(1.0, scale / max(n, 1))
+    terms = triangle_terms_eager(V, True, distinct)
+    rounds, alpha = 0, None
+    while terms[1] > TRIANGLE_TOL and rounds < 50:
+        close = terms[1] <= 4 * TRIANGLE_TOL
+        iters, tol_abs = (300, 1e-9 * scale) if close else (40, 1e-7 * scale)
+        AV = A @ V
+        f = -0.5 * float(np.einsum("ik,ik->", V, AV)) - rho * terms[0]
+        if alpha is None:
+            alpha = 1.0 / max(1.0, float(np.abs(A).sum(axis=1).max()))
+        quiet = 0
+        for _ in range(iters):
+            dG = terms[2]
+            grad = -AV - rho * ((dG + dG.T) @ V)
+            grad -= (np.einsum("ik,ik->i", grad, V))[:, None] * V
+            grad[~free_mask] = 0.0
+            if float(np.max(np.linalg.norm(grad, axis=1))) < 1e-9:
+                break
+            improved = False
+            for _ in range(30):
+                W_new = V + alpha * grad
+                W_new /= np.linalg.norm(W_new, axis=1, keepdims=True)
+                W_new[~free_mask] = V[~free_mask]
+                terms_new = triangle_terms_eager(W_new, True, distinct)
+                AW = A @ W_new
+                f_new = -0.5 * float(np.einsum("ik,ik->", W_new, AW)) - rho * terms_new[0]
+                if f_new > f:
+                    gain = f_new - f
+                    V[:] = W_new
+                    AV, f, terms = AW, f_new, terms_new
+                    alpha *= 1.3
+                    improved = True
+                    quiet = quiet + 1 if gain < tol_abs else 0
+                    break
+                alpha *= 0.5
+            if not improved or quiet >= 3:
+                break
+        rho *= 2.0
+        rounds += 1
+    return terms[1], rounds
+
+
+def continuation_case(rng, n, pinned_share, blend, k=None):
+    """Dense multiplier-adjusted weights (zero weights, isolated vertices), a free
+    mask and a start V blended from a random cut embedding as solve_sdp blends it."""
+    weights = [0.0, 1.0, 2.0, float(rng.uniform(0, 1))]
+    g = Graph(n, [(i, j, weights[int(rng.integers(4))]) for i in range(n - 1)
+                  for j in range(i + 1, n - 1) if rng.random() < 0.5])   # n - 1 isolated
+    sub = np.flatnonzero(rng.random(g.num_edges) < 0.3)
+    lam = float(rng.choice([0.0, 1.5, 8.0]))
+    A = (g.csr + lam * _edge_matrix(g, sub)).toarray()
+    k = k or int(np.ceil(np.sqrt(2 * n))) + 1
+    v0 = np.eye(k)[0]
+    x = rng.choice([-1.0, 1.0], n)
+    V = (1 - blend) * x[:, None] * v0[None, :] + blend * rng.standard_normal((n, k))
+    V /= np.linalg.norm(V, axis=1, keepdims=True)
+    free = rng.random(n) >= pinned_share
+    V[~free] = x[~free, None] * v0[None, :]
+    return A, V, free, max(g.total_weight, 1.0)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(3, 30), pinned_share=st.sampled_from([0.0, 0.0, 0.2]),
+       blend=st.sampled_from([0.02, 0.3, 1.0]), seed=st.integers(0, 2 ** 31 - 1))
+def test_penalty_continuation_equals_the_eager_line_search(n, pinned_share, blend, seed):
+    # value-only trials, the gradient finished on acceptance and the worst
+    # violation once per round give the eager search's run, bit for bit
+    A, V, free, scale = continuation_case(np.random.default_rng(seed), n, pinned_share, blend)
+    distinct = _distinct_triples(n)
+    W = V.copy()
+    ref = penalty_continuation_eager(A, W, free, scale, distinct)
+    got = _penalty_continuation(A, V, free, scale, distinct)
+    assert V.tobytes() == W.tobytes()
+    assert as_bytes(got[0]) == as_bytes(ref[0]) and got[1] == ref[1]
+
+
+def test_penalty_continuation_equals_the_eager_line_search_over_two_passes():
+    # n = 70 takes two passes per evaluation; the gradient and the worst
+    # violation recompute each pass instead of keeping it
+    A, V, free, scale = continuation_case(np.random.default_rng(70), 70, 0.1, 0.05, k=4)
+    distinct = _distinct_triples(70)
+    assert _TriangleTerms(V, distinct).kept is None
+    W = V.copy()
+    ref = penalty_continuation_eager(A, W, free, scale, distinct)
+    got = _penalty_continuation(A, V, free, scale, distinct)
+    assert ref[1] >= 1
+    assert V.tobytes() == W.tobytes()
+    assert as_bytes(got[0]) == as_bytes(ref[0]) and got[1] == ref[1]
 
 
 def test_exact_floor_triangle_solve_runs_no_plain_ascent():
@@ -518,6 +682,104 @@ def test_class_rows_equal_scipy_sums_bit_for_bit(n, data):
         assert (rows.M @ V).tobytes() == full
         assert [(B @ V).tobytes() for B in rows.blocks] == blocks
         assert np.array_equal(rows.M.toarray(), dense)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 16), k=st.integers(2, 12), data=st.data())
+def test_direct_class_products_equal_scipy_bit_for_bit(n, k, data):
+    # the ascent calls csr_matvecs itself; zero weights, isolated vertices
+    # (empty rows) and multiplier-adjusted block data included
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31 - 1)))
+    weights = [0.0, 1.0, 2.5, float(rng.uniform(0, 1))]
+    edges = [(i, j, weights[int(rng.integers(4))]) for i in range(n - 1) for j in range(i + 1, n - 1)
+             if rng.random() < 0.5]
+    g = Graph(n, edges)
+    sub = np.flatnonzero(rng.random(g.num_edges) < 0.4)
+    classes = _colour_classes(g.csr, np.flatnonzero(rng.random(n) < 0.8))
+    rows = _ClassRows(g.csr, classes, _edge_matrix(g, sub))
+    V = rng.standard_normal((n, k)) * float(rng.choice([1e-200, 1.0, 1e200]))
+    for l in (0.0, 1.0, 0.5 * (2.0 + 4.0), float(rng.uniform(0, 2 ** 20))):
+        rows.set_multiplier(l)
+        for B in rows.blocks + [rows.M]:
+            assert _csr_product(B.indptr, B.indices, B.data, V).tobytes() == (B @ V).tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(m=st.integers(0, 20), k=st.integers(1, 12), data=st.data())
+def test_row_norms_equal_numpy_norm_bit_for_bit(m, k, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31 - 1)))
+    U = rng.standard_normal((m, k)) * rng.choice([0.0, 1e-170, 1e-300, 1.0, 1e150], (m, 1))
+    for keepdims in (False, True):
+        assert (_row_norms(U, keepdims).tobytes()
+                == np.linalg.norm(U, axis=1, keepdims=keepdims).tobytes())
+
+
+def test_ascent_keeps_rows_without_weighted_neighbours():
+    # vertex 3's edges carry weight 0 and vertex 6 is isolated between pins:
+    # their u is 0, so their rows keep the seeded values, while vertex 0,
+    # in the same colour class as 3, moves
+    g = Graph(8, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (3, 4, 0.0), (3, 5, 0.0),
+                  (4, 5, 1.0), (5, 7, 2.0), (0, 7, 1.0)])
+    pins = {5: 1.0, 7: -1.0}
+    free = np.setdiff1d(np.arange(g.n), list(pins))
+    classes = _colour_classes(g.csr, free)
+    assert any({0, 3, 6} <= set(c.tolist()) for c in classes)
+    V = random_unit_rows(np.random.default_rng(53), g.n, 5)
+    start = V.copy()
+    sweeps, converged = _coordinate_ascent(_ClassRows(g.csr, classes), V, 1e-12, 200)
+    assert converged and 2 <= sweeps < 200
+    assert V[[3, 5, 6, 7]].tobytes() == start[[3, 5, 6, 7]].tobytes()
+    assert not np.array_equal(V[0], start[0])
+    assert np.max(np.abs(np.linalg.norm(V, axis=1) - 1.0)) <= 1e-12
+    # through solve_sdp the pins sit at +-v_0 and the zero-norm rows keep the seeded start
+    sol = solve_sdp(g, SdpConfig(fixed_labels=pins, seed=9))
+    seeded = np.random.default_rng(9).standard_normal((g.n, sol.dim))
+    seeded /= np.linalg.norm(seeded, axis=1, keepdims=True)
+    assert sol.vertex_vectors[[3, 6]].tobytes() == seeded[[3, 6]].tobytes()
+    assert sol.feasibility_report["converged"]
+
+
+def rt_round_per_draw(sol, seed):
+    """rt_round as it ran before its decomposition was kept: all of it per draw."""
+    rng = np.random.default_rng(seed)
+    v0, Vv = sol.v0, sol.vertex_vectors
+    mu = Vv @ v0
+    W_perp = Vv - mu[:, None] * v0[None, :]
+    norms = np.linalg.norm(W_perp, axis=1)
+    safe = norms > 1e-9
+    wbar = np.zeros_like(W_perp)
+    wbar[safe] = W_perp[safe] / norms[safe, None]
+    gvec = rng.standard_normal(sol.dim)
+    gvec = gvec - float(gvec @ v0) * v0
+    thresholds = norm.ppf(np.clip(mu, -1.0, 1.0) / 2.0 + 0.5)
+    return np.where(wbar @ gvec <= thresholds, 1.0, -1.0)
+
+
+def test_rt_round_equals_the_per_draw_formula():
+    g = gen_erdos_renyi(14, 0.5, "uniform", seed=54)
+    subset = np.flatnonzero(g.edge_i < 4)
+    sols = [solve_sdp(g, SdpConfig(fixed_labels={0: 1, 5: -1}, seed=2,
+                                   subset_constraint=(subset, 0.8 * float(g.edge_w[subset].sum())))),
+            solve_sdp(g, SdpConfig(seed=3)),
+            synthetic_solution([[1.0, 0, 0], [-1.0, 0, 0], [0.6, 0.8, 0], [0.0, 0.0, 1.0],
+                                [1.0 - 1e-12, np.sqrt(2e-12), 0.0]])]
+    for sol in sols:
+        for s in range(20):
+            assert rt_round(sol, [s, 7]).values.tobytes() == rt_round_per_draw(sol, [s, 7]).tobytes()
+
+
+def test_library_does_not_import_scipy_stats():
+    # scipy.stats costs about 21 MiB of resident memory; rt_round needs only ndtri
+    src = str(Path(predcut.__file__).resolve().parent.parent)
+    code = ("import sys, predcut\n"
+            "g = predcut.gen_erdos_renyi(12, 0.5, 'uniform', seed=1)\n"
+            "predcut.rt_round(predcut.solve_sdp(g), 0)\n"
+            "print('scipy.stats' in sys.modules, 'scipy.sparse' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120, check=True)
+    assert out.stdout.split() == ["False", "True"]
 
 
 def per_tau_reference(g, pins, subset, tau, seed):
