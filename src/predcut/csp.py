@@ -17,6 +17,7 @@ csp_value * W = 2 * cut_value exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -133,29 +134,16 @@ class CspInstance:
         self.weights = w_arr
         self.coeffs = coeffs
         self.total_weight = float(w_arr.sum())
-        self._by_literal = None
-        self._prefix_order = None
 
     @property
     def num_constraints(self):
         return len(self.constraints)
 
-    def stored_for(self, i):
-        """Indices into the oriented arrays of S_i (entries anchored at i)."""
-        if self._by_literal is None:
-            order = [[] for _ in range(self.n)]
-            for t, a in enumerate(self.anchor):
-                order[a].append(t)
-            self._by_literal = [np.array(ix, dtype=np.intp) for ix in order]
-        return self._by_literal[i]
-
-    @property
+    @cached_property
     def prefix_order(self):
         """Oriented entries in delta-prefix order, equal weights in storage order (cached)."""
-        if self._prefix_order is None:
-            self._prefix_order = PrefixOrder(self.n, self.anchor, self.other, self.weights,
-                                             np.arange(len(self.weights)))
-        return self._prefix_order
+        return PrefixOrder(self.n, self.anchor, self.other, self.weights,
+                           np.arange(len(self.weights)))
 
     def polynomial(self):
         """(const, lin, quad) with val(x) * W = const + <lin, x> + <x, quad x>."""
@@ -206,13 +194,12 @@ def maxcut_as_csp(g: Graph) -> CspInstance:
 def classify_literals(inst: CspInstance, delta: int, eta: float) -> WideNarrowReport:
     """Wide/narrow split of literals by their delta heaviest constraints.
 
-    Per-literal weights are numpy sums over the literal's entries, as in
-    build_csp_lp.
+    The kernel classify uses for graphs: a literal's prefix weight is added
+    heaviest first and its total weight in storage order.
     """
-    po = inst.prefix_order
-    prefix = np.array([po.weight[po.span(i, delta)[0]].sum() for i in range(inst.n)])
-    totals = np.array([inst.weights[inst.stored_for(i)].sum() for i in range(inst.n)])
-    return wide_narrow_report(delta, eta, prefix, totals, inst.total_weight)
+    totals = np.bincount(inst.anchor, inst.weights, inst.n)
+    return wide_narrow_report(delta, eta, inst.prefix_order.prefix_weights(delta), totals,
+                              inst.total_weight)
 
 
 def _summed_csr(rows, cols, vals, shape):
@@ -255,7 +242,7 @@ def build_csp_lp(inst: CspInstance, z, delta: int, eta: float, eps_prime: float,
             head, tail = (po.entries[s] for s in po.span(i, delta))
         else:
             # a narrow literal keeps every entry exact, in storage order
-            head, tail = inst.stored_for(i), ()
+            head, tail = np.sort(po.entries[po.indptr[i]:po.indptr[i + 1]]), ()
         if len(tail):
             # objective: terms affine in x_i with the partner frozen at Z
             objective[i] += float(np.sum(w[tail] * (a1[tail] + a12[tail] * z[other[tail]])))
@@ -297,9 +284,9 @@ def solve_csp_wide(inst: CspInstance, y: NoisyPrediction, delta: int, eta: float
     return CutAssignment(values=X[best])
 
 
-def save_csp(inst: CspInstance, normalized: bool = False) -> str:
-    """Header "n k W_norm_flag", then raw lines "w c1 c2 i j"."""
-    lines = [f"{inst.n} {inst.num_constraints} {1 if normalized else 0}"]
+def save_csp(inst: CspInstance) -> str:
+    """Header "n k 0" (weights as stored), then raw lines "w c1 c2 i j"."""
+    lines = [f"{inst.n} {inst.num_constraints} 0"]
     for (w, (c1, c2), (i, j)) in inst.constraints:
         lines.append(f"{w!r} {c1:+d} {c2:+d} {i} {j}")
     return "\n".join(lines) + "\n"

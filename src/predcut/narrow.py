@@ -41,20 +41,17 @@ class FlipReport:
         return np.nonzero(self.flipped)[0]
 
 
-def fkl_band_width(delta: float, eta: float, scale: float = 1.0) -> float:
-    """Band half-width 1 / (C d sqrt(log d)) with d = delta / eta^2.
+def fkl_band_width(delta: float, eta: float) -> float:
+    """Band half-width 1 / (d sqrt(log d)) with d = delta / eta^2.
 
-    d is clamped up to 3 so the formula stays defined; `scale` is the
-    tunable constant C.
+    d is clamped up to 3 so the formula stays defined.
     """
     if delta <= 0:
         raise ParameterError(f"delta must be positive, got {delta}")
     if not (0.0 < eta <= 1.0):
         raise ParameterError(f"eta must lie in (0, 1], got {eta}")
-    if scale <= 0:
-        raise ParameterError(f"scale must be positive, got {scale}")
     d = max(delta / (eta * eta), 3.0)
-    return 1.0 / (scale * d * math.sqrt(math.log(d)))
+    return 1.0 / (d * math.sqrt(math.log(d)))
 
 
 def flip_step(g: Graph, x_hat, sol: SdpSolution, gvec, delta_band: float):
@@ -95,13 +92,12 @@ def flip_step(g: Graph, x_hat, sol: SdpSolution, gvec, delta_band: float):
     return CutAssignment(values=new_x), report
 
 
-def solve_narrow(g: Graph, delta: float, eta: float, seed=0, restarts: int = 20,
-                 band_scale: float = 1.0, sdp_seed=None) -> CutAssignment:
+def solve_narrow(g: Graph, delta: float, eta: float, seed=0, restarts: int = 20) -> CutAssignment:
     """Triangle SDP once, then best cut over rounding + flip restarts."""
     if restarts < 1:
         raise ParameterError(f"restarts must be >= 1, got {restarts}")
-    band = fkl_band_width(delta, eta, band_scale)
-    sol = solve_sdp(g, SdpConfig(triangle=True, seed=sdp_seed if sdp_seed is not None else derive(seed, 0)))
+    band = fkl_band_width(delta, eta)
+    sol = solve_sdp(g, SdpConfig(triangle=True, seed=derive(seed, 0)))
 
     def restart(r):
         gvec = np.random.default_rng(derive(seed, 1, r)).standard_normal(sol.dim)

@@ -3,7 +3,7 @@
 Classifies the graph at delta = ceil(c_delta / (eps eps')^2), runs the
 wide or narrow specialist accordingly, always also runs plain GW rounding
 and the raw prediction as candidate cuts, and returns the best. The
-portfolio can only improve on any single branch.
+result can only improve on any of its candidates.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from .narrow import solve_narrow
 from .predictions import NoisyPrediction
 from .sdp import solve_gw
 from .seeds import derive
-from .wide import REPEAT, solve_wide
+from .wide import REPEAT, wide_lp_cut
 
 
 def choose_delta(epsilon: float, eps_prime: float, c_delta: float = 1.0) -> int:
@@ -29,15 +29,18 @@ def solve_noisy(g: Graph, y: NoisyPrediction, eta: float = 0.05, eps_prime: floa
     """Best cut over {dispatched specialist, GW, raw prediction}.
 
     Returns (cut, tag) where tag names the winning branch; ties resolve by
-    the fixed priority wide > narrow > gw > prediction. A narrow graph above
+    the fixed priority wide > narrow > gw > prediction. A wide graph whose
+    LP comes back infeasible adds no wide candidate, since GW and the
+    prediction are candidates already. A narrow graph above
     sdp.TRIANGLE_LIMIT vertices raises ParameterError before any solve.
     """
     delta = choose_delta(y.epsilon, eps_prime, c_delta)
     report = classify(g, delta, eta)
     candidates = {}
     if report.is_wide:
-        candidates["wide"] = solve_wide(g, y, delta, eta, eps_prime,
-                                        rounding=rounding, seed=derive(seed, 0))
+        wide = wide_lp_cut(g, y, delta, eta, eps_prime, rounding=rounding, seed=derive(seed, 0))
+        if wide is not None:
+            candidates["wide"] = wide
     else:
         candidates["narrow"] = solve_narrow(g, delta, eta, seed=derive(seed, 1),
                                             restarts=narrow_restarts)

@@ -52,7 +52,8 @@ from scipy.sparse._sparsetools import csr_matvecs
 from scipy.special import ndtri
 
 from .errors import DimensionError, ParameterError, ParseError
-from .graph import CutAssignment, Graph, best_cut
+from .exact import exact_maxcut
+from .graph import CutAssignment, Graph, best_cut, cut_value
 from .seeds import derive
 
 TRIANGLE_LIMIT = 200
@@ -60,6 +61,8 @@ TRIANGLE_TOL = 1e-3
 SUBSET_TOL_FRAC = 1e-4
 TRIANGLE_CHUNK = 1 << 18     # hinge elements per pass of _TriangleTerms
 ZERO_PERP_TOL = 1e-9
+SWEEP_TOL = 1e-8             # an ascent stops on sweep gains below this times max(W, 1)
+MAX_SWEEPS = 1500            # sweep cap of one coordinate-ascent run
 
 
 @dataclass(frozen=True)
@@ -68,9 +71,7 @@ class SdpConfig:
 
     fixed_labels: dict = field(default_factory=dict)   # vertex -> +-1
     subset_constraint: tuple = None                     # (edge index array, tau)
-    triangle: bool = False
-    tolerance: float = 1e-8     # convergence threshold, relative to W
-    max_iters: int = 1500       # coordinate-ascent sweep cap
+    triangle: bool = False      # odd-cycle inequalities; takes no subset_constraint
     seed: int = 0               # deterministic initialization
 
 
@@ -464,10 +465,95 @@ def _penalized_ascent(A, V, free_mask, rho, terms, distinct, iters, tol_abs, alp
 
 
 def solve_sdp(g: Graph, cfg: SdpConfig = None) -> SdpSolution:
-    """Solve the (optionally constrained) MaxCut relaxation for g."""
+    """Solve the (optionally constrained) MaxCut relaxation for g.
+
+    A triangle config takes no subset constraint (ParameterError).
+    """
     cfg = cfg or SdpConfig()
     subset, tau = cfg.subset_constraint or (None, 0.0)
+    if cfg.triangle and subset is None:
+        return _triangle_solve(g, cfg)
     return SubsetLadder(g, subset, cfg).solve(tau)
+
+
+def _validated_pins(g: Graph, cfg: SdpConfig, subset):
+    """cfg's fixed labels as {vertex: +-1.0}; refuses a triangle config with a subset."""
+    if cfg.triangle and subset is not None:
+        raise ParameterError("the triangle SDP takes no subset constraint")
+    pins = {}
+    for v, s in cfg.fixed_labels.items():
+        v = int(v)
+        if not (0 <= v < g.n):
+            raise ParameterError(f"pinned vertex {v} out of range")
+        if s not in (1, -1, 1.0, -1.0):
+            raise ParameterError(f"pin for vertex {v} must be +-1, got {s}")
+        if v in pins and pins[v] != float(s):
+            raise ParameterError(f"vertex {v} pinned to both signs")
+        pins[v] = float(s)
+    return pins
+
+
+def _solution(g: Graph, v0, V, runs, pins, extra, feasible_at_tau=True) -> SdpSolution:
+    """The SdpSolution of vertex rows V, its report from the ascent runs, then `extra`."""
+    full = np.vstack([v0, V])
+    report = {"unit_norm": float(np.max(np.abs(np.linalg.norm(full, axis=1) - 1.0))),
+              "sweeps": sum(r[0] for r in runs), "converged": all(r[1] for r in runs)}
+    if pins:
+        report["pins"] = float(max(np.linalg.norm(V[v] - s * v0) for v, s in pins.items()))
+    report.update(extra)
+    return SdpSolution(dim=len(v0), vectors=full, objective_value=_edge_contribution(g, V),
+                       feasibility_report=report, feasible_at_tau=feasible_at_tau)
+
+
+def _triangle_solve(g: Graph, cfg: SdpConfig) -> SdpSolution:
+    """solve_sdp with the triangle inequalities: one penalty run from a floor cut.
+
+    Any integral cut embeds as an exactly feasible point of this relaxation,
+    so the stage starts near the best cut it can find: the exact cut for
+    n <= 20 without pins, which needs no plain solve, otherwise the best of
+    20 locally-optimized roundings of the plain solution. Without pins the
+    result never falls below that cut: the floor cut's own embedding is
+    returned when the penalty run ends under it or misses the tolerance.
+    """
+    n = g.n
+    if n > TRIANGLE_LIMIT:
+        raise ParameterError(f"the triangle SDP is limited to n <= {TRIANGLE_LIMIT}, got n={n}")
+    plain = SubsetLadder(g, None, cfg)      # validates the pins; rung 0 is the plain solve
+    pins, v0, k = plain.pins, plain.v0, plain.k
+    # the penalty rounds work on the dense Gram matrix, so they take dense weights
+    D = g.adjacency
+    if not pins and n <= 20:
+        floor_val, floor_cut = exact_maxcut(g)
+        runs, start = [], "floor-exact"
+    else:
+        V, _, run = plain._rung(0)
+
+        def rounding(r):
+            proj = V @ np.random.default_rng(derive(cfg.seed, 90, r)).standard_normal(k)
+            return CutAssignment(values=_one_opt(D, np.where(proj > 0, 1.0, -1.0)))
+
+        floor_cut = best_cut(g, (rounding(r) for r in range(20)))
+        floor_val = cut_value(g, floor_cut)
+        runs, start = [run], "floor-rounded"
+    # a barely-perturbed embedding of the floor cut starts near-feasible at
+    # the floor objective
+    blend = 0.02
+    V_f = floor_cut.values[:, None] * v0[None, :]
+    noise = np.random.default_rng(derive(cfg.seed, 91)).standard_normal((n, k))
+    V = (1 - blend) * V_f + blend * noise
+    V /= np.linalg.norm(V, axis=1, keepdims=True)
+    for v, s in pins.items():
+        V[v] = s * v0
+    distinct = _distinct_triples(n)
+    worst, rounds = _penalty_continuation(D, V, plain.free_mask, plain.scale, distinct)
+    obj = _edge_contribution(g, V)
+    fallback = not pins and (worst > TRIANGLE_TOL
+                             or (obj < floor_val and _edge_contribution(g, V_f) >= obj))
+    if fallback:
+        V = V_f
+        worst = _TriangleTerms(V, distinct).worst()
+    return _solution(g, v0, V, runs, pins, {"triangle": float(worst), "penalty_rounds": rounds,
+                                            "start": start, "fallback": fallback})
 
 
 # multipliers of the ladder's rungs: l = 0, 1, 2, 4, ..., 2^20
@@ -489,30 +575,18 @@ class SubsetLadder:
     the top rung's multiplier. A tau no rung meets is unmet for every
     larger tau as well.
 
-    With no subset (a plain or pinned solve) or an empty one, the ladder is
-    rung 0 alone, since no multiplier moves anything. solve(tau) equals
-    solve_sdp with subset_constraint=(subset, tau), byte for byte, in any
-    order of taus. cfg's own subset_constraint is not read.
+    With no subset or an empty one, the ladder is rung 0 alone, the plain
+    solve with cfg's pins and seed, since no multiplier moves anything.
+    With a subset, solve(tau) equals solve_sdp with subset_constraint=
+    (subset, tau), byte for byte, in any order of taus. cfg's own
+    subset_constraint is not read.
     """
 
     def __init__(self, g: Graph, subset=None, cfg: SdpConfig = None):
         cfg = cfg or SdpConfig()
         n = g.n
-        if n < 1:
-            raise ParameterError("graph must have at least one vertex")
-        if cfg.triangle and n > TRIANGLE_LIMIT:
-            raise ParameterError(f"the triangle SDP is limited to n <= {TRIANGLE_LIMIT}, got n={n}")
-        pins = {}
-        for v, s in cfg.fixed_labels.items():
-            v = int(v)
-            if not (0 <= v < n):
-                raise ParameterError(f"pinned vertex {v} out of range")
-            if s not in (1, -1, 1.0, -1.0):
-                raise ParameterError(f"pin for vertex {v} must be +-1, got {s}")
-            if v in pins and pins[v] != float(s):
-                raise ParameterError(f"vertex {v} pinned to both signs")
-            pins[v] = float(s)
-        self.g, self.cfg, self.pins = g, cfg, pins
+        self.g = g
+        self.pins = pins = _validated_pins(g, cfg, subset)
         self.subset = None if subset is None else np.asarray(subset, dtype=np.intp)
         self.scale = max(g.total_weight, 1.0)
 
@@ -528,31 +602,25 @@ class SubsetLadder:
 
         self.free_mask = np.ones(n, dtype=bool)
         self.free_mask[list(pins)] = False
-        self.exact_floor = cfg.triangle and not pins and n <= 20
         self.top = 0 if self.subset is None or len(self.subset) == 0 else len(_MULTIPLIERS) - 1
-        self.A_sub = _edge_matrix(g, self.subset) if self.top else None
+        A_sub = _edge_matrix(g, self.subset) if self.top else None
         self.rows = _ClassRows(g.csr, _colour_classes(g.csr, np.flatnonzero(self.free_mask)),
-                               self.A_sub)
-        self.rungs = []             # (V after the rung, subset value, its run or None)
+                               A_sub)
+        self.rungs = []             # (V after the rung, subset value, (sweeps, converged))
 
     def _run(self, l, V):
         """One coordinate-ascent run at multiplier l, in place; returns (sweeps, converged)."""
         if self.top:
             self.rows.set_multiplier(l)
-        return _coordinate_ascent(self.rows, V, self.cfg.tolerance * self.scale,
-                                  self.cfg.max_iters)
+        return _coordinate_ascent(self.rows, V, SWEEP_TOL * self.scale, MAX_SWEEPS)
 
     def _value(self, V):
         return _edge_contribution(self.g, V, self.subset) if self.top else 0.0
 
     def _rung(self, m):
-        """Rung m, solved on first need."""
+        """Rung m as (V, subset value, (sweeps, converged)), solved on first need."""
         while len(self.rungs) <= m:
-            # an exact-floor triangle solve overwrites V before reading it, and
-            # with no multiplier to find, the plain ascent would go unused
-            run = None
-            if self.top or not self.exact_floor:
-                run = self._run(_MULTIPLIERS[len(self.rungs)], self.V)
+            run = self._run(_MULTIPLIERS[len(self.rungs)], self.V)
             self.rungs.append((self.V.copy(), self._value(self.V), run))
         return self.rungs[m]
 
@@ -573,7 +641,7 @@ class SubsetLadder:
         while self._rung(m)[1] < target and m < self.top:
             m += 1
         read = self.rungs[:m + 1]
-        runs = [r[2] for r in read if r[2] is not None]
+        runs = [r[2] for r in read]
         V, value, _ = read[-1]
         feasible = value >= target
         if not feasible:
@@ -594,83 +662,11 @@ class SubsetLadder:
                     hi, lam, V = mid, mid, W.copy()
                 else:
                     lo = mid
-        return self._solution(V, runs, tau, lam, feasible, m + 1)
-
-    def _solution(self, V, runs, tau, lam, feasible_at_tau, rungs):
-        """The triangle stage, if any, and the report, from the ladder's V for tau."""
-        g, cfg, pins, v0, k = self.g, self.cfg, self.pins, self.v0, self.k
-        n, W = g.n, g.total_weight
-        max_triangle = None
-        if cfg.triangle:
-            # the penalty rounds work on the dense Gram matrix, so they take
-            # dense weights as well
-            D = g.adjacency
-            A_eff = D if lam == 0.0 else (g.csr + lam * self.A_sub).toarray()
-            # relaxation-sanity floor: any integral cut embeds as an exactly
-            # feasible point of this relaxation, so the stage must never return
-            # less than the best cut it can find. Tiny instances enumerate the
-            # exact cut; larger ones take locally-optimized roundings.
-            if self.exact_floor:
-                from .exact import exact_maxcut
-                floor_val, floor_cut = exact_maxcut(g)
-                floor_x = floor_cut.values
-                start = "floor-exact"
-            else:
-                floor_x, floor_val = None, -np.inf
-                for r in range(20):
-                    rng_r = np.random.default_rng(derive(cfg.seed, 90, r))
-                    proj = V @ rng_r.standard_normal(k)
-                    x = _one_opt(D, np.where(proj > 0, 1.0, -1.0))
-                    val = 0.25 * (W - float(x @ D @ x))
-                    if val > floor_val:
-                        floor_val, floor_x = val, x
-                start = "floor-rounded"
-            # one penalty run from a barely-perturbed embedding of the floor cut,
-            # which starts near-feasible at the floor objective
-            blend = 0.02
-            rng_b = np.random.default_rng(derive(cfg.seed, 91))
-            V = ((1 - blend) * floor_x[:, None] * v0[None, :]
-                 + blend * rng_b.standard_normal((n, k)))
-            V /= np.linalg.norm(V, axis=1, keepdims=True)
-            for v, s in pins.items():
-                V[v] = s * v0
-            distinct = _distinct_triples(n)
-            max_triangle, penalty_rounds = _penalty_continuation(A_eff, V, self.free_mask,
-                                                                 self.scale, distinct)
-            # hard floor: fall back to the floor cut's own embedding (exactly
-            # feasible, objective floor_val) if the ascent landed under it
-            fallback = False
-            if not pins and (_edge_contribution(g, V) < floor_val or max_triangle > TRIANGLE_TOL):
-                V_f = floor_x[:, None] * v0[None, :]
-                if (_edge_contribution(g, V_f) >= _edge_contribution(g, V)
-                        or max_triangle > TRIANGLE_TOL):
-                    V = V_f
-                    max_triangle = _TriangleTerms(V, distinct).worst()
-                    fallback = True
-
-        full = np.vstack([v0, V])
-        report = {"unit_norm": float(np.max(np.abs(np.linalg.norm(full, axis=1) - 1.0))),
-                  "sweeps": sum(r[0] for r in runs), "converged": all(r[1] for r in runs)}
-        if pins:
-            report["pins"] = float(max(np.linalg.norm(V[v] - s * v0) for v, s in pins.items()))
+        extra = {}
         if self.subset is not None:
-            achieved = _edge_contribution(g, V, self.subset)
-            report["subset"] = float(max(0.0, tau - achieved))
-        if cfg.triangle:
-            report["triangle"] = float(max_triangle)
-            report["penalty_rounds"] = penalty_rounds
-            report["start"] = start
-            report["fallback"] = fallback
-        if self.subset is not None:
-            report["rungs"] = rungs
-            report["multiplier"] = lam
-        return SdpSolution(
-            dim=k,
-            vectors=full,
-            objective_value=_edge_contribution(g, V),
-            feasibility_report=report,
-            feasible_at_tau=feasible_at_tau,
-        )
+            extra = {"subset": float(max(0.0, tau - _edge_contribution(self.g, V, self.subset))),
+                     "rungs": m + 1, "multiplier": lam}
+        return _solution(self.g, self.v0, V, runs, self.pins, extra, feasible)
 
 
 def round_by_direction(sol: SdpSolution, gvec) -> CutAssignment:

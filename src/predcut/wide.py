@@ -113,19 +113,28 @@ def pipage_round(g: Graph, x_hat) -> CutAssignment:
     return CutAssignment(values=x)
 
 
-def solve_wide(g: Graph, y: NoisyPrediction, delta: int, eta: float, eps_prime: float,
-               rounding: str = REPEAT, seed=0) -> CutAssignment:
-    """Full wide-graph pipeline; falls back to the better of the raw
-    prediction and a GW rounding if the LP comes back infeasible."""
+def wide_lp_cut(g: Graph, y: NoisyPrediction, delta: int, eta: float, eps_prime: float,
+                rounding: str = REPEAT, seed=0):
+    """The rounded LP cut of the wide-graph pipeline, or None if the LP is infeasible."""
     if rounding not in (REPEAT, PIPAGE):
         raise ParameterError(f"unknown rounding mode {rounding!r}")
     est = estimate_imbalance(g, y, delta, eta)
     lp = build_wide_lp(g, est, eps_prime, eta)
     sol: LpSolution = lp_solve(lp)
     if not sol.optimal:
-        return best_cut(g, (CutAssignment(values=y.y.copy()),
-                            solve_gw(g, derive(seed, 1), derive(seed, 2), 20)))
+        return None
     x_hat = np.clip(sol.x, -1.0, 1.0)
     if rounding == PIPAGE:
         return pipage_round(g, x_hat)
     return randomized_round_best(g, x_hat, eta, seed)
+
+
+def solve_wide(g: Graph, y: NoisyPrediction, delta: int, eta: float, eps_prime: float,
+               rounding: str = REPEAT, seed=0) -> CutAssignment:
+    """Full wide-graph pipeline (wide_lp_cut); falls back to the better of the
+    raw prediction and a GW rounding if the LP comes back infeasible."""
+    cut = wide_lp_cut(g, y, delta, eta, eps_prime, rounding, seed)
+    if cut is None:
+        return best_cut(g, (CutAssignment(values=y.y.copy()),
+                            solve_gw(g, derive(seed, 1), derive(seed, 2), 20)))
+    return cut

@@ -38,8 +38,6 @@ def test_band_width_parameter_errors():
         fkl_band_width(0, 0.5)
     with pytest.raises(ParameterError):
         fkl_band_width(3, 0.0)
-    with pytest.raises(ParameterError):
-        fkl_band_width(3, 0.5, scale=0.0)
 
 
 def test_flip_step_empty_band_is_identity():

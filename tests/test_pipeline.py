@@ -87,3 +87,27 @@ def test_narrow_graph_above_the_triangle_limit_fails_before_solving(monkeypatch)
     assert not classify(g, choose_delta(y.epsilon, 0.05), 0.05).is_wide
     with pytest.raises(ParameterError, match="triangle SDP"):
         solve_noisy(g, y)
+
+
+def test_infeasible_wide_lp_runs_one_plain_solve(monkeypatch):
+    # the golden auto-fallback run: a wide graph whose LP comes back
+    # infeasible adds no wide candidate, so only the GW candidate solves an SDP
+    from predcut import pipeline, sdp
+    from test_golden import RUNS, _stdout
+
+    lp_cuts, configs = [], []
+    wide_lp_cut, solve_sdp = pipeline.wide_lp_cut, sdp.solve_sdp
+
+    def recording_lp_cut(*args, **kwargs):
+        lp_cuts.append(wide_lp_cut(*args, **kwargs))
+        return lp_cuts[-1]
+
+    def counting_solve(g, cfg=None):
+        configs.append(cfg)
+        return solve_sdp(g, cfg)
+
+    monkeypatch.setattr(pipeline, "wide_lp_cut", recording_lp_cut)
+    monkeypatch.setattr(sdp, "solve_sdp", counting_solve)
+    assert _stdout(RUNS["auto-fallback"]) == "cut 70\nbranch gw\n"
+    assert lp_cuts == [None]
+    assert len(configs) == 1 and not configs[0].triangle and not configs[0].fixed_labels

@@ -510,6 +510,37 @@ def test_triangle_sdp_refuses_graphs_above_the_limit():
     assert solve_sdp(g).feasibility_report["converged"]
 
 
+def test_triangle_config_with_a_subset_is_refused():
+    g = gen_erdos_renyi(8, 0.6, "unit", seed=0)
+    cfg = SdpConfig(triangle=True, subset_constraint=(np.arange(2), 1.0))
+    with pytest.raises(ParameterError, match="subset"):
+        solve_sdp(g, cfg)
+    with pytest.raises(ParameterError, match="subset"):
+        SubsetLadder(g, np.arange(2), cfg)
+    with pytest.raises(ParameterError, match="subset"):
+        SubsetLadder(g, [], SdpConfig(triangle=True))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from([1, 2, 3, 4, 7, 12, 19, 20, 21, 22]),
+       p=st.sampled_from([0.0, 0.4, 0.8]), data=st.data())
+def test_triangle_stage_on_degenerate_graphs(n, p, data):
+    # no edges, zero-weight edges and isolated vertices, on both sides of
+    # the n <= 20 exact floor
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31 - 1)))
+    weights = [0.0, 1.0, float(rng.uniform(0, 1))]
+    isolated = rng.random(n) < 0.2
+    edges = [(i, j, weights[int(rng.integers(3))]) for i in range(n) for j in range(i + 1, n)
+             if not (isolated[i] or isolated[j]) and rng.random() < p]
+    g = Graph(n, edges)
+    sol = solve_sdp(g, SdpConfig(triangle=True, seed=int(rng.integers(1000))))
+    assert np.max(np.abs(np.linalg.norm(sol.vectors, axis=1) - 1.0)) <= 1e-12
+    assert sol.feasibility_report["triangle"] <= TRIANGLE_TOL
+    assert sol.feasibility_report["start"] == ("floor-exact" if n <= 20 else "floor-rounded")
+    opt, _ = exact_maxcut(g)
+    assert sol.objective_value >= opt - 1e-12 * max(g.total_weight, 1.0)
+
+
 def test_subset_constraint_drives_edge():
     # C5 with one designated edge forced to carry ~its full weight
     g = Graph(5, [(i, (i + 1) % 5, 1.0) for i in range(5)])
@@ -634,12 +665,14 @@ def test_zero_edges_and_isolated_vertices_keep_unit_rows():
     assert sol.objective_value == pytest.approx(3.0, abs=1e-9)
 
 
-def test_report_exposes_sweeps_and_the_cap():
+def test_report_exposes_sweeps_and_the_cap(monkeypatch):
     g = gen_erdos_renyi(30, 0.4, "uniform", seed=51)
     sol = solve_sdp(g, SdpConfig(seed=1))
     assert sol.feasibility_report["converged"]
-    assert 2 <= sol.feasibility_report["sweeps"] < SdpConfig().max_iters
-    capped = solve_sdp(g, SdpConfig(seed=1, max_iters=2))
+    assert 2 <= sol.feasibility_report["sweeps"] < predcut.sdp.MAX_SWEEPS
+    with monkeypatch.context() as m:
+        m.setattr(predcut.sdp, "MAX_SWEEPS", 2)
+        capped = solve_sdp(g, SdpConfig(seed=1))
     assert capped.feasibility_report["sweeps"] == 2
     assert not capped.feasibility_report["converged"]
     # every multiplier run of a subset solve counts toward the total
@@ -872,9 +905,8 @@ def test_shared_ladder_equals_a_single_tau_solve_per_tau(n, data):
     if data.draw(st.booleans()):
         revealed = rng.random(n) < 0.3          # a subset that is not the pins' edges
     subset = np.flatnonzero(revealed[g.edge_i] | revealed[g.edge_j])
-    triangle = data.draw(st.booleans())
     seed = int(rng.integers(0, 1000))
-    cfg = SdpConfig(fixed_labels=pins, triangle=triangle, seed=seed)
+    cfg = SdpConfig(fixed_labels=pins, seed=seed)
     # taus between consecutive rung values of a probe ladder bisect at the
     # later rung; the subset's weight is met late or by no rung
     reach = min(float(np.sum(g.edge_w[subset])), g.total_weight)
@@ -887,18 +919,17 @@ def test_shared_ladder_equals_a_single_tau_solve_per_tau(n, data):
     ladder = SubsetLadder(g, subset, cfg)
     for tau in taus:
         shared = ladder.solve(tau)
-        alone = solve_sdp(g, SdpConfig(fixed_labels=pins, triangle=triangle, seed=seed,
+        alone = solve_sdp(g, SdpConfig(fixed_labels=pins, seed=seed,
                                        subset_constraint=(subset, tau)))
         assert save_solution(shared) == save_solution(alone)
         assert shared.feasibility_report == alone.feasibility_report
         assert shared.feasible_at_tau == alone.feasible_at_tau
         assert shared.objective_value == alone.objective_value
-        if not triangle:
-            V, sweeps, converged, feasible, lam = per_tau_reference(g, pins, subset, tau, seed)
-            report = shared.feasibility_report
-            assert shared.vertex_vectors.tobytes() == V.tobytes()
-            assert (report["sweeps"], report["converged"]) == (sweeps, converged)
-            assert (shared.feasible_at_tau, report["multiplier"]) == (feasible, lam)
+        V, sweeps, converged, feasible, lam = per_tau_reference(g, pins, subset, tau, seed)
+        report = shared.feasibility_report
+        assert shared.vertex_vectors.tobytes() == V.tobytes()
+        assert (report["sweeps"], report["converged"]) == (sweeps, converged)
+        assert (shared.feasible_at_tau, report["multiplier"]) == (feasible, lam)
 
 
 def test_ladder_reports_rungs_and_multiplier():
