@@ -32,12 +32,13 @@ Three optional constraint families:
     otherwise the best of 20 locally-optimized roundings), and without
     pins the result never falls below that cut; the exact cut needs no
     plain solve, so that case runs no plain ascent and reports 0 sweeps.
-    The penalty takes one hinge per ordered triple (the two signs are never
-    both violated), a gradient that uses the (i, j) mirror symmetry of each
-    triple, and rows in passes of about TRIANGLE_CHUNK hinge elements. A
-    line-search trial evaluates the value only; the gradient is finished
-    from the same pass's arrays when the trial is accepted, and the worst
-    violation once per penalty round.
+    Each penalty round is one L-BFGS-B minimization (scipy.optimize) of
+    the negated penalized objective over the free rows, written as
+    V_i = U_i / ||U_i||; pinned rows are not variables. One kernel returns
+    the penalty, the worst violation and the gradient from a single pass
+    over each chunk of about TRIANGLE_CHUNK hinge elements. It takes one
+    hinge per ordered triple (the two signs are never both violated) and a
+    gradient that uses the (i, j) mirror symmetry of each triple.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.optimize import minimize
 from scipy.sparse._sparsetools import csr_matvecs
 from scipy.special import ndtri
 
@@ -59,10 +61,12 @@ from .seeds import derive
 TRIANGLE_LIMIT = 200
 TRIANGLE_TOL = 1e-3
 SUBSET_TOL_FRAC = 1e-4
-TRIANGLE_CHUNK = 1 << 18     # hinge elements per pass of _TriangleTerms
+TRIANGLE_CHUNK = 1 << 18     # hinge elements per pass of _triangle_terms
 ZERO_PERP_TOL = 1e-9
 SWEEP_TOL = 1e-8             # an ascent stops on sweep gains below this times max(W, 1)
 MAX_SWEEPS = 1500            # sweep cap of one coordinate-ascent run
+# L-BFGS-B stopping rules of one triangle penalty round, on the objective divided by max(W, 1)
+_PENALTY_OPTIONS = {"maxiter": 60, "gtol": 1e-6, "ftol": 1e-7}
 
 
 @dataclass(frozen=True)
@@ -282,96 +286,43 @@ def _coordinate_ascent(rows, V, tol_abs, max_sweeps):
     return max_sweeps, False
 
 
-def _distinct_triples(n):
-    """(n, n, n) float64 mask, 1.0 on the triples (i, j, k) with i, j, k pairwise distinct.
+def _triangle_terms(V, chunk_elems=TRIANGLE_CHUNK):
+    """The triangle penalty at the rows V as (pen, worst, dG), one pass per chunk of rows.
 
-    A float mask multiplies faster than a bool one and gives the same bits,
-    since numpy casts a bool operand to 0.0 and 1.0.
+    pen is the sum of squared violations over ordered distinct triples
+    (i, j, k), with the caller applying the penalty weight; worst is the
+    largest violation, and dG is dPenalty/dG with G[a, b] and G[b, a] taken
+    as separate variables, for G = V V^T. For a triple with D = G[i,j] and
+    S = G[j,k] + G[i,k] the two signs' hinges S - D - 1 and -S - D - 1 are
+    never both positive, since D >= -1, so T = max(|S| - D - 1, 0) carries
+    the active sign's violation and sign(S) says which sign it is. Rows i
+    go in passes of about chunk_elems hinge elements, and each pass zeroes
+    its planes i = j, i = k and j = k, which hold no triple. The d/dG[j,k]
+    and d/dG[i,k] sums of 2 sign(S) T are equal, S and T being symmetric in
+    (i, j), so one reduction serves both.
     """
-    i, j, k = np.ogrid[:n, :n, :n]
-    return ((i != j) & (j != k) & (i != k)).astype(np.float64)
-
-
-def _hinges(G, i0, i1, distinct):
-    """One pass of the triangle family over the rows i0:i1 of the Gram matrix G.
-
-    Returns (T, S), both (i1 - i0, n, n): S[i,j,k] = G[j,k] + G[i,k] and the
-    hinge T = max(|S| - G[i,j] - 1, 0) on distinct triples, 0 elsewhere.
-    For a triple with D = G[i,j] the two signs' hinges S - D - 1 and
-    -S - D - 1 are never both positive, since D >= -1, so T carries the
-    active sign's violation and sign(S) says which sign it is.
-    """
-    Gi = G[i0:i1]
-    S = np.empty((i1 - i0,) + G.shape)
-    S[:] = G
-    S += Gi[:, None, :]
-    T = np.abs(S)
-    T -= Gi[:, :, None]
-    T -= 1.0
-    np.maximum(T, 0.0, out=T)
-    T *= distinct[i0:i1]
-    return T, S
-
-
-class _TriangleTerms:
-    """The triangle penalty at the rows V: its value at once, the rest on request.
-
-    pen is the sum of squared violations over ordered distinct triples,
-    with the caller applying the penalty weight. worst() (the largest
-    violation) and grad() (dPenalty/dG, with G[a, b] and G[b, a] as separate
-    variables) are finished on their first call. The line search reads only
-    pen of a trial and grad() of an accepted one, and the penalty rounds
-    read worst() once per round, so a rejected trial costs one value pass.
-
-    `distinct` is _distinct_triples(n) for the n rows of V. Rows i are taken
-    in passes of about chunk_elems hinge elements (_hinges). With one pass
-    (n <= 64 at TRIANGLE_CHUNK) its T and S are kept for worst and grad;
-    with more, each pass is recomputed, so no n^3 array is kept. Either way
-    each value is the one an eager evaluation of the same passes gives, bit
-    for bit. The d/dG[j,k] and d/dG[i,k] sums of 2 sign(S) T are equal, S
-    and T being symmetric in (i, j), so one reduction serves both.
-    """
-
-    def __init__(self, V, distinct, chunk_elems=TRIANGLE_CHUNK):
-        n = V.shape[0]
-        self.G = G = V @ V.T
-        self.distinct = distinct
-        self.passes = range(0, n, max(1, chunk_elems // max(n * n, 1)))
-        self.pen = 0.0
-        for i0 in self.passes:
-            T, S = _hinges(G, i0, min(i0 + self.passes.step, n), distinct)
-            # np.add.reduce is what ndarray.sum calls, without its wrapper
-            self.pen += float(np.add.reduce(T * T, axis=None))
-        self.kept = (T, S) if len(self.passes) == 1 else None
-        self._worst = self._grad = None
-
-    def _each_pass(self):
-        """(i0, i1, T, S) of every pass in order: the kept arrays, or each recomputed."""
-        n = self.G.shape[0]
-        if self.kept is not None:
-            yield (0, n) + self.kept
-            return
-        for i0 in self.passes:
-            i1 = min(i0 + self.passes.step, n)
-            yield (i0, i1) + _hinges(self.G, i0, i1, self.distinct)
-
-    def worst(self):
-        if self._worst is None:
-            maxv = 0.0
-            for _, _, T, _ in self._each_pass():
-                maxv = max(maxv, float(T.max()))
-            self._worst = maxv
-        return self._worst
-
-    def grad(self):
-        if self._grad is None:
-            n = self.G.shape[0]
-            dG = np.zeros((n, n))
-            for i0, i1, T, S in self._each_pass():
-                dG += 4.0 * np.add.reduce(np.copysign(T, S, out=S), axis=0)  # d/dG[j,k], d/dG[i,k]
-                dG[i0:i1] -= 2.0 * np.add.reduce(T, axis=2)                  # d/dG[i,j]
-            self._grad = dG
-        return self._grad
+    n = V.shape[0]
+    G = V @ V.T
+    pen, worst = 0.0, 0.0
+    dG = np.zeros((n, n))
+    rows = max(1, chunk_elems // max(n * n, 1))
+    for i0 in range(0, n, rows):
+        i1 = min(i0 + rows, n)
+        Gi = G[i0:i1]
+        S = G + Gi[:, None, :]
+        T = np.abs(S)
+        T -= Gi[:, :, None]
+        T -= 1.0
+        np.maximum(T, 0.0, out=T)
+        a = np.arange(i1 - i0)
+        T[a, a + i0, :] = 0.0                       # i = j
+        T[a, :, a + i0] = 0.0                       # i = k
+        T.reshape(i1 - i0, n * n)[:, ::n + 1] = 0.0  # j = k
+        pen += float(np.vdot(T, T))
+        worst = max(worst, float(T.max()))
+        dG += 4.0 * np.copysign(T, S, out=S).sum(axis=0)   # d/dG[j,k], d/dG[i,k]
+        dG[i0:i1] -= 2.0 * T.sum(axis=2)                   # d/dG[i,j]
+    return pen, worst, dG
 
 
 def _one_opt(A, x):
@@ -388,80 +339,47 @@ def _one_opt(A, x):
     return x
 
 
-def _penalty_continuation(A_eff, V, free_mask, scale, distinct):
-    """Doubling penalty rounds on V, in place, until the worst violation is at most 1e-3.
+def _penalty_continuation(A, V, free_mask, scale):
+    """Doubling penalty rounds on V, in place, until the worst violation is at most TRIANGLE_TOL.
 
-    Stops after 50 rounds at the latest. The triangle terms are evaluated
-    once per visited point: the terms of the point a round ends on start
-    the next round, and their worst violation is finished once per round.
-    Returns (worst violation, rounds run).
+    Round r minimizes -(objective - rho * penalty) / scale, rho = max(1,
+    scale / n) * 2^r, by L-BFGS-B over the free rows only, each written as
+    V_i = U_i / ||U_i|| for an unconstrained U_i (the Burer-Monteiro
+    factorization); pinned rows stay out of the variable vector. A round
+    starts where the previous one ended. Stops after 50 rounds at the
+    latest. Returns (worst violation, rounds run).
     """
-    n = V.shape[0]
+    n, k = V.shape
+    free = np.flatnonzero(free_mask)
     rho = max(1.0, scale / max(n, 1))
-    terms = _TriangleTerms(V, distinct)
+    worst = _triangle_terms(V)[1]
     rounds = 0
-    alpha = None
-    while terms.worst() > TRIANGLE_TOL and rounds < 50:
-        # continuation: rough ascent while far from feasible, tight near it
-        close = terms.worst() <= 4 * TRIANGLE_TOL
-        alpha, terms = _penalized_ascent(A_eff, V, free_mask, rho, terms, distinct,
-                                         iters=300 if close else 40,
-                                         tol_abs=(1e-9 if close else 1e-7) * scale,
-                                         alpha=alpha)
+    while worst > TRIANGLE_TOL and rounds < 50:
+        res = minimize(_negated_penalized, V[free].ravel(), args=(A, V, free, rho, scale),
+                       jac=True, method="L-BFGS-B", options=_PENALTY_OPTIONS)
+        U = res.x.reshape(-1, k)
+        V[free] = U / _row_norms(U, keepdims=True)
+        worst = _triangle_terms(V)[1]
         rho *= 2.0
         rounds += 1
-    return terms.worst(), rounds
+    return worst, rounds
 
 
-def _penalized_ascent(A, V, free_mask, rho, terms, distinct, iters, tol_abs, alpha=None):
-    """Projected gradient ascent on objective minus rho * triangle penalty, in place.
+def _negated_penalized(x, A, V, free, rho, scale):
+    """-(objective - rho * penalty) / scale and its gradient in x, the free rows' U.
 
-    `terms` is the _TriangleTerms of the starting V. A line-search trial
-    evaluates the penalty's value only; the gradient is finished for the
-    accepted trial, whose terms serve the next step. Stops at stationarity
-    (three consecutive near-zero gains). Returns the last accepted step
-    size, so the next penalty round can resume from it, and the terms at
-    the final V. The accepted trial's A @ V also serves the next gradient.
+    Writes the free rows V_i = U_i / ||U_i|| into V. The objective's affine
+    part is dropped.
     """
+    U = x.reshape(len(free), -1)
+    nrm = _row_norms(U, keepdims=True)
+    V[free] = Vf = U / nrm
+    pen, _, dG = _triangle_terms(V)
     AV = A @ V
-    f = -0.5 * float(np.einsum("ik,ik->", V, AV)) - rho * terms.pen
-    if alpha is None:
-        alpha = 1.0 / max(1.0, float(np.abs(A).sum(axis=1).max()))
-    pinned = None if free_mask.all() else ~free_mask
-    quiet = 0
-    for _ in range(iters):
-        dG = terms.grad()
-        grad = -AV - rho * ((dG + dG.T) @ V)
-        # project onto the tangent space of the product of spheres
-        grad -= (np.einsum("ik,ik->i", grad, V))[:, None] * V
-        if pinned is not None:
-            grad[pinned] = 0.0
-        gnorm = float(_row_norms(grad).max())
-        if gnorm < 1e-9:
-            break
-        improved = False
-        for _ in range(30):
-            W_new = V + alpha * grad
-            W_new /= _row_norms(W_new, keepdims=True)
-            if pinned is not None:
-                W_new[pinned] = V[pinned]
-            terms_new = _TriangleTerms(W_new, distinct)
-            AW = A @ W_new
-            f_new = -0.5 * float(np.einsum("ik,ik->", W_new, AW)) - rho * terms_new.pen
-            if f_new > f:
-                gain = f_new - f
-                V[:] = W_new
-                AV = AW
-                f = f_new
-                terms = terms_new
-                alpha *= 1.3
-                improved = True
-                quiet = quiet + 1 if gain < tol_abs else 0
-                break
-            alpha *= 0.5
-        if not improved or quiet >= 3:
-            break
-    return alpha, terms
+    dV = (AV + rho * ((dG + dG.T) @ V))[free]
+    dV -=np.einsum("ik,ik->i", dV, Vf)[:, None] * Vf    # through V_i = U_i / ||U_i||
+    dV /= nrm
+    return (0.5 * float(np.vdot(V, AV)) + rho * pen) / scale, dV.ravel() / scale
 
 
 def solve_sdp(g: Graph, cfg: SdpConfig = None) -> SdpSolution:
@@ -544,14 +462,13 @@ def _triangle_solve(g: Graph, cfg: SdpConfig) -> SdpSolution:
     V /= np.linalg.norm(V, axis=1, keepdims=True)
     for v, s in pins.items():
         V[v] = s * v0
-    distinct = _distinct_triples(n)
-    worst, rounds = _penalty_continuation(D, V, plain.free_mask, plain.scale, distinct)
+    worst, rounds = _penalty_continuation(D, V, plain.free_mask, plain.scale)
     obj = _edge_contribution(g, V)
     fallback = not pins and (worst > TRIANGLE_TOL
                              or (obj < floor_val and _edge_contribution(g, V_f) >= obj))
     if fallback:
         V = V_f
-        worst = _TriangleTerms(V, distinct).worst()
+        worst = _triangle_terms(V)[1]
     return _solution(g, v0, V, runs, pins, {"triangle": float(worst), "penalty_rounds": rounds,
                                             "start": start, "fallback": fallback})
 

@@ -15,8 +15,8 @@ from predcut.exact import exact_maxcut
 from predcut.graph import Graph, cut_value, gen_erdos_renyi
 from predcut.sdp import (SUBSET_TOL_FRAC, TRIANGLE_TOL, SdpConfig, SdpSolution, SubsetLadder,
                          _ClassRows, _colour_classes, _coordinate_ascent, _csr_product,
-                         _distinct_triples, _edge_matrix, _penalty_continuation, _row_norms,
-                         _rt_thresholds, _TriangleTerms, hyperplane_round, load_solution,
+                         _edge_matrix, _penalty_continuation, _row_norms, _rt_thresholds,
+                         _triangle_terms, hyperplane_round, load_solution,
                          round_by_direction, rt_round, save_solution, sdp_objective, solve_sdp)
 
 from conftest import random_graph, three_sigma
@@ -252,86 +252,13 @@ def test_triangle_sdp_on_an_odd_cycle_with_chords():
     assert sol.objective_value >= opt
 
 
-def triangle_terms_eager(V, need_grad, distinct, chunk_elems=1 << 18):
-    """(pen, maxv, dG or None) as the eager kernel computed them, one pass per chunk of rows.
-
-    The reference for _TriangleTerms, which finishes maxv and dG on request
-    and masks with a float64 array where this masks with a bool one.
-    """
-    distinct = distinct.astype(bool)
-    n = V.shape[0]
-    G = V @ V.T
-    pen = 0.0
-    maxv = 0.0
-    dG = np.zeros((n, n)) if need_grad else None
-    rows = max(1, chunk_elems // max(n * n, 1))
-    for i0 in range(0, n, rows):
-        i1 = min(i0 + rows, n)
-        Gi = G[i0:i1]
-        S = G[None, :, :] + Gi[:, None, :]
-        T = np.abs(S)
-        T -= Gi[:, :, None]
-        T -= 1.0
-        np.maximum(T, 0.0, out=T)
-        T *= distinct[i0:i1]
-        pen += float((T * T).sum())
-        if T.size:
-            maxv = max(maxv, float(T.max()))
-        if need_grad:
-            dG += 4.0 * np.copysign(T, S, out=S).sum(axis=0)
-            dG[i0:i1] -= 2.0 * T.sum(axis=2)
-    return pen, maxv, dG
-
-
-def as_bytes(*values):
-    return [np.asarray(v, dtype=np.float64).tobytes() for v in values]
-
-
-@pytest.mark.parametrize("n, chunk_elems", [(3, 1 << 18), (12, 1 << 18), (28, 1 << 18),
-                                            (30, 1 << 18), (30, 7 * 30 * 30), (70, 1 << 18)])
-def test_triangle_terms_equal_an_eager_evaluation_in_any_order(n, chunk_elems):
-    # a trial's value is computed at once, worst and grad on request: each
-    # equals the eager kernel's bit for bit, whichever is finished first.
-    # n = 70 takes two passes at the default chunk size, and 7 rows per pass
-    # split n = 30 into five. Random rank-3 rows violate the family, so
-    # every hinge path is live.
-    V = random_unit_rows(np.random.default_rng(n), n, 3)
-    distinct = _distinct_triples(n)
-    assert distinct.dtype == np.float64
-    ref = triangle_terms_eager(V, True, distinct, chunk_elems)
-    assert ref[0] > 0
-    grad_first = _TriangleTerms(V, distinct, chunk_elems)
-    worst_first = _TriangleTerms(V, distinct, chunk_elems)
-    assert (grad_first.kept is None) == (chunk_elems < n ** 3)
-    dG = grad_first.grad()
-    assert as_bytes(grad_first.pen, grad_first.worst(), dG) == as_bytes(*ref)
-    maxv = worst_first.worst()
-    assert as_bytes(worst_first.pen, maxv, worst_first.grad()) == as_bytes(*ref)
-    assert grad_first.grad() is dG
-
-
-@pytest.mark.parametrize("n", [3, 12, 28, 30])
-def test_triangle_terms_value_does_not_depend_on_the_gradient_flag(n):
-    # a line-search trial computes the value only; finishing the gradient
-    # of the same point, before its worst violation, changes neither
-    V = random_unit_rows(np.random.default_rng(n), n, 3)
-    distinct = _distinct_triples(n)
-    with_grad = _TriangleTerms(V, distinct)
-    dG = with_grad.grad()
-    alone = _TriangleTerms(V, distinct)
-    assert alone.pen > 0 and dG.shape == (n, n)
-    assert as_bytes(with_grad.pen, with_grad.worst()) == as_bytes(alone.pen, alone.worst())
-
-
 @pytest.mark.parametrize("n", [3, 12, 28, 30])
 def test_triangle_gradient_matches_central_differences(n):
     # dpen/dV = (dG + dG^T) V, since G = V V^T
     rng = np.random.default_rng(100 + n)
     V = random_unit_rows(rng, n, 3)
-    distinct = _distinct_triples(n)
-    terms = _TriangleTerms(V, distinct)
-    assert terms.pen > 0
-    dG = terms.grad()
+    pen, _, dG = _triangle_terms(V)
+    assert pen > 0
     grad = (dG + dG.T) @ V
     h = 1e-6
     for _ in range(8):
@@ -339,7 +266,7 @@ def test_triangle_gradient_matches_central_differences(n):
         Vp, Vm = V.copy(), V.copy()
         Vp[i, c] += h
         Vm[i, c] -= h
-        fd = (_TriangleTerms(Vp, distinct).pen - _TriangleTerms(Vm, distinct).pen) / (2 * h)
+        fd = (_triangle_terms(Vp)[0] - _triangle_terms(Vm)[0]) / (2 * h)
         assert fd == pytest.approx(grad[i, c], rel=1e-5, abs=1e-6)
 
 
@@ -347,7 +274,7 @@ def triangle_terms_by_loop(V):
     """(pen, maxv, dG) by a plain loop over ordered distinct triples and both signs.
 
     dG[a, b] is the derivative with respect to G[a, b] taken as its own
-    variable, as _TriangleTerms.grad reports it.
+    variable, as _triangle_terms reports it.
     """
     G = V @ V.T
     n = G.shape[0]
@@ -369,71 +296,21 @@ def triangle_terms_by_loop(V):
 
 
 @pytest.mark.parametrize("n, chunk_elems", [(3, None), (12, None), (28, None), (30, None),
-                                            (30, 7 * 30 * 30)])
+                                            (30, 7 * 30 * 30), (12, 12 * 12), (66, None)])
 def test_triangle_terms_match_a_per_triple_loop(n, chunk_elems):
-    # 7 rows per pass splits n = 30 into five passes, the last one short
+    # 7 rows per pass split n = 30 into five passes, the last one short; one
+    # row per pass splits n = 12 into twelve; n = 66 takes passes of 60 and
+    # 6 rows at the default chunk size
     V = random_unit_rows(np.random.default_rng(200 + n), n, 3)
-    distinct = _distinct_triples(n)
     if chunk_elems is None:
-        terms = _TriangleTerms(V, distinct)
+        pen, maxv, dG = _triangle_terms(V)
     else:
-        terms = _TriangleTerms(V, distinct, chunk_elems)
-    pen, maxv, dG = terms.pen, terms.worst(), terms.grad()
+        pen, maxv, dG = _triangle_terms(V, chunk_elems)
     ref_pen, ref_maxv, ref_dG = triangle_terms_by_loop(V)
     assert ref_pen > 0
     assert pen == pytest.approx(ref_pen, rel=1e-12, abs=0)
     assert maxv == pytest.approx(ref_maxv, rel=1e-12, abs=0)
     assert np.max(np.abs(dG - ref_dG)) <= 1e-12 * max(1.0, np.max(np.abs(ref_dG)))
-
-
-def penalty_continuation_eager(A, V, free_mask, scale, distinct):
-    """The penalty rounds as they ran with an eager line search, in place.
-
-    Every trial computes value, worst violation and gradient
-    (triangle_terms_eager), rows are normalized by np.linalg.norm and the
-    pinned rows are gathered with ~free_mask. Returns (worst violation, rounds).
-    """
-    n = V.shape[0]
-    rho = max(1.0, scale / max(n, 1))
-    terms = triangle_terms_eager(V, True, distinct)
-    rounds, alpha = 0, None
-    while terms[1] > TRIANGLE_TOL and rounds < 50:
-        close = terms[1] <= 4 * TRIANGLE_TOL
-        iters, tol_abs = (300, 1e-9 * scale) if close else (40, 1e-7 * scale)
-        AV = A @ V
-        f = -0.5 * float(np.einsum("ik,ik->", V, AV)) - rho * terms[0]
-        if alpha is None:
-            alpha = 1.0 / max(1.0, float(np.abs(A).sum(axis=1).max()))
-        quiet = 0
-        for _ in range(iters):
-            dG = terms[2]
-            grad = -AV - rho * ((dG + dG.T) @ V)
-            grad -= (np.einsum("ik,ik->i", grad, V))[:, None] * V
-            grad[~free_mask] = 0.0
-            if float(np.max(np.linalg.norm(grad, axis=1))) < 1e-9:
-                break
-            improved = False
-            for _ in range(30):
-                W_new = V + alpha * grad
-                W_new /= np.linalg.norm(W_new, axis=1, keepdims=True)
-                W_new[~free_mask] = V[~free_mask]
-                terms_new = triangle_terms_eager(W_new, True, distinct)
-                AW = A @ W_new
-                f_new = -0.5 * float(np.einsum("ik,ik->", W_new, AW)) - rho * terms_new[0]
-                if f_new > f:
-                    gain = f_new - f
-                    V[:] = W_new
-                    AV, f, terms = AW, f_new, terms_new
-                    alpha *= 1.3
-                    improved = True
-                    quiet = quiet + 1 if gain < tol_abs else 0
-                    break
-                alpha *= 0.5
-            if not improved or quiet >= 3:
-                break
-        rho *= 2.0
-        rounds += 1
-    return terms[1], rounds
 
 
 def continuation_case(rng, n, pinned_share, blend, k=None):
@@ -456,32 +333,21 @@ def continuation_case(rng, n, pinned_share, blend, k=None):
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(n=st.integers(3, 30), pinned_share=st.sampled_from([0.0, 0.0, 0.2]),
+@given(n=st.integers(3, 30), pinned_share=st.sampled_from([0.0, 0.2, 0.5]),
        blend=st.sampled_from([0.02, 0.3, 1.0]), seed=st.integers(0, 2 ** 31 - 1))
-def test_penalty_continuation_equals_the_eager_line_search(n, pinned_share, blend, seed):
-    # value-only trials, the gradient finished on acceptance and the worst
-    # violation once per round give the eager search's run, bit for bit
+def test_penalty_rounds_keep_pins_and_unit_rows(n, pinned_share, blend, seed):
+    # pinned rows are not variables, so they keep their bits at +-v_0; the
+    # returned worst violation is the exhaustive one at the returned rows
     A, V, free, scale = continuation_case(np.random.default_rng(seed), n, pinned_share, blend)
-    distinct = _distinct_triples(n)
-    W = V.copy()
-    ref = penalty_continuation_eager(A, W, free, scale, distinct)
-    got = _penalty_continuation(A, V, free, scale, distinct)
-    assert V.tobytes() == W.tobytes()
-    assert as_bytes(got[0]) == as_bytes(ref[0]) and got[1] == ref[1]
-
-
-def test_penalty_continuation_equals_the_eager_line_search_over_two_passes():
-    # n = 70 takes two passes per evaluation; the gradient and the worst
-    # violation recompute each pass instead of keeping it
-    A, V, free, scale = continuation_case(np.random.default_rng(70), 70, 0.1, 0.05, k=4)
-    distinct = _distinct_triples(70)
-    assert _TriangleTerms(V, distinct).kept is None
-    W = V.copy()
-    ref = penalty_continuation_eager(A, W, free, scale, distinct)
-    got = _penalty_continuation(A, V, free, scale, distinct)
-    assert ref[1] >= 1
-    assert V.tobytes() == W.tobytes()
-    assert as_bytes(got[0]) == as_bytes(ref[0]) and got[1] == ref[1]
+    pinned_before = V[~free].copy()
+    worst, rounds = _penalty_continuation(A, V, free, scale)
+    assert V[~free].tobytes() == pinned_before.tobytes()
+    assert np.all(np.abs(V[~free, 0]) == 1.0) and not V[~free, 1:].any()
+    assert np.max(np.abs(np.linalg.norm(V, axis=1) - 1.0)) <= 1e-12
+    assert worst <= TRIANGLE_TOL or rounds == 50
+    assert 0 <= rounds <= 50
+    assert worst == _triangle_terms(V)[1]
+    assert worst == pytest.approx(max_triangle_violation(synthetic_solution(V)), rel=0, abs=1e-12)
 
 
 def test_exact_floor_triangle_solve_runs_no_plain_ascent():
