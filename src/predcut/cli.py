@@ -172,7 +172,9 @@ def cmd_csp_solve(args):
     pred = load_prediction(_read(args.pred))
     if not isinstance(pred, NoisyPrediction):
         raise ParameterError("csp-solve needs a noisy prediction file")
-    delta = args.delta or choose_delta(pred.epsilon, args.eps_prime, args.c_delta)
+    delta = args.delta
+    if delta is None:
+        delta = choose_delta(pred.epsilon, args.eps_prime, args.c_delta)
     x = solve_csp_wide(inst, pred, delta, args.eta, args.eps_prime,
                        C=args.constraint_scale, seed=derive(args.seed, 7))
     val = csp_value(inst, x)

@@ -293,23 +293,28 @@ def save_csp(inst: CspInstance) -> str:
 
 
 def load_csp(text: str, predicate: Predicate) -> CspInstance:
-    """Parse the CSP file format; flag 1 rescales raw weights to sum to 1."""
-    lines = [l.strip() for l in text.splitlines() if l.strip() and not l.startswith("#")]
+    """Parse the CSP file format; flag 1 rescales raw weights to sum to 1.
+
+    Blank lines and lines starting with '#' (after indentation) are
+    skipped; a ParseError names the line's number in the file.
+    """
+    lines = [(ln, l.strip()) for ln, l in enumerate(text.splitlines(), start=1)
+             if l.strip() and not l.strip().startswith("#")]
     if not lines:
         raise ParseError("empty input", line=1)
-    head = lines[0].split()
+    header, head = lines[0][0], lines[0][1].split()
     if len(head) != 3:
-        raise ParseError("expected header 'n k W_norm_flag'", line=1)
+        raise ParseError("expected header 'n k W_norm_flag'", line=header)
     try:
         n, k, flag = int(head[0]), int(head[1]), int(head[2])
     except ValueError:
-        raise ParseError("header fields must be integers", line=1)
+        raise ParseError("header fields must be integers", line=header)
     if flag not in (0, 1):
-        raise ParseError(f"W_norm_flag must be 0 or 1, got {flag}", line=1)
+        raise ParseError(f"W_norm_flag must be 0 or 1, got {flag}", line=header)
     if len(lines) - 1 != k:
-        raise ParseError(f"header promised {k} constraints, found {len(lines) - 1}", line=1)
+        raise ParseError(f"header promised {k} constraints, found {len(lines) - 1}", line=header)
     constraints = []
-    for ln, line in enumerate(lines[1:], start=2):
+    for ln, line in lines[1:]:
         parts = line.split()
         if len(parts) != 5:
             raise ParseError("expected 'w c1 c2 i j'", line=ln)

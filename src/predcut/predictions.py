@@ -165,30 +165,35 @@ def save_prediction(pred) -> str:
 
 
 def load_prediction(text: str):
-    """Parse the prediction file format back into a prediction object."""
-    lines = [l.strip() for l in text.splitlines() if l.strip() and not l.startswith("#")]
+    """Parse the prediction file format back into a prediction object.
+
+    Blank lines and lines starting with '#' (after indentation) are
+    skipped; a ParseError names the line's number in the file.
+    """
+    lines = [(ln, l.strip()) for ln, l in enumerate(text.splitlines(), start=1)
+             if l.strip() and not l.strip().startswith("#")]
     if not lines:
         raise ParseError("empty input", line=1)
-    parts = lines[0].split()
+    header, parts = lines[0][0], lines[0][1].split()
     if len(parts) != 3:
-        raise ParseError("expected header 'n model epsilon'", line=1)
+        raise ParseError("expected header 'n model epsilon'", line=header)
     try:
         n = int(parts[0])
         eps = float(parts[2])
     except ValueError:
-        raise ParseError("bad header field types", line=1)
+        raise ParseError("bad header field types", line=header)
     model = parts[1]
     if model not in ("noisy", "partial"):
-        raise ParseError(f"unknown model {model!r}", line=1)
+        raise ParseError(f"unknown model {model!r}", line=header)
     if len(lines) - 1 != n:
-        raise ParseError(f"expected {n} label lines, found {len(lines) - 1}", line=1)
+        raise ParseError(f"expected {n} label lines, found {len(lines) - 1}", line=header)
     vals = np.empty(n)
-    for k, tok in enumerate(lines[1:], start=2):
+    for k, (ln, tok) in enumerate(lines[1:]):
         if tok not in ("+1", "1", "-1", "0"):
-            raise ParseError(f"bad label {tok!r}", line=k)
-        vals[k - 2] = float(tok)
+            raise ParseError(f"bad label {tok!r}", line=ln)
+        if model == "noisy" and tok == "0":
+            raise ParseError("noisy predictions cannot contain 0 labels", line=ln)
+        vals[k] = float(tok)
     if model == "noisy":
-        if np.any(vals == 0.0):
-            raise ParseError("noisy predictions cannot contain 0 labels", line=1)
         return NoisyPrediction(y=vals, epsilon=eps)
     return PartialPrediction(y=vals, epsilon=eps)

@@ -8,7 +8,8 @@ u = sum_j w_ij v_j. The weights are the graph's cached symmetric CSR
 matrix (Graph.csr), and the free vertices are coloured greedily in index
 order; each colour class is an independent set, so its rows are updated
 together from one sparse product and the update stays exact. A sweep
-costs O(nnz * k). The products call scipy's csr_matvecs kernel directly,
+costs O(nnz * k) and reads its objective gain from its own updates, with
+no full product. The products call scipy's csr_matvecs kernel directly,
 the kernel B @ V runs, since on small graphs the sparse operator's
 dispatch costs more than the product.
 
@@ -135,17 +136,6 @@ def _edge_contribution(g: Graph, V, edge_idx=None):
     return float(np.sum(w * (1.0 - dots)) / 2.0)
 
 
-def _edge_matrix(g: Graph, edge_idx=None):
-    """Symmetric CSR weight matrix over vertices, of all edges (the graph's
-    cached g.csr) or of edge_idx."""
-    if edge_idx is None:
-        return g.csr
-    i, j, w = g.edge_i[edge_idx], g.edge_j[edge_idx], g.edge_w[edge_idx]
-    return sp.csr_matrix((np.concatenate([w, w]),
-                          (np.concatenate([i, j]), np.concatenate([j, i]))),
-                         shape=(g.n, g.n))
-
-
 def _colour_classes(M, free):
     """Greedy colouring of the free vertices of M in index order.
 
@@ -167,45 +157,44 @@ def _colour_classes(M, free):
     return [np.array(c, dtype=np.intp) for c in classes]
 
 
-def _on_pattern(A, B):
-    """B's values on A's stored entries, 0 on the others.
+def _subset_weights(g: Graph, subset):
+    """The subset's edge weights on g.csr's stored entries, both mirrors of each edge, 0 elsewhere.
 
-    B's pattern lies within A's, and both have sorted column indices.
+    A repeated edge index adds its weight once per repeat, as scipy's sum of
+    duplicate entries does.
     """
-    def keys(M):
-        rows = np.repeat(np.arange(M.shape[0], dtype=np.int64), np.diff(M.indptr))
-        return rows * M.shape[1] + M.indices
-
+    A, n = g.csr, g.n
+    keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(A.indptr)) * n + A.indices
+    i, j, w = g.edge_i[subset], g.edge_j[subset], g.edge_w[subset]
     s = np.zeros(A.nnz)
-    s[np.searchsorted(keys(A), keys(B))] = B.data
+    np.add.at(s, np.searchsorted(keys, np.concatenate([i * n + j, j * n + i])),
+              np.concatenate([w, w]))
     return s
 
 
 class _ClassRows:
-    """The ascent's weight matrix M = A + l * A_sub and its colour-class row blocks M[c].
+    """The colour-class row blocks M[c] of the ascent's weights M = A + l * A_sub; no full M.
 
-    Both keep A's sparsity pattern and are built once. set_multiplier(l)
-    rewrites their data in place with a + l * s, where s is A_sub's weight
-    on subset entries and 0 elsewhere: entry by entry the value scipy's
-    A + l * A_sub holds. That sum drops stored zeros and these keep them,
-    but a stored zero adds a +-0 product to a sum that starts at +0, which
-    leaves the sum's bits unchanged. The blocks' data arrays are views of
-    one array laid out class by class.
+    The blocks keep A's sparsity pattern, are built once, and their data are
+    views of one array laid out class by class. set_multiplier(l) rewrites
+    it in place with a + l * s, s being A_sub's weight on A's entries
+    (_subset_weights): entry by entry the value scipy's A + l * A_sub holds.
+    That sum drops stored zeros and these keep them, but a stored zero adds
+    a +-0 product to a sum that starts at +0, leaving the sum's bits as
+    they are.
     """
 
-    def __init__(self, A, classes, A_sub=None):
+    def __init__(self, A, classes, s=None):
         self.classes = classes
-        self.a = A.data
-        self.s = None if A_sub is None else _on_pattern(A, A_sub)
-        self.M = A if A_sub is None else sp.csr_matrix((A.data.copy(), A.indices, A.indptr),
-                                                         shape=A.shape)
-        rows = np.concatenate(classes) if classes else np.empty(0, dtype=np.intp)
-        counts = np.diff(A.indptr)[rows]
+        self.order = np.concatenate(classes) if classes else np.empty(0, dtype=np.intp)
+        counts = np.diff(A.indptr)[self.order]
         bounds = np.concatenate([[0], np.cumsum(counts)])
-        # positions in M.data of the rows' entries, class by class
-        self.gather = np.repeat(A.indptr[rows] - bounds[:-1], counts) + np.arange(bounds[-1])
-        self.data = self.M.data[self.gather]
-        indices = A.indices[self.gather]
+        # positions in A.data of the rows' entries, class by class
+        gather = np.repeat(A.indptr[self.order] - bounds[:-1], counts) + np.arange(bounds[-1])
+        self.a = A.data[gather]
+        self.s = None if s is None else s[gather]
+        self.data = self.a.copy()
+        indices = A.indices[gather]
         self.blocks = []
         r0 = 0
         for c in classes:
@@ -218,8 +207,29 @@ class _ClassRows:
             r0 = r1
 
     def set_multiplier(self, l):
-        np.add(self.a, l * self.s, out=self.M.data)
-        np.take(self.M.data, self.gather, out=self.data)
+        np.add(self.a, l * self.s, out=self.data)
+
+    def sweep(self, V):
+        """One pass over the colour classes, in place; returns the gain of -<V, M V>/2.
+
+        Row i's term -<v_i, u_i>, u_i = (M V)_i, becomes ||u_i|| under the
+        update v_i = -u_i/||u_i||, and the classes are independent sets, so
+        the pass gains sum_i ||u_i|| (1 - <v_i new, v_i old>). A row whose u
+        has norm <= 1e-300 (no weighted neighbour) keeps its value.
+        """
+        old = V[self.order]
+        norms = []
+        for c, B in zip(self.classes, self.blocks):
+            U = _csr_product(B.indptr, B.indices, B.data, V)
+            nrm = _row_norms(U)
+            if nrm[nrm.argmin()] > 1e-300:     # argmin finds a NaN as well
+                U /= nrm[:, None]
+                V[c] = np.negative(U, out=U)    # -(u/n), the bits of (-u)/n
+            else:
+                ok = nrm > 1e-300
+                V[c[ok]] = -U[ok] / nrm[ok, None]
+            norms.append(nrm)
+        return float(np.concatenate(norms) @ (1.0 - np.einsum("ik,ik->i", V[self.order], old)))
 
 
 def _row_norms(U, keepdims=False):
@@ -252,37 +262,19 @@ def _coordinate_ascent(rows, V, tol_abs, max_sweeps):
 
     `rows` is the _ClassRows of the (possibly multiplier-adjusted) weight
     matrix over vertices; V holds vertex rows only. Each sweep updates the
-    colour classes in turn; sweeps stop when an entire pass improves the
-    objective by less than tol_abs. A row whose u has norm <= 1e-300 (a
-    vertex with no weighted neighbour) keeps its value. Returns (sweeps run,
-    whether the tolerance was met).
+    colour classes in turn (_ClassRows.sweep) and reports its gain from
+    those updates, so no full product is formed. The ascent stops after two
+    consecutive sweeps, not counting the first, each gaining less than
+    tol_abs. Returns (sweeps run, whether the tolerance was met).
     """
     if not rows.classes:
         return 0, True
-    M = rows.M
-    full = (M.indptr, M.indices, M.data)
-    blocks = [(c, B.indptr, B.indices, B.data) for c, B in zip(rows.classes, rows.blocks)]
-    prev = None
     quiet = 0
     for sweep in range(1, max_sweeps + 1):
-        for c, indptr, indices, data in blocks:
-            U = _csr_product(indptr, indices, data, V)
-            nrm = _row_norms(U)
-            if nrm[nrm.argmin()] > 1e-300:     # argmin finds a NaN as well
-                U /= nrm[:, None]
-                V[c] = np.negative(U, out=U)    # -(u/n), the bits of (-u)/n
-            else:
-                ok = nrm > 1e-300
-                V[c[ok]] = -U[ok] / nrm[ok, None]
-        obj = -0.5 * float(np.einsum("ik,ik->", V, _csr_product(*full, V)))  # affine part dropped
         # two consecutive low-gain sweeps guard the geometric tail of the gap
-        if prev is not None and obj - prev < tol_abs:
-            quiet += 1
-            if quiet >= 2:
-                return sweep, True
-        else:
-            quiet = 0
-        prev = obj
+        quiet = quiet + 1 if rows.sweep(V) < tol_abs and sweep > 1 else 0
+        if quiet >= 2:
+            return sweep, True
     return max_sweeps, False
 
 
@@ -346,14 +338,15 @@ def _penalty_continuation(A, V, free_mask, scale):
     scale / n) * 2^r, by L-BFGS-B over the free rows only, each written as
     V_i = U_i / ||U_i|| for an unconstrained U_i (the Burer-Monteiro
     factorization); pinned rows stay out of the variable vector. A round
-    starts where the previous one ended. Stops after 50 rounds at the
-    latest. Returns (worst violation, rounds run).
+    starts where the previous one ended. At least one round runs, unless no
+    row is free, and at most 50. Returns (worst violation, rounds run).
     """
     n, k = V.shape
     free = np.flatnonzero(free_mask)
+    if not free.size:
+        return _triangle_terms(V)[1], 0
     rho = max(1.0, scale / max(n, 1))
-    worst = _triangle_terms(V)[1]
-    rounds = 0
+    worst, rounds = np.inf, 0
     while worst > TRIANGLE_TOL and rounds < 50:
         res = minimize(_negated_penalized, V[free].ravel(), args=(A, V, free, rho, scale),
                        jac=True, method="L-BFGS-B", options=_PENALTY_OPTIONS)
@@ -520,9 +513,8 @@ class SubsetLadder:
         self.free_mask = np.ones(n, dtype=bool)
         self.free_mask[list(pins)] = False
         self.top = 0 if self.subset is None or len(self.subset) == 0 else len(_MULTIPLIERS) - 1
-        A_sub = _edge_matrix(g, self.subset) if self.top else None
-        self.rows = _ClassRows(g.csr, _colour_classes(g.csr, np.flatnonzero(self.free_mask)),
-                               A_sub)
+        s = _subset_weights(g, self.subset) if self.top else None
+        self.rows = _ClassRows(g.csr, _colour_classes(g.csr, np.flatnonzero(self.free_mask)), s)
         self.rungs = []             # (V after the rung, subset value, (sweeps, converged))
 
     def _run(self, l, V):
@@ -672,18 +664,22 @@ def save_solution(sol: SdpSolution) -> str:
 
 
 def load_solution(text: str) -> SdpSolution:
-    lines = [l for l in text.splitlines() if l.strip()]
+    """Parse save_solution's format; blank lines are skipped and a ParseError names the file line."""
+    lines = [(ln, l) for ln, l in enumerate(text.splitlines(), start=1) if l.strip()]
     if not lines:
         raise ParseError("empty input", line=1)
     try:
-        k, n = (int(t) for t in lines[0].split())
+        k, n = (int(t) for t in lines[0][1].split())
     except ValueError:
-        raise ParseError("expected header 'k n'", line=1)
+        raise ParseError("expected header 'k n'", line=lines[0][0])
     if len(lines) - 1 != n + 1:
-        raise ParseError(f"expected {n + 1} vector rows", line=1)
+        raise ParseError(f"expected {n + 1} vector rows", line=lines[0][0])
     rows = []
-    for ln, line in enumerate(lines[1:], start=2):
-        vals = [float(t) for t in line.split()]
+    for ln, line in lines[1:]:
+        try:
+            vals = [float(t) for t in line.split()]
+        except ValueError:
+            raise ParseError("coordinates must be floats", line=ln)
         if len(vals) != k:
             raise ParseError(f"expected {k} coordinates", line=ln)
         rows.append(vals)

@@ -97,6 +97,25 @@ def test_csp_solve_command(workdir, tmp_path):
     assert float(lines["ratio"]) <= 1.0 + 1e-9
 
 
+def test_csp_solve_refuses_delta_zero(workdir, capsys):
+    # --delta 0 is passed on, not replaced by a derived delta, and the
+    # classification refuses it
+    d, run = workdir
+    run("gen-graph", "--n", 8, "--p", 0.9, "--seed", 6, "--out", d / "g.txt")
+    g = load_edge_list((d / "g.txt").read_text())
+    (d / "inst.txt").write_text(save_csp(maxcut_as_csp(g)))
+    (d / "truth.txt").write_text("\n".join(["+1", "-1"] * 4))
+    run("gen-predictions", "--truth", d / "truth.txt", "--model", "noisy",
+        "--eps", 0.45, "--seed", 7, "--out", d / "p.txt")
+    argv = ("csp-solve", "--csp", d / "inst.txt", "--predicate", "0110", "--pred", d / "p.txt",
+            "--eta", 0.35, "--eps-prime", 0.3)
+    capsys.readouterr()
+    assert main([str(a) for a in argv + ("--delta", 0)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "delta must be >= 1, got 0" in err
+    assert run(*argv)[0] == 0
+
+
 EXP_CONFIG = """
 [experiment]
 master_seed = 5

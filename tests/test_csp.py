@@ -7,7 +7,7 @@ from predcut.csp import (CspInstance, CUT_PREDICATE, build_csp_lp,
                          classify_literals, csp_value, csp_value_table,
                          fourier_expand, load_csp, maxcut_as_csp,
                          predicate_from_bits, save_csp, solve_csp_wide)
-from predcut.errors import DomainError
+from predcut.errors import DomainError, ParseError
 from predcut.exact import exact_csp
 from predcut.graph import cut_value, gen_erdos_renyi
 from predcut.lp import check_feasibility
@@ -231,3 +231,14 @@ def test_csp_file_normalization_flag():
     inst = load_csp(text, CUT_PREDICATE)
     assert sum(w for (w, _, _) in inst.constraints) == pytest.approx(1.0)
     assert inst.constraints[0][0] == pytest.approx(0.25)
+
+
+def test_csp_file_errors_name_the_file_line():
+    # blank and comment lines count, and an indented comment is a comment
+    text = "# a CSP\n\n   # two constraints\n2 2 0\n1.0 +1 +1 0 1\n\n1.0 +1 x 1 0\n"
+    with pytest.raises(ParseError, match="line 7: bad field types") as e:
+        load_csp(text, CUT_PREDICATE)
+    assert e.value.line == 7
+    assert len(load_csp(text.replace(" x ", " -1 "), CUT_PREDICATE).constraints) == 2
+    with pytest.raises(ParseError, match="line 4: W_norm_flag"):
+        load_csp(text.replace("2 2 0", "2 2 5"), CUT_PREDICATE)

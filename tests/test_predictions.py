@@ -181,3 +181,16 @@ def test_prediction_file_errors():
         load_prediction("2 noisy 0.3\n+1\n0\n")
     with pytest.raises(ParseError):
         load_prediction("3 noisy 0.3\n+1\n-1\n")
+
+
+def test_prediction_file_errors_name_the_file_line():
+    # blank and comment lines count, and an indented comment is a comment
+    text = "# labels\n\n  # indented\n2 noisy 0.3\n+1\n+2\n"
+    with pytest.raises(ParseError, match="line 6: bad label '\\+2'") as e:
+        load_prediction(text)
+    assert e.value.line == 6
+    assert np.array_equal(load_prediction(text.replace("+2", "-1")).y, [1.0, -1.0])
+    with pytest.raises(ParseError, match="line 4: unknown model"):
+        load_prediction(text.replace("noisy", "weird"))
+    with pytest.raises(ParseError, match="line 5: noisy predictions cannot contain 0"):
+        load_prediction("2 noisy 0.3\n\n\n\n0\n+1\n")
