@@ -98,10 +98,10 @@ def pipage_round(g: Graph, x_hat) -> CutAssignment:
     <x, Ax> is affine in each coordinate (zero diagonal), so each fractional
     x_i, in index order, moves to the endpoint minimizing it: -1 if the
     computed row value sum_j A_ij x_j (row i's stored entries, in stored
-    order) is > 0, else +1. A computed value of exactly 0 goes to +1, but a
-    row value that is 0 in real arithmetic can come out as a rounding
-    residue of either sign (such as +-5.6e-17), so such a tie may go either
-    way. Coordinates already at +-1 stay put.
+    order) is > 0, else +1. A row value that is 0 in real arithmetic can
+    come out as a rounding residue of either sign (such as +-5.6e-17), so
+    values up to 1e-12 * sum_j |A_ij x_j| count as ties and go to +1.
+    Coordinates already at +-1 stay put.
     """
     x = _values_of(x_hat, g.n).copy()
     A = g.csr
@@ -109,7 +109,8 @@ def pipage_round(g: Graph, x_hat) -> CutAssignment:
         if x[i] == 1.0 or x[i] == -1.0:
             continue
         row = slice(A.indptr[i], A.indptr[i + 1])
-        x[i] = -1.0 if A.data[row] @ x[A.indices[row]] > 0 else 1.0
+        w, xj = A.data[row], x[A.indices[row]]
+        x[i] = -1.0 if w @ xj > 1e-12 * (np.abs(w) @ np.abs(xj)) else 1.0
     return CutAssignment(values=x)
 
 

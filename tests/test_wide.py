@@ -1,7 +1,10 @@
 import numpy as np
+import scipy.sparse as sp
+from scipy.optimize import linprog
 
 from predcut.graph import Graph, classify, cut_value, frac_objective, gen_erdos_renyi
-from predcut.lp import check_feasibility, solve as lp_solve
+from predcut.lp import (FEAS_TOL, INFEASIBLE, OPT_TOL, AbsSumLp, LpGroup, check_feasibility,
+                        solve as lp_solve)
 from predcut.predictions import NoisyPrediction, sample_noisy
 from predcut.wide import (build_wide_lp, estimate_imbalance, pipage_round,
                           randomized_round_best, rounding_trials, solve_wide)
@@ -70,6 +73,69 @@ def test_k2_lp_feasible_at_zero():
     assert check_feasibility(lp, np.zeros(2)) <= 0  # |0 - 0| vs positive budget
 
 
+def _two_row_reference(lp, minimize_budget=False):
+    """The one-group wide LP with slacks s_k >= +-(g_k x + h_k), by linprog's defaults.
+
+    With minimize_budget, minimizes sum_k s_k with no budget row instead, which
+    gives the smallest budget any x in the box can meet.
+    """
+    grp = lp.groups[0]
+    G, K, n = sp.csr_matrix(grp.coeffs), grp.coeffs.shape[0], lp.n
+    eye = sp.eye(K)
+    rows = [sp.hstack([G, -eye]), sp.hstack([-G, -eye])]
+    rhs = [-grp.offsets, grp.offsets]
+    if minimize_budget:
+        c = np.concatenate([np.zeros(n), np.ones(K)])
+        caps = [(0.0, None)] * K
+    else:
+        c = np.concatenate([lp.objective, np.zeros(K)])
+        caps = [(0.0, grp.budget)] * K
+        rows.append(sp.hstack([sp.csr_matrix((1, n)), np.ones((1, K))]))
+        rhs.append([grp.budget])
+    return linprog(c, A_ub=sp.vstack(rows), b_ub=np.concatenate(rhs),
+                   bounds=[(-1.0, 1.0)] * n + caps)
+
+
+def _binding_lp():
+    # eps' = 0 and eta = 0.1: every vertex is wide and the budget 0.2 W binds
+    g = gen_erdos_renyi(150, 0.0, "planted", seed=0, q_cross=0.4, q_within=0.1)
+    y = sample_noisy(g.planted, 0.25, seed=10)
+    return g, y, build_wide_lp(g, estimate_imbalance(g, y, 2, 0.1), 0.0, 0.1)
+
+
+def test_binding_budget_matches_two_row_reference():
+    *_, lp = _binding_lp()
+    grp = lp.groups[0]
+    sol, ref = lp_solve(lp), _two_row_reference(lp)
+    assert sol.optimal and ref.status == 0
+    ref_value = float(lp.objective @ ref.x[:lp.n])
+    assert abs(sol.objective_value - ref_value) <= OPT_TOL * max(1.0, abs(ref_value))
+    # the budget decides the optimum: the box alone reaches -||r_hat||_1
+    assert sol.objective_value > -np.abs(lp.objective).sum() + 1.0
+    assert check_feasibility(lp, sol.x) <= FEAS_TOL
+    used = float(np.abs(grp.coeffs @ sol.x + grp.offsets).sum())
+    assert abs(used - grp.budget) <= 1e-7
+    assert len(sol.budget_slack) == 1 and abs(sol.budget_slack[0]) <= 1e-7
+
+    # one budget below the smallest feasible one: infeasible on both
+    least = _two_row_reference(lp, minimize_budget=True).fun
+    short = AbsSumLp(objective=lp.objective,
+                     groups=[LpGroup(grp.coeffs, grp.offsets, 0.99 * least)])
+    sol = lp_solve(short)
+    assert sol.status == INFEASIBLE and sol.budget_slack == ()
+    assert _two_row_reference(short).status == 2
+
+
+def test_budget_slack_on_a_slack_budget():
+    g, y, _ = _binding_lp()
+    lp = build_wide_lp(g, estimate_imbalance(g, y, 2, 0.15), 0.0, 0.15)
+    grp = lp.groups[0]
+    sol = lp_solve(lp)
+    used = float(np.abs(grp.coeffs @ sol.x + grp.offsets).sum())
+    assert sol.budget_slack == (grp.budget - used,)
+    assert sol.budget_slack[0] > 1.0
+
+
 def test_rounding_trials_formula():
     assert rounding_trials(0.3) == int(np.ceil(np.log(100) / np.log1p(0.15)))
 
@@ -125,6 +191,14 @@ def test_pipage_k2_example():
     out = pipage_round(g, np.array([0.5, -0.5]))
     assert np.array_equal(out.values, [1.0, -1.0])
     assert cut_value(g, out) == 1.0 >= 0.625
+
+
+def test_pipage_rounding_residue_is_a_tie():
+    # vertex 0's row value 0.1 + 0.2 - 0.3 computes to +5.55e-17: a tie, so +1
+    g = Graph(4, [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)])
+    x_hat = np.array([0.5, 0.1, 0.2, -0.3])
+    assert x_hat[1:].sum() > 0
+    assert np.array_equal(pipage_round(g, x_hat).values, [1.0, -1.0, -1.0, -1.0])
 
 
 def test_pipage_never_decreases_objective():
