@@ -119,8 +119,19 @@ def _budget_slack(lp: AbsSumLp, x) -> tuple:
 
 
 def solve(lp: AbsSumLp) -> LpSolution:
-    """Solve the split LP; returns status infeasible when no x fits."""
+    """Solve the split LP; returns status infeasible when no x fits.
+
+    With n = 0 the only x is empty: it is optimal, with objective 0.0, when
+    every group's constant forms fit its budget within FEAS_TOL, and
+    infeasible otherwise.
+    """
     n = lp.n
+    if n == 0:
+        x = np.zeros(0)
+        if check_feasibility(lp, x) > FEAS_TOL:
+            return LpSolution(x=x, objective_value=np.nan, status=INFEASIBLE)
+        return LpSolution(x=x, objective_value=0.0, status=OPTIMAL,
+                          budget_slack=_budget_slack(lp, x))
     sizes = [grp.coeffs.shape[0] for grp in lp.groups]
     budgets = np.array([grp.budget for grp in lp.groups], dtype=np.float64)
     K = sum(sizes)

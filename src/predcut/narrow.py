@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ContractViolationError, ParameterError
 from .graph import CutAssignment, Graph, best_cut, cut_value, _values_of
-from .sdp import SdpConfig, SdpSolution, round_by_direction, solve_sdp
+from .sdp import SdpConfig, SdpSolution, solve_sdp
 from .seeds import derive
 
 
@@ -66,7 +66,21 @@ def flip_step(g: Graph, x_hat, sol: SdpSolution, gvec, delta_band: float):
     if not np.array_equal(expected, x):
         raise ContractViolationError("assignment is not the rounding of the given direction")
     in_band = np.abs(proj) <= delta_band
+    new_x, flipped, same, other, band_w = _band_flips(g, x, in_band)
+    report = FlipReport(
+        delta_band=float(delta_band),
+        in_band=in_band,
+        flipped=flipped,
+        same_side_weight=same,
+        other_side_weight=other,
+        band_weight=band_w,
+        gain=cut_value(g, new_x) - cut_value(g, x),
+    )
+    return CutAssignment(values=new_x), report
 
+
+def _band_flips(g: Graph, x, in_band):
+    """flip_step's arithmetic on the cut x: (new x, flipped, w(B), w(C), w(D)) per vertex."""
     A = g.csr
     out = ~in_band
     plus_out = A @ (out & (x > 0)).astype(np.float64)
@@ -75,32 +89,29 @@ def flip_step(g: Graph, x_hat, sol: SdpSolution, gvec, delta_band: float):
     same = np.where(x > 0, plus_out, minus_out)
     other = np.where(x > 0, minus_out, plus_out)
     # A has zero diagonal, so j = i never contributes to any of the three
-
     flipped = in_band & (same > other + band_w)
-    new_x = np.where(flipped, -x, x)
-    before = cut_value(g, x)
-    after = cut_value(g, new_x)
-    report = FlipReport(
-        delta_band=float(delta_band),
-        in_band=in_band,
-        flipped=flipped,
-        same_side_weight=same,
-        other_side_weight=other,
-        band_weight=band_w,
-        gain=after - before,
-    )
-    return CutAssignment(values=new_x), report
+    return np.where(flipped, -x, x), flipped, same, other, band_w
 
 
 def solve_narrow(g: Graph, delta: float, eta: float, seed=0, restarts: int = 20) -> CutAssignment:
-    """Triangle SDP once, then best cut over rounding + flip restarts."""
+    """Triangle SDP once, then best cut over rounding + flip restarts.
+
+    A restart projects the vectors on its direction once and takes the
+    rounding and flip_step's flips from that projection, with no contract
+    check; with no vertex in the band it keeps the rounding as it is.
+    """
     if restarts < 1:
         raise ParameterError(f"restarts must be >= 1, got {restarts}")
     band = fkl_band_width(delta, eta)
     sol = solve_sdp(g, SdpConfig(triangle=True, seed=derive(seed, 0)))
+    V = sol.vertex_vectors
 
     def restart(r):
-        gvec = np.random.default_rng(derive(seed, 1, r)).standard_normal(sol.dim)
-        return flip_step(g, round_by_direction(sol, gvec), sol, gvec, band)[0]
+        proj = V @ np.random.default_rng(derive(seed, 1, r)).standard_normal(sol.dim)
+        x = np.where(proj > 0, 1.0, -1.0)
+        in_band = np.abs(proj) <= band
+        if in_band.any():
+            x = _band_flips(g, x, in_band)[0]
+        return CutAssignment(values=x)
 
     return best_cut(g, (restart(r) for r in range(restarts)))

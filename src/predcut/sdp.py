@@ -29,10 +29,9 @@ Three optional constraint families:
     weight doubles until the worst violation is at most 1e-3. The penalty
     works on the dense O(n^3) triangle family, so it is refused above
     TRIANGLE_LIMIT vertices. One penalty run starts from a perturbed
-    embedding of a floor cut (the exact cut for n <= 20 without pins,
-    otherwise the best of 20 locally-optimized roundings), and without
-    pins the result never falls below that cut; the exact cut needs no
-    plain solve, so that case runs no plain ascent and reports 0 sweeps.
+    embedding of a floor cut, the best of 20 one-opt hyperplane roundings
+    of the plain solution, and without pins the result never falls below
+    that cut.
     Each penalty round is one L-BFGS-B minimization (scipy.optimize) of
     the negated penalized objective over the free rows, written as
     V_i = U_i / ||U_i||; pinned rows are not variables. One kernel returns
@@ -55,7 +54,6 @@ from scipy.sparse._sparsetools import csr_matvecs
 from scipy.special import ndtri
 
 from .errors import DimensionError, ParameterError, ParseError
-from .exact import exact_maxcut
 from .graph import CutAssignment, Graph, best_cut, cut_value
 from .seeds import derive
 
@@ -175,34 +173,43 @@ def _subset_weights(g: Graph, subset):
 class _ClassRows:
     """The colour-class row blocks M[c] of the ascent's weights M = A + l * A_sub; no full M.
 
-    The blocks keep A's sparsity pattern, are built once, and their data are
-    views of one array laid out class by class. set_multiplier(l) rewrites
-    it in place with a + l * s, s being A_sub's weight on A's entries
-    (_subset_weights): entry by entry the value scipy's A + l * A_sub holds.
-    That sum drops stored zeros and these keep them, but a stored zero adds
-    a +-0 product to a sum that starts at +0, leaving the sum's bits as
-    they are.
+    A sweep works on V in the run's layout, perm: the free rows class by
+    class, then the pinned rows. The blocks keep A's sparsity pattern and
+    stored order with their column indices remapped to that layout, so a
+    block's product with V[perm] is M[c] @ V bit for bit, and a class's rows
+    are one slice. They are built once, and their data are views of one
+    array laid out class by class. set_multiplier(l) rewrites it in place
+    with a + l * s, s being A_sub's weight on A's entries (_subset_weights):
+    entry by entry the value scipy's A + l * A_sub holds. That sum drops
+    stored zeros and these keep them, but a stored zero adds a +-0 product
+    to a sum that starts at +0, leaving the sum's bits as they are.
     """
 
     def __init__(self, A, classes, s=None):
         self.classes = classes
-        self.order = np.concatenate(classes) if classes else np.empty(0, dtype=np.intp)
-        counts = np.diff(A.indptr)[self.order]
+        n = A.shape[0]
+        order = np.concatenate(classes) if classes else np.empty(0, dtype=np.intp)
+        self.free = len(order)
+        self.perm = np.concatenate([order, np.setdiff1d(np.arange(n), order)])
+        layout = np.empty(n, dtype=A.indices.dtype)
+        layout[self.perm] = np.arange(n)
+        counts = np.diff(A.indptr)[order]
         bounds = np.concatenate([[0], np.cumsum(counts)])
         # positions in A.data of the rows' entries, class by class
-        gather = np.repeat(A.indptr[self.order] - bounds[:-1], counts) + np.arange(bounds[-1])
+        gather = np.repeat(A.indptr[order] - bounds[:-1], counts) + np.arange(bounds[-1])
         self.a = A.data[gather]
         self.s = None if s is None else s[gather]
         self.data = self.a.copy()
-        indices = A.indices[gather]
-        self.blocks = []
+        indices = layout[A.indices[gather]]
+        self.spans, self.blocks = [], []
         r0 = 0
         for c in classes:
             r1 = r0 + len(c)
             d0, d1 = bounds[r0], bounds[r1]
             blk = sp.csr_matrix((self.data[d0:d1], indices[d0:d1], bounds[r0:r1 + 1] - d0),
-                                shape=(len(c), A.shape[1]))
+                                shape=(len(c), n))
             blk.data = self.data[d0:d1]      # the constructor copied it
+            self.spans.append(slice(r0, r1))
             self.blocks.append(blk)
             r0 = r1
 
@@ -212,24 +219,25 @@ class _ClassRows:
     def sweep(self, V):
         """One pass over the colour classes, in place; returns the gain of -<V, M V>/2.
 
-        Row i's term -<v_i, u_i>, u_i = (M V)_i, becomes ||u_i|| under the
-        update v_i = -u_i/||u_i||, and the classes are independent sets, so
-        the pass gains sum_i ||u_i|| (1 - <v_i new, v_i old>). A row whose u
-        has norm <= 1e-300 (no weighted neighbour) keeps its value.
+        V holds the vertex rows in the layout perm. Row i's term -<v_i, u_i>,
+        u_i = (M V)_i, becomes ||u_i|| under the update v_i = -u_i/||u_i||,
+        and the classes are independent sets, so the pass gains
+        sum_i ||u_i|| (1 - <v_i new, v_i old>). A row whose u has norm
+        <= 1e-300 (no weighted neighbour) keeps its value.
         """
-        old = V[self.order]
-        norms = []
-        for c, B in zip(self.classes, self.blocks):
+        free = slice(0, self.free)
+        old = V[free].copy()
+        norms = np.empty(self.free)
+        for rows, B in zip(self.spans, self.blocks):
             U = _csr_product(B.indptr, B.indices, B.data, V)
-            nrm = _row_norms(U)
+            norms[rows] = nrm = _row_norms(U)
             if nrm[nrm.argmin()] > 1e-300:     # argmin finds a NaN as well
                 U /= nrm[:, None]
-                V[c] = np.negative(U, out=U)    # -(u/n), the bits of (-u)/n
+                V[rows] = np.negative(U, out=U)    # -(u/n), the bits of (-u)/n
             else:
                 ok = nrm > 1e-300
-                V[c[ok]] = -U[ok] / nrm[ok, None]
-            norms.append(nrm)
-        return float(np.concatenate(norms) @ (1.0 - np.einsum("ik,ik->i", V[self.order], old)))
+                V[rows][ok] = -U[ok] / nrm[ok, None]
+        return float(norms @ (1.0 - np.einsum("ik,ik->i", V[free], old)))
 
 
 def _row_norms(U, keepdims=False):
@@ -261,21 +269,25 @@ def _coordinate_ascent(rows, V, tol_abs, max_sweeps):
     """Block-coordinate ascent on the factorized relaxation, in place.
 
     `rows` is the _ClassRows of the (possibly multiplier-adjusted) weight
-    matrix over vertices; V holds vertex rows only. Each sweep updates the
-    colour classes in turn (_ClassRows.sweep) and reports its gain from
-    those updates, so no full product is formed. The ascent stops after two
-    consecutive sweeps, not counting the first, each gaining less than
-    tol_abs. Returns (sweeps run, whether the tolerance was met).
+    matrix over vertices; V holds vertex rows only. V is put in the run's
+    layout (rows.perm) once on entry and back once on exit. Each sweep
+    updates the colour classes in turn (_ClassRows.sweep) and reports its
+    gain from those updates, so no full product is formed. The ascent stops
+    after two consecutive sweeps, not counting the first, each gaining less
+    than tol_abs. Returns (sweeps run, whether the tolerance was met).
     """
     if not rows.classes:
         return 0, True
-    quiet = 0
+    W = V[rows.perm]
+    result, quiet = (max_sweeps, False), 0
     for sweep in range(1, max_sweeps + 1):
         # two consecutive low-gain sweeps guard the geometric tail of the gap
-        quiet = quiet + 1 if rows.sweep(V) < tol_abs and sweep > 1 else 0
+        quiet = quiet + 1 if rows.sweep(W) < tol_abs and sweep > 1 else 0
         if quiet >= 2:
-            return sweep, True
-    return max_sweeps, False
+            result = sweep, True
+            break
+    V[rows.perm] = W
+    return result
 
 
 def _triangle_terms(V, chunk_elems=TRIANGLE_CHUNK):
@@ -420,11 +432,11 @@ def _triangle_solve(g: Graph, cfg: SdpConfig) -> SdpSolution:
     """solve_sdp with the triangle inequalities: one penalty run from a floor cut.
 
     Any integral cut embeds as an exactly feasible point of this relaxation,
-    so the stage starts near the best cut it can find: the exact cut for
-    n <= 20 without pins, which needs no plain solve, otherwise the best of
-    20 locally-optimized roundings of the plain solution. Without pins the
-    result never falls below that cut: the floor cut's own embedding is
-    returned when the penalty run ends under it or misses the tolerance.
+    so the stage starts near a good cut: the best of 20 one-opt hyperplane
+    roundings (streams derive(seed, 90, r)) of the plain solution, rung 0 of
+    its own ladder. Without pins the result never falls below that cut: the
+    floor cut's own embedding is returned when the penalty run ends under it
+    or misses the tolerance.
     """
     n = g.n
     if n > TRIANGLE_LIMIT:
@@ -433,19 +445,14 @@ def _triangle_solve(g: Graph, cfg: SdpConfig) -> SdpSolution:
     pins, v0, k = plain.pins, plain.v0, plain.k
     # the penalty rounds work on the dense Gram matrix, so they take dense weights
     D = g.adjacency
-    if not pins and n <= 20:
-        floor_val, floor_cut = exact_maxcut(g)
-        runs, start = [], "floor-exact"
-    else:
-        V, _, run = plain._rung(0)
+    P, _, run = plain._rung(0)
 
-        def rounding(r):
-            proj = V @ np.random.default_rng(derive(cfg.seed, 90, r)).standard_normal(k)
-            return CutAssignment(values=_one_opt(D, np.where(proj > 0, 1.0, -1.0)))
+    def rounding(r):
+        proj = P @ np.random.default_rng(derive(cfg.seed, 90, r)).standard_normal(k)
+        return CutAssignment(values=_one_opt(D, np.where(proj > 0, 1.0, -1.0)))
 
-        floor_cut = best_cut(g, (rounding(r) for r in range(20)))
-        floor_val = cut_value(g, floor_cut)
-        runs, start = [run], "floor-rounded"
+    floor_cut = best_cut(g, (rounding(r) for r in range(20)))
+    floor_val = cut_value(g, floor_cut)
     # a barely-perturbed embedding of the floor cut starts near-feasible at
     # the floor objective
     blend = 0.02
@@ -462,8 +469,8 @@ def _triangle_solve(g: Graph, cfg: SdpConfig) -> SdpSolution:
     if fallback:
         V = V_f
         worst = _triangle_terms(V)[1]
-    return _solution(g, v0, V, runs, pins, {"triangle": float(worst), "penalty_rounds": rounds,
-                                            "start": start, "fallback": fallback})
+    return _solution(g, v0, V, [run], pins, {"triangle": float(worst), "penalty_rounds": rounds,
+                                             "fallback": fallback})
 
 
 # multipliers of the ladder's rungs: l = 0, 1, 2, 4, ..., 2^20

@@ -109,8 +109,9 @@ path = {out}
 """,
 }
 
-# triangle-SDP vectors: an exact floor (n <= 20), a rounded floor (n = 22)
-# and a pinned solve; name -> (gen_erdos_renyi arguments, pins)
+# triangle-SDP vectors: unpinned solves at n = 12 and n = 22 and a pinned
+# solve, each from its rounded floor (the file names predate the one floor
+# rule, when n <= 20 took the exact cut); name -> (gen_erdos_renyi arguments, pins)
 TRIANGLE = {
     "triangle_exact": ((12, 0.6, "uniform", 0), {}),
     "triangle_rounded": ((22, 0.5, "planted", 0), {}),

@@ -126,6 +126,27 @@ def test_infeasible_detected():
     assert solve(lp).status == INFEASIBLE
 
 
+def test_empty_variable_vector_with_fitting_constant_forms_is_optimal():
+    # with n = 0 every form is its constant h_k: no groups, groups whose
+    # constants fit (one binding, one dense and one sparse), all optimal at x = ()
+    for groups, slack in (([], ()),
+                          ([LpGroup(np.zeros((2, 0)), np.array([1.0, -2.0]), 3.0),
+                            LpGroup(sp.csr_matrix((1, 0)), np.array([0.5]), 1.25)], (0.0, 0.75))):
+        sol = solve(AbsSumLp(objective=np.zeros(0), groups=groups))
+        assert sol.status == OPTIMAL and sol.optimal
+        assert sol.x.shape == (0,) and sol.objective_value == 0.0
+        assert sol.budget_slack == slack
+
+
+def test_empty_variable_vector_with_an_overrun_budget_is_infeasible():
+    # |1| + |-2| = 3 > 2.5: no x, empty or not, can fit the second group
+    lp = AbsSumLp(objective=np.zeros(0),
+                  groups=[LpGroup(np.zeros((1, 0)), np.array([0.0]), 0.0),
+                          LpGroup(np.zeros((2, 0)), np.array([1.0, -2.0]), 2.5)])
+    sol = solve(lp)
+    assert sol.status == INFEASIBLE and sol.budget_slack == ()
+
+
 def test_zero_budget_forces_equalities():
     # |x1 + x2 - 1| <= 0 and |x1 - x2| <= 0  ->  x = (0.5, 0.5)
     lp = AbsSumLp(objective=np.array([1.0, 0.0]),

@@ -9,6 +9,7 @@ from predcut.exact import exact_maxcut
 from predcut.graph import Graph, cut_value
 from predcut.narrow import fkl_band_width, flip_step, solve_narrow
 from predcut.sdp import SdpConfig, round_by_direction, solve_sdp
+from predcut.seeds import derive
 
 from conftest import random_graph, regular_graph, three_sigma
 from test_sdp import synthetic_solution
@@ -136,3 +137,34 @@ def test_solve_narrow_three_regular_quality():
     sol = solve_sdp(g, SdpConfig(triangle=True, seed=85))
     best = solve_narrow(g, delta=3, eta=0.45, seed=2, restarts=100)
     assert cut_value(g, best) >= 0.9 * sol.objective_value
+
+
+def test_solve_narrow_equals_the_public_round_and_flip_loop(monkeypatch):
+    # a restart projects once and flips only when the band holds a vertex;
+    # the cut is that of round_by_direction + flip_step, bit for bit, on the
+    # triangle solution and on random unit vectors, with a band that holds
+    # vertices (d clamped to 3) and the default one
+    import predcut.narrow
+    rng = np.random.default_rng(86)
+    in_band = flipped = 0
+    for t in range(8):
+        g = random_graph(rng, n=int(rng.integers(6, 16)))
+        sol = solve_sdp(g, SdpConfig(triangle=True, seed=derive(t, 0)))
+        if t % 2:
+            V = rng.standard_normal((g.n, sol.dim))
+            sol = synthetic_solution(V / np.linalg.norm(V, axis=1, keepdims=True))
+            monkeypatch.setattr(predcut.narrow, "solve_sdp", lambda g, cfg: sol)
+        for delta, eta in ((1.0, 1.0), (1976, 0.05)):
+            band = fkl_band_width(delta, eta)
+            best, best_val = None, -np.inf
+            for r in range(8):
+                gvec = np.random.default_rng(derive(t, 1, r)).standard_normal(sol.dim)
+                cut, rep = flip_step(g, round_by_direction(sol, gvec), sol, gvec, band)
+                in_band += int(rep.in_band.any())
+                flipped += int(rep.flipped.any())
+                if cut_value(g, cut) > best_val:
+                    best, best_val = cut, cut_value(g, cut)
+            got = solve_narrow(g, delta, eta, seed=t, restarts=8)
+            assert got.values.tobytes() == best.values.tobytes()
+        monkeypatch.undo()
+    assert in_band > 0 and flipped > 0

@@ -1,4 +1,6 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from predcut.exact import exact_maxcut
 from predcut.graph import cut_value, gen_erdos_renyi
@@ -84,7 +86,7 @@ def test_narrow_graph_above_the_triangle_limit_fails_before_solving(monkeypatch)
     monkeypatch.setattr(sdp, "_penalty_continuation", no_solve)
     g = gen_erdos_renyi(sdp.TRIANGLE_LIMIT + 1, 0.05, "unit", seed=7)
     y = sample_noisy(np.ones(g.n), 0.45, seed=8)
-    assert not classify(g, choose_delta(y.epsilon, 0.05), 0.05).is_wide
+    assert classify(g, choose_delta(y.epsilon, 0.05), 0.05).is_wide == (g.total_weight == 0)
     with pytest.raises(ParameterError, match="triangle SDP"):
         solve_noisy(g, y)
 
@@ -111,3 +113,30 @@ def test_infeasible_wide_lp_runs_one_plain_solve(monkeypatch):
     assert _stdout(RUNS["auto-fallback"]) == "cut 70\nbranch gw\n"
     assert lp_cuts == [None]
     assert len(configs) == 1 and not configs[0].triangle and not configs[0].fixed_labels
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 14), p=st.sampled_from([0.0, 0.3, 0.7, 1.0]), data=st.data())
+def test_narrow_portfolio_against_the_exact_oracle(n, p, data):
+    # unpinned graphs with zero-weight edges, isolated vertices or no edges:
+    # the triangle relaxation is at least OPT, and the default portfolio,
+    # narrow on every such graph with weight, finds at most OPT, the same
+    # cut on each call
+    from predcut.graph import Graph, classify
+    from predcut.sdp import SdpConfig, solve_sdp
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31 - 1)))
+    weights = [0.0, 1.0, float(rng.uniform(0, 1))]
+    isolated = rng.random(n) < 0.2
+    edges = [(i, j, weights[int(rng.integers(3))]) for i in range(n) for j in range(i + 1, n)
+             if not (isolated[i] or isolated[j]) and rng.random() < p]
+    g = Graph(n, edges)
+    opt, x_star = exact_maxcut(g)
+    seed = int(rng.integers(1000))
+    sol = solve_sdp(g, SdpConfig(triangle=True, seed=seed))
+    assert sol.objective_value >= opt - 1e-12 * max(g.total_weight, 1.0)
+    y = sample_noisy(x_star, 0.45, seed=seed)
+    assert classify(g, choose_delta(y.epsilon, 0.05), 0.05).is_wide == (g.total_weight == 0)
+    cut, tag = solve_noisy(g, y, seed=seed)
+    assert cut_value(g, cut) <= opt + 1e-9
+    again, tag_again = solve_noisy(g, y, seed=seed)
+    assert (again.values.tobytes(), tag_again) == (cut.values.tobytes(), tag)

@@ -221,17 +221,13 @@ def test_report_counts_penalty_rounds():
     assert "penalty_rounds" not in solve_sdp(c5).feasibility_report
 
 
-def test_report_names_the_start_and_the_fallback():
+def test_report_names_the_fallback():
     g = gen_erdos_renyi(12, 0.6, "uniform", seed=0)
     report = solve_sdp(g, SdpConfig(triangle=True)).feasibility_report
-    assert report["start"] == "floor-exact" and report["fallback"] is False
-    g22 = gen_erdos_renyi(22, 0.5, "planted", seed=0, q_cross=0.6, q_within=0.3)
-    assert solve_sdp(g22, SdpConfig(triangle=True)).feasibility_report["start"] == "floor-rounded"
-    pinned = solve_sdp(g, SdpConfig(triangle=True, fixed_labels={0: 1})).feasibility_report
-    assert pinned["start"] == "floor-rounded"
+    assert report["fallback"] is False and "start" not in report
     # C5 plus the chord (0, 2): the perturbed floor embedding already meets
     # the tolerance, yet the run still takes its rounds and climbs above the
-    # exact floor (to about 5.00035) instead of falling back to it
+    # maximum cut (to about 5.00035) instead of falling back to the floor
     g5 = Graph(5, [(i, (i + 1) % 5, 1.0) for i in range(5)] + [(0, 2, 1.0)])
     opt, _ = exact_maxcut(g5)
     for seed in range(4):
@@ -240,8 +236,7 @@ def test_report_names_the_start_and_the_fallback():
         assert report["fallback"] is False and report["penalty_rounds"] >= 1
         assert report["triangle"] <= TRIANGLE_TOL
         assert sol.objective_value > opt + 1e-4
-    for key in ("start", "fallback"):
-        assert key not in solve_sdp(g5).feasibility_report
+    assert "fallback" not in solve_sdp(g5).feasibility_report
 
 
 def test_triangle_sdp_on_an_odd_cycle_with_chords():
@@ -353,22 +348,22 @@ def test_penalty_rounds_keep_pins_and_unit_rows(n, pinned_share, blend, seed):
     assert worst == pytest.approx(max_triangle_violation(synthetic_solution(V)), rel=0, abs=1e-12)
 
 
-def test_exact_floor_triangle_solve_runs_no_plain_ascent():
-    # the exact cut replaces the plain vectors, so no sweep is run for them
-    g = gen_erdos_renyi(12, 0.6, "uniform", seed=0)
-    report = solve_sdp(g, SdpConfig(triangle=True)).feasibility_report
-    assert report["start"] == "floor-exact"
-    assert report["sweeps"] == 0 and report["converged"]
-
-
 def test_rounded_floor_and_pinned_triangle_solves_still_run_the_plain_ascent():
-    # both floors round the plain vectors
+    # every floor rounds the plain vectors, so every triangle solve with a
+    # free vertex runs the plain ascent, whatever n
     g22 = gen_erdos_renyi(22, 0.5, "planted", seed=0, q_cross=0.6, q_within=0.3)
     g12 = gen_erdos_renyi(12, 0.6, "uniform", seed=0)
-    for g, pins in ((g22, {}), (g12, {0: 1})):
+    for g, pins in ((g22, {}), (g12, {}), (g12, {0: 1}), (Graph(3, []), {})):
         report = solve_sdp(g, SdpConfig(triangle=True, fixed_labels=pins)).feasibility_report
-        assert report["start"] == "floor-rounded"
-        assert report["sweeps"] >= 1
+        assert report["sweeps"] >= 1 and report["converged"]
+
+
+def test_sdp_module_does_not_reference_the_exact_oracle():
+    # the triangle floor comes from roundings of the plain solve, never from
+    # the exhaustive oracle that the tests check the solver against
+    import predcut.sdp
+    assert "exact_maxcut" not in Path(predcut.sdp.__file__).read_text()
+    assert not hasattr(predcut.sdp, "exact_maxcut")
 
 
 def test_triangle_sdp_refuses_graphs_above_the_limit():
@@ -394,8 +389,7 @@ def test_triangle_config_with_a_subset_is_refused():
 @given(n=st.sampled_from([1, 2, 3, 4, 7, 12, 19, 20, 21, 22]),
        p=st.sampled_from([0.0, 0.4, 0.8]), data=st.data())
 def test_triangle_stage_on_degenerate_graphs(n, p, data):
-    # no edges, zero-weight edges and isolated vertices, on both sides of
-    # the n <= 20 exact floor
+    # no edges, zero-weight edges and isolated vertices, with n up to 22
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31 - 1)))
     weights = [0.0, 1.0, float(rng.uniform(0, 1))]
     isolated = rng.random(n) < 0.2
@@ -405,7 +399,7 @@ def test_triangle_stage_on_degenerate_graphs(n, p, data):
     sol = solve_sdp(g, SdpConfig(triangle=True, seed=int(rng.integers(1000))))
     assert np.max(np.abs(np.linalg.norm(sol.vectors, axis=1) - 1.0)) <= 1e-12
     assert sol.feasibility_report["triangle"] <= TRIANGLE_TOL
-    assert sol.feasibility_report["start"] == ("floor-exact" if n <= 20 else "floor-rounded")
+    assert sol.feasibility_report["sweeps"] >= 1
     opt, _ = exact_maxcut(g)
     assert sol.objective_value >= opt - 1e-12 * max(g.total_weight, 1.0)
 
@@ -562,7 +556,11 @@ def test_sweep_gain_equals_the_dense_objective_difference(n, l, data):
     rows.set_multiplier(l)
     M = (g.csr + l * subset_matrix(g, sub)).toarray()
     scale = max(float(M.sum()), 1.0)
-    V = random_unit_rows(rng, n, 4)
+    # a sweep takes V in the run's layout: free rows class by class, pinned last
+    assert sorted(rows.perm.tolist()) == list(range(n))
+    assert rows.perm[:rows.free].tolist() == np.concatenate(rows.classes).tolist()
+    V = random_unit_rows(rng, n, 4)[rows.perm]
+    M = M[np.ix_(rows.perm, rows.perm)]
     for _ in range(3):
         before = -0.5 * float(np.sum(M * (V @ V.T)))
         gain = rows.sweep(V)
@@ -641,7 +639,8 @@ def test_class_rows_equal_scipy_sums_bit_for_bit(n, data):
     for l in (0.0, 1.0, 3.0, 0.5 * (2.0 + 4.0), float(rng.uniform(0, 2 ** 20)), 2.0 ** 20):
         rows.set_multiplier(l)
         blocks = class_rows_reference(g.csr, subset_matrix(g, sub), l, classes, V)
-        assert [(B @ V).tobytes() for B in rows.blocks] == blocks
+        assert [(B @ V[rows.perm]).tobytes() for B in rows.blocks] == blocks
+        assert [V[rows.perm][s].tobytes() for s in rows.spans] == [V[c].tobytes() for c in classes]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
