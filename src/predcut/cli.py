@@ -19,12 +19,12 @@ import numpy as np
 from .csp import csp_value, load_csp, predicate_from_bits, solve_csp_wide
 from .errors import ParameterError, PredcutError
 from .exact import MAXCUT_LIMIT, exact_csp, exact_maxcut
-from .graph import (CutAssignment, cut_value, gen_erdos_renyi, load_edge_list,
+from .graph import (CutAssignment, _records, cut_value, gen_erdos_renyi, load_edge_list,
                     save_edge_list)
 from .narrow import solve_narrow
 from .partial import TauGrid, solve_partial_gw, solve_partial_rt
 from .pipeline import choose_delta, solve_noisy
-from .predictions import (NoisyPrediction, PartialPrediction, load_prediction,
+from .predictions import (NoisyPrediction, PartialPrediction, _labels, load_prediction,
                           sample_noisy, sample_partial, save_prediction)
 from .sdp import SdpConfig, solve_gw, solve_sdp
 from .seeds import derive, seed_to_int
@@ -34,13 +34,30 @@ ALGOS = ("oracle", "wide", "narrow", "auto", "gw", "gw-fixed", "rt", "prediction
 # stable per-algorithm seed salts
 _ALGO_SALT = {name: 100 + k for k, name in enumerate(ALGOS)}
 
+# Solver parameters as (name, type, default); a tuple type lists the allowed
+# strings. `solve` takes each as a flag, `csp-solve` the first four, and an
+# experiment config reads them, and only them, from its [params] section.
+PARAMS = (
+    ("eta", float, 0.05),
+    ("eps_prime", float, 0.05),
+    ("c_delta", float, 1.0),
+    ("delta", int, None),
+    ("tau_step", float, 0.05),
+    ("restarts", int, 20),
+    ("roundings", int, 20),
+    ("rounding", ("repeat", "pipage"), "repeat"),
+)
+
 
 def _fmt(v: float) -> str:
     return f"{v:.10g}"
 
 
 def _read(path):
-    return Path(path).read_text()
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ParameterError(f"cannot read {path}: {exc.strerror}")
 
 
 def _write(path, text):
@@ -48,13 +65,7 @@ def _write(path, text):
 
 
 def _load_truth(path) -> np.ndarray:
-    vals = []
-    for tok in _read(path).split():
-        vals.append(float(tok))
-    x = np.asarray(vals)
-    if not np.all(np.abs(x) == 1.0):
-        raise ParameterError(f"truth file {path} must contain only +1/-1 labels")
-    return x
+    return _labels(list(_records(_read(path))), ("+1", "1", "-1"))
 
 
 def _save_truth(x) -> str:
@@ -68,10 +79,8 @@ def _prediction_as_cut(pred) -> CutAssignment:
 
 
 def cmd_gen_graph(args):
-    kwargs = {}
-    if args.weight_law == "planted":
-        kwargs = {"q_cross": args.q_cross, "q_within": args.q_within}
-    g = gen_erdos_renyi(args.n, args.p, args.weight_law, seed=args.seed, **kwargs)
+    g = gen_erdos_renyi(args.n, args.p, args.weight_law, seed=args.seed,
+                        q_cross=args.q_cross, q_within=args.q_within)
     _write(args.out, save_edge_list(g))
     if args.planted_out:
         if g.planted is None:
@@ -189,26 +198,30 @@ def cmd_csp_solve(args):
 # ---------------------------------------------------------------- experiment
 
 def _cfg_get(cfg, section, key, default=None, cast=str):
-    if cfg.has_option(section, key):
-        raw = cfg.get(section, key).strip()
-        if raw:
+    """[section] key read by `cast` (a type or a tuple of allowed strings); default if unset."""
+    raw = cfg.get(section, key, fallback="").strip()
+    if not raw:
+        return default
+    if isinstance(cast, tuple):
+        if raw in cast:
+            return raw
+        expected = "|".join(cast)
+    else:
+        try:
             return cast(raw)
-    if default is None:
-        return None
-    return default
+        except ValueError:
+            expected = cast.__name__
+    raise ParameterError(f"config [{section}] {key}: expected {expected}, got {raw!r}")
 
 
 def _experiment_params(cfg):
-    ns = argparse.Namespace()
-    ns.eta = _cfg_get(cfg, "params", "eta", 0.05, float)
-    ns.eps_prime = _cfg_get(cfg, "params", "eps_prime", 0.05, float)
-    ns.c_delta = _cfg_get(cfg, "params", "c_delta", 1.0, float)
-    ns.delta = _cfg_get(cfg, "params", "delta", cast=int)
-    ns.tau_step = _cfg_get(cfg, "params", "tau_step", 0.05, float)
-    ns.restarts = _cfg_get(cfg, "params", "restarts", 20, int)
-    ns.roundings = _cfg_get(cfg, "params", "roundings", 20, int)
-    ns.rounding = _cfg_get(cfg, "params", "rounding", "repeat")
-    return ns
+    """The [params] section read through PARAMS; any other key is refused."""
+    names = [name for name, _, _ in PARAMS]
+    for key in cfg.options("params") if cfg.has_section("params") else ():
+        if key not in names:
+            raise ParameterError(f"config [params] has unknown key {key!r}")
+    return argparse.Namespace(**{name: _cfg_get(cfg, "params", name, default, kind)
+                                 for name, kind, default in PARAMS})
 
 
 def _experiment_graph(cfg, seed):
@@ -222,17 +235,15 @@ def _experiment_graph(cfg, seed):
         raise ParameterError("config [graph] needs n")
     p = _cfg_get(cfg, "graph", "p", 0.5, float)
     law = _cfg_get(cfg, "graph", "weight_law", "unit")
-    kwargs = {}
-    if law == "planted":
-        kwargs["q_cross"] = _cfg_get(cfg, "graph", "q_cross", cast=float)
-        kwargs["q_within"] = _cfg_get(cfg, "graph", "q_within", cast=float)
-    return gen_erdos_renyi(n, p, law, seed=seed, **kwargs)
+    return gen_erdos_renyi(n, p, law, seed=seed,
+                           q_cross=_cfg_get(cfg, "graph", "q_cross", cast=float),
+                           q_within=_cfg_get(cfg, "graph", "q_within", cast=float))
 
 
 def run_experiment(config_path, master_seed=None, timing=False):
     """Run all (trial, algorithm) cells and return the CSV text."""
     cfg = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    cfg.read(config_path)
+    cfg.read_string(_read(config_path), source=str(config_path))
     if master_seed is None:
         master_seed = _cfg_get(cfg, "experiment", "master_seed", 0, int)
     trials = _cfg_get(cfg, "experiment", "trials", 1, int)
@@ -243,7 +254,7 @@ def run_experiment(config_path, master_seed=None, timing=False):
     for a in algos:
         if a not in ALGOS:
             raise ParameterError(f"unknown algorithm {a!r} in config")
-    model = _cfg_get(cfg, "prediction", "model") if cfg.has_section("prediction") else None
+    model = _cfg_get(cfg, "prediction", "model")
     eps = _cfg_get(cfg, "prediction", "eps", cast=float) if model else None
     independence = _cfg_get(cfg, "prediction", "independence", "mutual") if model else None
     params = _experiment_params(cfg)
@@ -319,6 +330,15 @@ def cmd_experiment(args):
     return 0
 
 
+def _add_params(parser, params):
+    for name, kind, default in params:
+        flag = "--" + name.replace("_", "-")
+        if isinstance(kind, tuple):
+            parser.add_argument(flag, choices=kind, default=default)
+        else:
+            parser.add_argument(flag, type=kind, default=default)
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="predcut",
                                 description="MaxCut with noisy or partial predictions")
@@ -354,14 +374,7 @@ def build_parser():
     s.add_argument("--pred", default=None)
     s.add_argument("--model", choices=("noisy", "partial"), default=None)
     s.add_argument("--algo", choices=ALGOS[1:], required=True)
-    s.add_argument("--eta", type=float, default=0.05)
-    s.add_argument("--eps-prime", type=float, default=0.05)
-    s.add_argument("--c-delta", type=float, default=1.0)
-    s.add_argument("--delta", type=int, default=None)
-    s.add_argument("--tau-step", type=float, default=0.05)
-    s.add_argument("--restarts", type=int, default=20)
-    s.add_argument("--roundings", type=int, default=20)
-    s.add_argument("--rounding", choices=("repeat", "pipage"), default="repeat")
+    _add_params(s, PARAMS)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--assume-eps", type=float, default=None,
                    help="treat a noisy prediction as having this bias "
@@ -375,10 +388,7 @@ def build_parser():
     c.add_argument("--predicate", required=True,
                    help="4 bits for P(+1,+1) P(+1,-1) P(-1,+1) P(-1,-1), e.g. 0110")
     c.add_argument("--pred", required=True)
-    c.add_argument("--eta", type=float, default=0.05)
-    c.add_argument("--eps-prime", type=float, default=0.05)
-    c.add_argument("--c-delta", type=float, default=1.0)
-    c.add_argument("--delta", type=int, default=None)
+    _add_params(c, PARAMS[:4])
     c.add_argument("--constraint-scale", type=float, default=4.0)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--oracle", action="store_true")

@@ -16,6 +16,7 @@ csp_value * W = 2 * cut_value exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -24,7 +25,7 @@ import scipy.sparse as sp
 
 from .errors import DimensionError, DomainError, ParameterError, ParseError
 from .graph import (CutAssignment, Graph, PrefixOrder, WideNarrowReport, wide_narrow_report,
-                    _values_of)
+                    _file_lines, _records, _typed, _values_of)
 from .lp import AbsSumLp, LpGroup, solve as lp_solve
 from .predictions import NoisyPrediction, scaled_prediction
 from .wide import draw_roundings
@@ -94,7 +95,8 @@ class CspInstance:
     `constraints` holds the raw (w, (c1, c2), (i, j)) triplets; internally
     each one is stored twice, anchored at either endpoint, with folded
     coefficients a = (f0, f1*c1, f2*c2, f12*c1*c2) and the linear slots
-    swapped for the re-anchored copy.
+    swapped for the re-anchored copy. A refused constraint raises a
+    DomainError whose `row` is its index.
     """
 
     def __init__(self, n, predicate: Predicate, constraints):
@@ -103,16 +105,18 @@ class CspInstance:
         self.n = int(n)
         self.predicate = predicate
         raw = []
-        for (w, c, alpha) in constraints:
+        for t, (w, c, alpha) in enumerate(constraints):
             w = float(w)
             c1, c2 = int(c[0]), int(c[1])
             i, j = int(alpha[0]), int(alpha[1])
+            if not math.isfinite(w):
+                raise DomainError.at(t, f"non-finite constraint weight {w}")
             if w < 0:
-                raise DomainError(f"negative constraint weight {w}")
+                raise DomainError.at(t, f"negative constraint weight {w}")
             if c1 not in (-1, 1) or c2 not in (-1, 1):
-                raise DomainError(f"negation pattern must be +-1 pairs, got {c}")
+                raise DomainError.at(t, f"negation pattern must be +-1 pairs, got {c}")
             if not (0 <= i < n and 0 <= j < n):
-                raise DomainError(f"scope out of range: ({i}, {j})")
+                raise DomainError.at(t, f"scope out of range: ({i}, {j})")
             raw.append((w, (c1, c2), (i, j)))
         self.constraints = raw
 
@@ -296,37 +300,22 @@ def load_csp(text: str, predicate: Predicate) -> CspInstance:
     """Parse the CSP file format; flag 1 rescales raw weights to sum to 1.
 
     Blank lines and lines starting with '#' (after indentation) are
-    skipped; a ParseError names the line's number in the file.
+    skipped; a ParseError names the line's number in the file, also for a
+    constraint that CspInstance refuses.
     """
-    lines = [(ln, l.strip()) for ln, l in enumerate(text.splitlines(), start=1)
-             if l.strip() and not l.strip().startswith("#")]
-    if not lines:
-        raise ParseError("empty input", line=1)
-    header, head = lines[0][0], lines[0][1].split()
-    if len(head) != 3:
-        raise ParseError("expected header 'n k W_norm_flag'", line=header)
-    try:
-        n, k, flag = int(head[0]), int(head[1]), int(head[2])
-    except ValueError:
-        raise ParseError("header fields must be integers", line=header)
+    (header, head), *rows = _records(text)
+    n, k, flag = _typed(head, (int, int, int), "header 'n k W_norm_flag'", header)
     if flag not in (0, 1):
         raise ParseError(f"W_norm_flag must be 0 or 1, got {flag}", line=header)
-    if len(lines) - 1 != k:
-        raise ParseError(f"header promised {k} constraints, found {len(lines) - 1}", line=header)
+    if len(rows) != k:
+        raise ParseError(f"header promised {k} constraints, found {len(rows)}", line=header)
     constraints = []
-    for ln, line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 5:
-            raise ParseError("expected 'w c1 c2 i j'", line=ln)
-        try:
-            w = float(parts[0])
-            c1, c2 = int(parts[1]), int(parts[2])
-            i, j = int(parts[3]), int(parts[4])
-        except ValueError:
-            raise ParseError("bad field types", line=ln)
+    for ln, parts in rows:
+        w, c1, c2, i, j = _typed(parts, (float, int, int, int, int), "'w c1 c2 i j'", ln)
         constraints.append((w, (c1, c2), (i, j)))
     if flag == 1:
         total = sum(c[0] for c in constraints)
         if total > 0:
             constraints = [(w / total, c, a) for (w, c, a) in constraints]
-    return CspInstance(n, predicate, constraints)
+    with _file_lines(header, rows):
+        return CspInstance(n, predicate, constraints)

@@ -10,7 +10,15 @@ class DimensionError(PredcutError):
 
 
 class DomainError(PredcutError):
-    """A value lies outside its admissible domain."""
+    """A value lies outside its admissible domain; `row` indexes the failing input row, if any."""
+
+    row = None
+
+    @classmethod
+    def at(cls, row, message):
+        err = cls(message)
+        err.row = row
+        return err
 
 
 class ParameterError(PredcutError):

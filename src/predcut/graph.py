@@ -20,6 +20,7 @@ PrefixOrder of (owner, neighbour, weight) entries.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -40,7 +41,7 @@ NARROW = "narrow"
 class Graph:
     """Immutable undirected weighted graph.
 
-    Edges are (i, j, w) with i < j and w >= 0; no self-loops, no duplicates.
+    Edges are (i, j, w) with i < j and finite w >= 0; no loops, no duplicates.
     They are held as the arrays edge_i, edge_j, edge_w, sorted by (i, j).
     The symmetric CSR matrix `csr`, the dense `adjacency` and the tuple list
     `edges` are each built on first access and cached. `planted` optionally
@@ -108,8 +109,9 @@ def _canonical_edges(n, edges):
 
     Ids are truncated to integers and weights read as floats. Edges are
     checked in input order; for each one a self-loop, an id out of range,
-    a negative weight and a repeat of an earlier pair are tested in that
-    order, and the first failing test raises.
+    a non-finite weight, a negative weight and a repeat of an earlier pair
+    are tested in that order, and the first failing test raises a
+    DomainError whose `row` is the edge's index.
     """
     if not isinstance(edges, (list, tuple, np.ndarray)):
         edges = list(edges)
@@ -120,22 +122,27 @@ def _canonical_edges(n, edges):
     w = E[:, 2]
     loop = lo == hi
     out_of_range = ~((lo >= 0) & (hi < n))
+    nonfinite = ~np.isfinite(w)
     negative = w < 0
     order = np.lexsort((hi, lo))      # stable: the first of equal pairs leads
     repeat = np.zeros(len(w), dtype=bool)
     repeat[order[1:]] = (np.diff(lo[order]) == 0) & (np.diff(hi[order]) == 0)
-    bad = loop | out_of_range | negative | repeat
+    bad = loop | out_of_range | nonfinite | negative | repeat
     if bad.any():
         k = int(np.argmax(bad))
         a, b, wk = edges[k]
         a, b, wk = int(a), int(b), float(wk)
         if loop[k]:
-            raise DomainError(f"self-loop at vertex {a}")
-        if out_of_range[k]:
-            raise DomainError(f"vertex id out of range: ({a}, {b})")
-        if negative[k]:
-            raise DomainError(f"negative weight {wk} on edge ({a}, {b})")
-        raise DomainError(f"duplicate edge ({min(a, b)}, {max(a, b)})")
+            message = f"self-loop at vertex {a}"
+        elif out_of_range[k]:
+            message = f"vertex id out of range: ({a}, {b})"
+        elif nonfinite[k]:
+            message = f"non-finite weight {wk} on edge ({a}, {b})"
+        elif negative[k]:
+            message = f"negative weight {wk} on edge ({a}, {b})"
+        else:
+            message = f"duplicate edge ({min(a, b)}, {max(a, b)})"
+        raise DomainError.at(k, message)
     return lo[order].astype(np.intp), hi[order].astype(np.intp), w[order]
 
 
@@ -173,20 +180,15 @@ class PrefixOrder:
 
 @dataclass(frozen=True)
 class CutAssignment:
-    """A cut: +-1 labels when integral, [-1,1] labels when fractional."""
+    """A cut: one +-1 label per vertex."""
 
     values: np.ndarray
-    integral: bool = True
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "values", vals)
-        if self.integral:
-            if not np.all(np.abs(vals) == 1.0):
-                raise DomainError("integral assignment entries must be exactly +-1")
-        else:
-            if np.any(np.abs(vals) > 1.0 + BOX_TOL):
-                raise DomainError("fractional assignment entries must lie in [-1, 1]")
+        if not np.all(np.abs(vals) == 1.0):
+            raise DomainError("integral assignment entries must be exactly +-1")
 
     def __len__(self):
         return len(self.values)
@@ -208,17 +210,47 @@ class WideNarrowReport:
         return self.graph_class == WIDE
 
 
-def _values_of(x, n=None, integral=None):
+def _values_of(x, n=None):
     """Accept a CutAssignment or a raw array; return float64 values."""
-    if isinstance(x, CutAssignment):
-        if integral is True and not x.integral:
-            raise DomainError("expected an integral assignment")
-        vals = x.values
-    else:
-        vals = np.asarray(x, dtype=np.float64)
+    vals = x.values if isinstance(x, CutAssignment) else np.asarray(x, dtype=np.float64)
     if n is not None and vals.shape != (n,):
         raise DimensionError(f"assignment length {vals.shape} != vertex count {n}")
     return vals
+
+
+def _records(text):
+    """(1-based line number, fields) of each line that is neither blank nor a '#' comment.
+
+    Every text format reads its lines here; none at all is ParseError("empty input", line=1).
+    """
+    empty = True
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split()
+        if fields and not fields[0].startswith("#"):
+            empty = False
+            yield lineno, fields
+    if empty:
+        raise ParseError("empty input", line=1)
+
+
+def _typed(fields, types, form, line):
+    """The fields cast by `types`, one each; a ParseError citing `form` when they do not fit."""
+    if len(fields) != len(types):
+        raise ParseError(f"expected {form}", line=line)
+    try:
+        return [cast(f) for cast, f in zip(types, fields)]
+    except ValueError:
+        raise ParseError(f"bad field types, expected {form}", line=line)
+
+
+@contextmanager
+def _file_lines(header, rows):
+    """Re-raise a constructor's error as a ParseError on the line of its row, else the header."""
+    try:
+        yield
+    except (DomainError, ParameterError) as err:
+        row = getattr(err, "row", None)
+        raise ParseError(str(err), line=header if row is None else rows[row][0]) from err
 
 
 def best_cut(g: Graph, cuts) -> CutAssignment:
@@ -231,7 +263,7 @@ def cut_value(g: Graph, x) -> float:
 
     Equals (1/4) <x, Lx>.
     """
-    vals = _values_of(x, g.n, integral=True)
+    vals = _values_of(x, g.n)
     if not np.all(np.abs(vals) == 1.0):
         raise DomainError("cut_value needs an integral +-1 assignment")
     crossing = vals[g.edge_i] != vals[g.edge_j]
@@ -358,52 +390,22 @@ def gen_erdos_renyi(n, p, weight_law="unit", seed=0, q_cross=None, q_within=None
 def load_edge_list(text: str) -> Graph:
     """Parse the edge-list format: "n m" header, then m lines "i j w".
 
-    Vertex ids are 0-indexed with i < j; lines starting with '#' are
-    ignored. Malformed input raises ParseError with the line number.
+    Vertex ids are 0-indexed with i < j; blank lines and lines starting
+    with '#' are ignored. Malformed input, and an edge that Graph refuses,
+    raise ParseError with the line number.
     """
-    header = None
+    (header, head), *rows = _records(text)
+    n, m = _typed(head, (int, int), "header 'n m'", header)
     edges = []
-    seen = set()
-    n = m = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if header is None:
-            if len(parts) != 2:
-                raise ParseError("expected header 'n m'", line=lineno)
-            try:
-                n, m = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError("header fields must be integers", line=lineno)
-            if n < 1 or m < 0:
-                raise ParseError("need n >= 1 and m >= 0", line=lineno)
-            header = lineno
-            continue
-        if len(parts) != 3:
-            raise ParseError("expected 'i j w'", line=lineno)
-        try:
-            i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
-        except ValueError:
-            raise ParseError("edge fields must be 'int int float'", line=lineno)
-        if i == j:
-            raise ParseError(f"self-loop at vertex {i}", line=lineno)
-        if not (i < j):
+    for lineno, parts in rows:
+        i, j, w = _typed(parts, (int, int, float), "'i j w'", lineno)
+        if i > j:
             raise ParseError(f"edges require i < j, got ({i}, {j})", line=lineno)
-        if j >= n:
-            raise ParseError(f"vertex id {j} out of range for n={n}", line=lineno)
-        if w < 0:
-            raise ParseError(f"negative weight {w}", line=lineno)
-        if (i, j) in seen:
-            raise ParseError(f"duplicate edge ({i}, {j})", line=lineno)
-        seen.add((i, j))
         edges.append((i, j, w))
-    if header is None:
-        raise ParseError("empty input", line=1)
     if len(edges) != m:
         raise ParseError(f"header promised {m} edges, found {len(edges)}", line=header)
-    return Graph(n, edges)
+    with _file_lines(header, rows):
+        return Graph(n, edges)
 
 
 def save_edge_list(g: Graph) -> str:

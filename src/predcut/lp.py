@@ -63,8 +63,8 @@ class LpGroup:
             raise DimensionError("one offset per affine form required")
         if coeffs.shape[0] == 0:
             raise ParameterError("groups must contain at least one form")
-        if self.budget < 0:
-            raise ParameterError(f"group budget must be >= 0, got {self.budget}")
+        if not 0 <= self.budget < np.inf:
+            raise ParameterError(f"group budget must be finite and >= 0, got {self.budget}")
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,7 @@ def flip_step(g: Graph, x_hat, sol: SdpSolution, gvec, delta_band: float):
 
     x_hat must be the sign rounding of sol against the same direction gvec.
     """
-    x = _values_of(x_hat, g.n, integral=True)
+    x = _values_of(x_hat, g.n)
     gvec = np.asarray(gvec, dtype=np.float64)
     proj = sol.vertex_vectors @ gvec
     expected = np.where(proj > 0, 1.0, -1.0)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError, ParseError
-from .graph import _values_of
+from .graph import _file_lines, _records, _typed, _values_of
 
 MUTUAL = "mutual"
 PAIRWISE = "pairwise_only"
@@ -113,8 +113,6 @@ def sample_noisy(x_star, epsilon, seed, independence=MUTUAL) -> NoisyPrediction:
     are thresholded pairwise-independent uniforms, which preserves pairwise
     independence for any threshold.
     """
-    if not (0.0 < epsilon < 0.5):
-        raise ParameterError(f"noisy bias must lie in (0, 1/2), got {epsilon}")
     x = _values_of(x_star)
     if not np.all(np.abs(x) == 1.0):
         raise DomainError("reference assignment must be +-1")
@@ -125,8 +123,6 @@ def sample_noisy(x_star, epsilon, seed, independence=MUTUAL) -> NoisyPrediction:
 
 def sample_partial(x_star, epsilon, seed, independence=MUTUAL) -> PartialPrediction:
     """Draw a partial prediction of x_star with reveal rate epsilon."""
-    if not (0.0 < epsilon <= 1.0):
-        raise ParameterError(f"reveal rate must lie in (0, 1], got {epsilon}")
     x = _values_of(x_star)
     if not np.all(np.abs(x) == 1.0):
         raise DomainError("reference assignment must be +-1")
@@ -164,36 +160,35 @@ def save_prediction(pred) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _labels(rows, allowed):
+    """The label of each one-field row, which must be a token in `allowed`, as floats."""
+    vals = np.empty(len(rows))
+    for k, (ln, fields) in enumerate(rows):
+        tok = " ".join(fields)
+        if tok not in allowed:
+            raise ParseError(f"bad label {tok!r}", line=ln)
+        vals[k] = float(tok)
+    return vals
+
+
 def load_prediction(text: str):
     """Parse the prediction file format back into a prediction object.
 
     Blank lines and lines starting with '#' (after indentation) are
-    skipped; a ParseError names the line's number in the file.
+    skipped; a ParseError names the line's number in the file, and a bias
+    the prediction refuses is reported on the header line.
     """
-    lines = [(ln, l.strip()) for ln, l in enumerate(text.splitlines(), start=1)
-             if l.strip() and not l.strip().startswith("#")]
-    if not lines:
-        raise ParseError("empty input", line=1)
-    header, parts = lines[0][0], lines[0][1].split()
-    if len(parts) != 3:
-        raise ParseError("expected header 'n model epsilon'", line=header)
-    try:
-        n = int(parts[0])
-        eps = float(parts[2])
-    except ValueError:
-        raise ParseError("bad header field types", line=header)
-    model = parts[1]
+    (header, head), *rows = _records(text)
+    n, model, eps = _typed(head, (int, str, float), "header 'n model epsilon'", header)
     if model not in ("noisy", "partial"):
         raise ParseError(f"unknown model {model!r}", line=header)
-    if len(lines) - 1 != n:
-        raise ParseError(f"expected {n} label lines, found {len(lines) - 1}", line=header)
-    vals = np.empty(n)
-    for k, (ln, tok) in enumerate(lines[1:]):
-        if tok not in ("+1", "1", "-1", "0"):
-            raise ParseError(f"bad label {tok!r}", line=ln)
-        if model == "noisy" and tok == "0":
-            raise ParseError("noisy predictions cannot contain 0 labels", line=ln)
-        vals[k] = float(tok)
-    if model == "noisy":
-        return NoisyPrediction(y=vals, epsilon=eps)
-    return PartialPrediction(y=vals, epsilon=eps)
+    if len(rows) != n:
+        raise ParseError(f"expected {n} label lines, found {len(rows)}", line=header)
+    vals = _labels(rows, ("+1", "1", "-1", "0"))
+    if model == "noisy" and not vals.all():
+        raise ParseError("noisy predictions cannot contain 0 labels",
+                         line=rows[np.flatnonzero(vals == 0)[0]][0])
+    with _file_lines(header, rows):
+        if model == "noisy":
+            return NoisyPrediction(y=vals, epsilon=eps)
+        return PartialPrediction(y=vals, epsilon=eps)

@@ -54,7 +54,7 @@ from scipy.sparse._sparsetools import csr_matvecs
 from scipy.special import ndtri
 
 from .errors import DimensionError, ParameterError, ParseError
-from .graph import CutAssignment, Graph, best_cut, cut_value
+from .graph import CutAssignment, Graph, _records, _typed, best_cut, cut_value
 from .seeds import derive
 
 TRIANGLE_LIMIT = 200
@@ -671,20 +671,15 @@ def save_solution(sol: SdpSolution) -> str:
 
 
 def load_solution(text: str) -> SdpSolution:
-    """Parse save_solution's format; blank lines are skipped and a ParseError names the file line."""
-    lines = [(ln, l) for ln, l in enumerate(text.splitlines(), start=1) if l.strip()]
-    if not lines:
-        raise ParseError("empty input", line=1)
-    try:
-        k, n = (int(t) for t in lines[0][1].split())
-    except ValueError:
-        raise ParseError("expected header 'k n'", line=lines[0][0])
-    if len(lines) - 1 != n + 1:
-        raise ParseError(f"expected {n + 1} vector rows", line=lines[0][0])
+    """Parse save_solution's format, skipping blank and '#' lines; errors name the file line."""
+    (header, head), *lines = _records(text)
+    k, n = _typed(head, (int, int), "header 'k n'", header)
+    if len(lines) != n + 1:
+        raise ParseError(f"expected {n + 1} vector rows", line=header)
     rows = []
-    for ln, line in lines[1:]:
+    for ln, fields in lines:
         try:
-            vals = [float(t) for t in line.split()]
+            vals = [float(t) for t in fields]
         except ValueError:
             raise ParseError("coordinates must be floats", line=ln)
         if len(vals) != k:

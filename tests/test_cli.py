@@ -1,6 +1,8 @@
+import configparser
+
 import pytest
 
-from predcut.cli import main, run_experiment
+from predcut.cli import PARAMS, _experiment_params, build_parser, main, run_experiment
 from predcut.csp import maxcut_as_csp, save_csp
 from predcut.exact import exact_maxcut
 from predcut.graph import load_edge_list
@@ -209,3 +211,57 @@ def test_run_experiment_python_api(tmp_path):
     path, text = run_experiment(cfg)
     assert str(path) == str(out)
     assert text == out.read_text()
+
+
+def _error(capsys, *argv):
+    """(exit code, stderr) of main on argv, with nothing written to stdout."""
+    capsys.readouterr()
+    rc = main([str(a) for a in argv])
+    out, err = capsys.readouterr()
+    assert out == ""
+    return rc, err
+
+
+def test_bad_truth_file_is_an_error_on_its_line(tmp_path, capsys):
+    truth = tmp_path / "truth.txt"
+    truth.write_text("# labels\n+1\n\n0.5\n-1\n")
+    rc, err = _error(capsys, "gen-predictions", "--truth", truth, "--model", "noisy",
+                     "--eps", 0.2, "--out", tmp_path / "p.txt")
+    assert rc == 1 and err == "error: line 4: bad label '0.5'\n"
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("n = 9", "n = abc", "error: config [graph] n: expected int, got 'abc'"),
+    ("roundings = 4", "roundings = 2.5",
+     "error: config [params] roundings: expected int, got '2.5'"),
+    ("roundings = 4", "rounding = round",
+     "error: config [params] rounding: expected repeat|pipage, got 'round'"),
+    ("restarts = 3", "restart = 3", "error: config [params] has unknown key 'restart'"),
+])
+def test_bad_config_values_are_named_errors(tmp_path, capsys, old, new, message):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(EXP_CONFIG.format(out=tmp_path / "r.csv").replace(old, new))
+    rc, err = _error(capsys, "experiment", "--config", cfg)
+    assert rc == 1 and err == message + "\n"
+
+
+def test_missing_config_is_refused(tmp_path, capsys):
+    rc, err = _error(capsys, "experiment", "--config", tmp_path / "absent.ini")
+    assert rc == 1 and err.startswith(f"error: cannot read {tmp_path / 'absent.ini'}")
+
+
+def test_parameter_flags_and_config_share_one_table(tmp_path):
+    parser = build_parser()
+    solve = vars(parser.parse_args(["solve", "--graph", "g", "--algo", "gw"]))
+    csp = vars(parser.parse_args(["csp-solve", "--csp", "c", "--predicate", "0110",
+                                  "--pred", "p"]))
+    cfg = configparser.ConfigParser()
+    cfg.read_string("[params]\n")
+    params = vars(_experiment_params(cfg))
+    assert params == {name: default for name, _, default in PARAMS}
+    assert all(solve[name] == params[name] for name in params)
+    assert all(csp[name] == params[name] for name, _, _ in PARAMS[:4])
+    assert "tau_step" not in csp
+    with pytest.raises(SystemExit) as e:
+        parser.parse_args(["solve", "--graph", "g", "--algo", "wide", "--rounding", "round"])
+    assert e.value.code == 2

@@ -264,9 +264,6 @@ def test_comments_ignored():
 def test_cut_assignment_validation():
     with pytest.raises(DomainError):
         CutAssignment(values=np.array([1.0, 0.5]))
-    CutAssignment(values=np.array([1.0, -0.5]), integral=False)
-    with pytest.raises(DomainError):
-        CutAssignment(values=np.array([1.2, 0.0]), integral=False)
 
 
 def test_graph_construction_validation():

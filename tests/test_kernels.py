@@ -6,6 +6,7 @@ Graph construction against a per-edge loop.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -151,6 +152,8 @@ def _reference_graph(n, edges):
             raise DomainError(f"self-loop at vertex {i}")
         if not (0 <= i < n and 0 <= j < n):
             raise DomainError(f"vertex id out of range: ({i}, {j})")
+        if not math.isfinite(w):
+            raise DomainError(f"non-finite weight {w} on edge ({i}, {j})")
         if w < 0:
             raise DomainError(f"negative weight {w} on edge ({i}, {j})")
         if i > j:
@@ -180,13 +183,16 @@ def edge_lists(draw):
     edges = [(j, i, draw(ROUNDING_WEIGHTS)) if draw(st.booleans())
              else (i, j, draw(ROUNDING_WEIGHTS)) for i, j in chosen]
     for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
-        kind = draw(st.sampled_from(["loop", "range", "negative", "repeat", "flipped"]))
+        kind = draw(st.sampled_from(["loop", "range", "nonfinite", "negative", "repeat",
+                                     "flipped"]))
         at = draw(st.integers(0, len(edges)))
         v = draw(st.integers(0, n - 1))
         if kind == "loop":
             bad = (v, v, 1.0)
         elif kind == "range":
             bad = draw(st.sampled_from([(v, n, 1.0), (-1, v, 1.0), (n + 2, -3, 0.5)]))
+        elif kind == "nonfinite":
+            bad = (v, (v + 1) % max(n, 2), draw(st.sampled_from([math.nan, math.inf, -math.inf])))
         elif kind == "negative" or not edges:
             bad = (v, (v + 1) % max(n, 2), -0.3)
         else:
