@@ -243,7 +243,10 @@ def _experiment_graph(cfg, seed):
 def run_experiment(config_path, master_seed=None, timing=False):
     """Run all (trial, algorithm) cells and return the CSV text."""
     cfg = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    cfg.read_string(_read(config_path), source=str(config_path))
+    try:
+        cfg.read_string(_read(config_path), source=str(config_path))
+    except configparser.Error as exc:
+        raise ParameterError(f"cannot parse {config_path}: {exc.message.splitlines()[0]}")
     if master_seed is None:
         master_seed = _cfg_get(cfg, "experiment", "master_seed", 0, int)
     trials = _cfg_get(cfg, "experiment", "trials", 1, int)
@@ -256,6 +259,8 @@ def run_experiment(config_path, master_seed=None, timing=False):
             raise ParameterError(f"unknown algorithm {a!r} in config")
     model = _cfg_get(cfg, "prediction", "model")
     eps = _cfg_get(cfg, "prediction", "eps", cast=float) if model else None
+    if model and eps is None:
+        raise ParameterError("config [prediction] needs eps")
     independence = _cfg_get(cfg, "prediction", "independence", "mutual") if model else None
     params = _experiment_params(cfg)
     out_path = _cfg_get(cfg, "output", "path", "results.csv")

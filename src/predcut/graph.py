@@ -131,7 +131,9 @@ def _canonical_edges(n, edges):
     if bad.any():
         k = int(np.argmax(bad))
         a, b, wk = edges[k]
-        a, b, wk = int(a), int(b), float(wk)
+        # a NaN or infinite id is out of range and printed as it is
+        a, b = (int(v) if np.isfinite(float(v)) else float(v) for v in (a, b))
+        wk = float(wk)
         if loop[k]:
             message = f"self-loop at vertex {a}"
         elif out_of_range[k]:

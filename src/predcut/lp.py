@@ -11,11 +11,20 @@ two-sided form s_k >= +-(<g_k, x> + h_k) stores it twice, in 2K + T rows.
 On the bench's n = 1200 wide LP that is 1201 rows and 185,410 stored
 entries against 2401 rows and 364,820.
 
-The LP goes to scipy's HiGHS backend with presolve off, since on these box
-LPs presolve costs more time than it saves. On the nine seed-0 LPs of the
-bench's `wide_lp` workload (Intel Xeon, two runs), HiGHS took 1.5-1.9 s for
-the two-sided form with presolve, 0.8-1.0 s for the split form with
-presolve, and 0.4-0.5 s for the split form without it.
+Before any split LP is built, `solve` tries the box minimizer x_box: x_i =
+-1 where c_i > 0, +1 where c_i < 0 and 0 where c_i = 0. No point of the
+box has a lower objective, so when x_box fits every budget exactly (each
+slack >= 0 in numpy, no tolerance) it is the optimum and is returned with
+no solver call. HiGHS runs only when x_box overruns some budget (or
+<c, x_box> is not finite).
+
+The split LP goes to scipy's HiGHS backend with presolve off, since on
+these box LPs presolve costs more time than it saves. Timed on the HiGHS
+path, with the nine seed-0 LPs of the bench's `wide_lp` workload sent to
+HiGHS (Intel Xeon, two runs), HiGHS took 1.5-1.9 s for the two-sided form
+with presolve, 0.8-1.0 s for the split form with presolve, and 0.4-0.5 s
+for the split form without it. Those nine LPs never reach HiGHS, since
+x_box uses 6-22% of each budget.
 
 A group's forms may be a dense array or a scipy.sparse matrix (held as
 CSR); either way the constraint matrix is assembled sparse, with the zero
@@ -119,11 +128,16 @@ def _budget_slack(lp: AbsSumLp, x) -> tuple:
 
 
 def solve(lp: AbsSumLp) -> LpSolution:
-    """Solve the split LP; returns status infeasible when no x fits.
+    """Solve the LP; returns status infeasible when no x fits.
 
     With n = 0 the only x is empty: it is optimal, with objective 0.0, when
     every group's constant forms fit its budget within FEAS_TOL, and
     infeasible otherwise.
+
+    Otherwise the box minimizer x_box is tried first (see the module
+    docstring). Every x in the box has <c, x> >= -sum_i |c_i| = <c, x_box>
+    and every feasible x lies in the box, so an x_box that fits every budget
+    is optimal.
     """
     n = lp.n
     if n == 0:
@@ -132,11 +146,20 @@ def solve(lp: AbsSumLp) -> LpSolution:
             return LpSolution(x=x, objective_value=np.nan, status=INFEASIBLE)
         return LpSolution(x=x, objective_value=0.0, status=OPTIMAL,
                           budget_slack=_budget_slack(lp, x))
+    c = lp.objective
+    x_box = np.zeros(n)
+    x_box[c > 0] = -1.0
+    x_box[c < 0] = 1.0
+    box_value = float(c @ x_box)
+    if np.isfinite(box_value):
+        slack = _budget_slack(lp, x_box)
+        if all(s >= 0 for s in slack):
+            return LpSolution(x=x_box, objective_value=box_value, status=OPTIMAL,
+                              budget_slack=slack)
     sizes = [grp.coeffs.shape[0] for grp in lp.groups]
     budgets = np.array([grp.budget for grp in lp.groups], dtype=np.float64)
     K = sum(sizes)
 
-    c = np.asarray(lp.objective, dtype=np.float64)
     scale = float(np.max(np.abs(c))) if c.size else 0.0
     c_full = np.zeros(n + 2 * K)
     c_full[:n] = c / scale if scale > 0 else c

@@ -250,6 +250,21 @@ def test_missing_config_is_refused(tmp_path, capsys):
     assert rc == 1 and err.startswith(f"error: cannot read {tmp_path / 'absent.ini'}")
 
 
+def test_noisy_config_without_eps_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(EXP_CONFIG.format(out=tmp_path / "r.csv").replace("eps = 0.25\n", ""))
+    rc, err = _error(capsys, "experiment", "--config", cfg)
+    assert rc == 1 and err == "error: config [prediction] needs eps\n"
+
+
+def test_unparsable_config_is_an_error_naming_the_file(tmp_path, capsys):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("n = 8\n")     # a key before any [section]
+    rc, err = _error(capsys, "experiment", "--config", cfg)
+    assert rc == 1
+    assert err == f"error: cannot parse {cfg}: File contains no section headers.\n"
+
+
 def test_parameter_flags_and_config_share_one_table(tmp_path):
     parser = build_parser()
     solve = vars(parser.parse_args(["solve", "--graph", "g", "--algo", "gw"]))

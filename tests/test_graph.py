@@ -275,6 +275,13 @@ def test_graph_construction_validation():
         Graph(3, [(0, 1, 1.0), (1, 0, 2.0)])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_vertex_id_is_out_of_range(bad):
+    with pytest.raises(DomainError, match=r"vertex id out of range: \((nan|inf|-inf), 1\)") as e:
+        Graph(3, [(0, 2, 1.0), (bad, 1, 1.0)])
+    assert e.value.row == 1
+
+
 def test_only_the_exact_oracle_and_the_triangle_sdp_build_the_dense_adjacency():
     # the dense n x n matrix is a cached attribute, so its absence from the
     # instance dict means no call has built it

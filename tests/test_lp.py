@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,9 +7,10 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import predcut.lp
 from predcut.errors import DimensionError
-from predcut.lp import (AbsSumLp, INFEASIBLE, LpGroup, OPTIMAL, check_feasibility,
-                        solve)
+from predcut.lp import (AbsSumLp, FEAS_TOL, INFEASIBLE, LpGroup, OPT_TOL, OPTIMAL,
+                        check_feasibility, solve)
 
 
 # ---------------------------------------------------------------------------
@@ -269,3 +271,81 @@ def test_sparse_and_dense_coefficients_give_the_same_lp(data, fmt):
         points.append(a.x)
     for x in points:
         assert check_feasibility(dense, x) == check_feasibility(sparse, x)
+
+
+# ---------------------------------------------------------------------------
+# The box minimizer: x_i = -1 where c_i > 0, +1 where c_i < 0, 0 where c_i = 0.
+# When it fits every budget it is the LP's optimum and HiGHS never runs.
+# ---------------------------------------------------------------------------
+
+def _box(c):
+    return np.array([-1.0 if ci > 0 else 1.0 if ci < 0 else 0.0 for ci in c])
+
+
+def _usage(coeffs, offsets, x):
+    return float(np.abs(coeffs @ x + offsets).sum())
+
+
+# x_box = (-1, 0, 1, -1, 0) puts the forms at 0.75, 0 and 2; the zero-cost
+# coordinates 1 and 4 only enter the form that x_box already zeroes, so no
+# x with <c, x> = -3.5 uses less than 2.75 of the budget
+BOX_C = np.array([1.0, 0.0, -2.0, 0.5, 0.0])
+BOX_G = np.array([[1.0, 0.0, 0.0, 0.0, 0.0],
+                  [0.0, -1.0, 1.0, 0.0, 1.0],
+                  [0.5, 0.0, 0.0, 1.0, 0.0]])
+BOX_H = np.array([0.25, -1.0, -0.5])
+
+
+def test_box_minimizer_within_every_budget_skips_highs(monkeypatch):
+    def no_highs(*args, **kwargs):
+        raise AssertionError("HiGHS ran")
+
+    monkeypatch.setattr(predcut.lp, "linprog", no_highs)
+    lp = AbsSumLp(objective=BOX_C, groups=[LpGroup(BOX_G, BOX_H, 4.0),
+                                           LpGroup(sp.csr_matrix(BOX_G[:1]), BOX_H[:1], 0.75)])
+    sol = solve(lp)
+    assert sol.status == OPTIMAL
+    assert np.array_equal(sol.x, [-1.0, 0.0, 1.0, -1.0, 0.0])
+    assert sol.objective_value == -np.abs(BOX_C).sum() == -3.5
+    assert len(sol.budget_slack) == 2 and min(sol.budget_slack) >= 0.0
+    assert sol.budget_slack[1] == 0.0   # |-1 + 0 + 0.25| = 0.75: a budget met exactly fits
+
+
+def test_box_minimizer_over_budget_goes_to_highs():
+    x_box = _box(BOX_C)
+    budget = 0.99 * _usage(BOX_G, BOX_H, x_box)
+    lp = AbsSumLp(objective=BOX_C, groups=[LpGroup(BOX_G, BOX_H, budget)])
+    with mock.patch.object(predcut.lp, "linprog", wraps=predcut.lp.linprog) as highs:
+        sol = solve(lp)
+    assert highs.call_count == 1
+    assert sol.status == OPTIMAL
+    assert check_feasibility(lp, sol.x) <= FEAS_TOL
+    assert sol.objective_value > BOX_C @ x_box
+
+
+@st.composite
+def box_lp_data(draw):
+    """(c, coeffs, offsets, budget share): one group, n <= 5, n + forms <= 6."""
+    n = draw(st.integers(1, 5))
+    K = draw(st.integers(1, min(2, 6 - n)))
+    c = np.array(draw(st.lists(st.sampled_from([0.0, 0.0, 1.0, -1.0, 0.5, -2.0, 3.0]),
+                               min_size=n, max_size=n)))
+    coeffs = np.array(draw(st.lists(QUARTERS, min_size=K * n, max_size=K * n))).reshape(K, n)
+    offsets = np.array(draw(st.lists(QUARTERS, min_size=K, max_size=K)))
+    return c, coeffs, offsets, draw(st.sampled_from([0.5, 0.99, 1.0, 1.5, 3.0]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=box_lp_data())
+@example(data=(np.array([1.0, 0.0, -2.0]), np.array([[1.0, -1.0, 0.25]]), np.array([0.5]), 1.0))
+def test_box_early_exit_matches_vertex_enumeration(data):
+    c, coeffs, offsets, share = data
+    lp = AbsSumLp(objective=c, groups=[LpGroup(coeffs, offsets,
+                                               share * _usage(coeffs, offsets, _box(c)))])
+    with mock.patch.object(predcut.lp, "linprog", wraps=predcut.lp.linprog) as highs:
+        sol = solve(lp)
+    if highs.called:
+        return
+    oracle_val, _ = brute_force_lp(lp)
+    assert sol.status == OPTIMAL and np.array_equal(sol.x, _box(c))
+    assert sol.objective_value == pytest.approx(oracle_val, abs=OPT_TOL * (1 + abs(oracle_val)))
