@@ -12,6 +12,10 @@ the instance weight W doubles the raw total, per-literal constraint sets
 S_i cover every occurrence, and val is unchanged, including for
 asymmetric predicates. MaxCut encodings then satisfy
 csp_value * W = 2 * cut_value exactly.
+
+The wide LP reads each literal's delta-prefix from the PrefixOrder rank
+that classifies graph vertices, and lays out all its forms with one sort
+of the oriented entries (see `build_csp_lp`).
 """
 
 from __future__ import annotations
@@ -120,24 +124,19 @@ class CspInstance:
             raw.append((w, (c1, c2), (i, j)))
         self.constraints = raw
 
+        # entry 2t is constraint t anchored at i, entry 2t + 1 anchored at j
         m = len(raw)
-        anchor = np.empty(2 * m, dtype=np.intp)
-        other = np.empty(2 * m, dtype=np.intp)
-        w_arr = np.empty(2 * m)
-        coeffs = np.empty((2 * m, 4))  # columns a0, a_anchor, a_other, a_pair
+        scope = np.array([alpha for _, _, alpha in raw], dtype=np.intp).reshape(m, 2)
+        signs = np.array([c for _, c, _ in raw], dtype=np.float64).reshape(m, 2)
         f0, f1, f2, f12 = predicate.fourier
-        for t, (w, (c1, c2), (i, j)) in enumerate(raw):
-            a0, a1, a2, a12 = f0, f1 * c1, f2 * c2, f12 * c1 * c2
-            anchor[2 * t], other[2 * t] = i, j
-            coeffs[2 * t] = (a0, a1, a2, a12)
-            anchor[2 * t + 1], other[2 * t + 1] = j, i
-            coeffs[2 * t + 1] = (a0, a2, a1, a12)
-            w_arr[2 * t] = w_arr[2 * t + 1] = w
-        self.anchor = anchor
-        self.other = other
-        self.weights = w_arr
-        self.coeffs = coeffs
-        self.total_weight = float(w_arr.sum())
+        lin = signs * (f1, f2)     # (a1, a2) of the copy anchored at i
+        self.anchor = scope.ravel()
+        self.other = scope[:, ::-1].ravel()
+        self.weights = np.repeat(np.array([w for w, _, _ in raw], dtype=np.float64), 2)
+        # columns a0, a_anchor, a_other, a_pair
+        self.coeffs = np.column_stack([np.full(2 * m, f0), lin.ravel(), lin[:, ::-1].ravel(),
+                                       np.repeat(f12 * signs[:, 0] * signs[:, 1], 2)])
+        self.total_weight = float(self.weights.sum())
 
     @property
     def num_constraints(self):
@@ -145,9 +144,8 @@ class CspInstance:
 
     @cached_property
     def prefix_order(self):
-        """Oriented entries in delta-prefix order, equal weights in storage order (cached)."""
-        return PrefixOrder(self.n, self.anchor, self.other, self.weights,
-                           np.arange(len(self.weights)))
+        """Oriented entries in delta-prefix order, keyed and tied by storage position (cached)."""
+        return PrefixOrder(self.n, self.anchor, np.arange(len(self.weights)), self.weights)
 
     def polynomial(self):
         """(const, lin, quad) with val(x) * W = const + <lin, x> + <x, quad x>."""
@@ -225,6 +223,13 @@ def build_csp_lp(inst: CspInstance, z, delta: int, eta: float, eps_prime: float,
     The anchored occurrence keeps its own variable x_i while the partner is
     replaced by the rescaled prediction; the single constraint group bounds
     the total absolute deviation mass by C (eps' + 2 eta) W.
+
+    A wide literal gives a tail form (its entries past the delta heaviest)
+    and a head form; a narrow literal gives one head form. One sort by
+    (literal, tail before head, rank) lays the forms out in that order,
+    each heaviest first, and per-form sums run over its segments. A c_i at
+    most 1e-12 times the summed magnitude of its terms is set to exactly
+    0.0, so that rounding residue cannot pick the box minimizer's sign.
     """
     if C <= 0:
         raise ParameterError(f"C must be positive, got {C}")
@@ -233,41 +238,33 @@ def build_csp_lp(inst: CspInstance, z, delta: int, eta: float, eps_prime: float,
         raise DimensionError("scaled prediction length mismatch")
     report = classify_literals(inst, delta, eta)
     po = inst.prefix_order
-    n = inst.n
-    w, other = inst.weights, inst.other
-    a0, a1, a2, a12 = inst.coeffs.T
+    literal = po.owners()
+    head = (po.rank < delta) | ~report.wide_mask[literal]
+    order = np.lexsort((po.rank, head, literal))
+    entry, literal, head = po.key[order], literal[order], head[order]
+    # a new form starts wherever the literal or its head/tail side changes
+    first = np.ones(len(entry), dtype=bool)
+    first[1:] = (literal[1:] != literal[:-1]) | (head[1:] != head[:-1])
+    starts = np.flatnonzero(first)
+    tail_form = ~head[starts]
 
-    objective = np.zeros(n)
-    # form k is sum over its (k, partner, kappa) triples of kappa x_partner
-    form, partner, kappa = [], [], []
-    forms_h = []
-    for i in range(n):
-        if report.wide_mask[i]:
-            head, tail = (po.entries[s] for s in po.span(i, delta))
-        else:
-            # a narrow literal keeps every entry exact, in storage order
-            head, tail = np.sort(po.entries[po.indptr[i]:po.indptr[i + 1]]), ()
-        if len(tail):
-            # objective: terms affine in x_i with the partner frozen at Z
-            objective[i] += float(np.sum(w[tail] * (a1[tail] + a12[tail] * z[other[tail]])))
-            # deviation form: sum w (a2 + a12)(x_partner - Z_partner)
-            k_tail = w[tail] * (a2[tail] + a12[tail])
-            form.append(np.full(len(tail), len(forms_h)))
-            partner.append(other[tail])
-            kappa.append(k_tail)
-            forms_h.append(-float(np.sum(k_tail * z[other[tail]])))
-        if len(head):
-            form.append(np.full(len(head), len(forms_h)))
-            partner.append(other[head])
-            kappa.append(w[head] * (a2[head] + a12[head]))
-            forms_h.append(float(np.sum(w[head] * (a0[head] + a1[head]))))
+    w, other = inst.weights[entry], inst.other[entry]
+    a0, a1, a2, a12 = inst.coeffs[entry].T
+    zo = z[other]
+    # objective: tail terms affine in x_i with the partner frozen at Z
+    gain = w * (a1 + a12 * zo)
+    c_sum = np.add.reduceat(gain, starts)[tail_form]
+    c_mass = np.add.reduceat(np.abs(gain), starts)[tail_form]
+    objective = np.zeros(inst.n)
+    objective[literal[starts][tail_form]] = np.where(np.abs(c_sum) <= 1e-12 * c_mass, 0.0, c_sum)
+    # tail form: sum w (a2 + a12)(x_partner - Z_partner); head form: the
+    # exact sum w (a0 + a1 + (a2 + a12) x_partner)
+    kappa = w * (a2 + a12)
+    offsets = np.add.reduceat(np.where(head, w * (a0 + a1), -(kappa * zo)), starts)
 
     budget = C * (eps_prime + 2.0 * eta) * inst.total_weight
-    groups = []
-    if forms_h:
-        groups.append(LpGroup(coeffs=_summed_csr(np.concatenate(form), np.concatenate(partner),
-                                                 np.concatenate(kappa), (len(forms_h), n)),
-                              offsets=np.array(forms_h), budget=budget))
+    coeffs = _summed_csr(np.cumsum(first) - 1, other, kappa, (len(starts), inst.n))
+    groups = [LpGroup(coeffs=coeffs, offsets=offsets, budget=budget)] if len(starts) else []
     # AbsSumLp minimizes, the algorithm maximizes
     return AbsSumLp(objective=-objective, groups=groups)
 

@@ -15,7 +15,7 @@ The "delta-prefix" of a vertex is its delta heaviest incident edges
 prefix carries at most an eta fraction of its weighted degree, and a graph
 is wide when wide vertices carry at least a 1-eta fraction of W. The same
 split applies to the literals of a 2-CSP (csp.py); both go through one
-PrefixOrder of (owner, neighbour, weight) entries.
+PrefixOrder, whose per-entry rank answers every prefix question.
 """
 
 from __future__ import annotations
@@ -100,8 +100,7 @@ class Graph:
         """Both orientations of every edge, in delta-prefix order (cached)."""
         owner = np.concatenate([self.edge_i, self.edge_j])
         other = np.concatenate([self.edge_j, self.edge_i])
-        return PrefixOrder(self.n, owner, other,
-                           np.concatenate([self.edge_w, self.edge_w]), other)
+        return PrefixOrder(self.n, owner, other, np.concatenate([self.edge_w, self.edge_w]))
 
 
 def _canonical_edges(n, edges):
@@ -149,35 +148,33 @@ def _canonical_edges(n, edges):
 
 
 class PrefixOrder:
-    """Weighted (owner, other) entries grouped by owner, heaviest first.
+    """Weighted entries grouped by owner, heaviest first, equal weights in key order.
 
-    Equal weights keep the order of `tiebreak`: the neighbour index for
-    graphs, the storage position for CSPs. Owner i's entries sit at
-    positions indptr[i]:indptr[i+1]; `entries` maps a position back to
-    the caller's entry index, and the delta-prefix of i is its first
-    delta positions.
+    The key is the neighbour index for graphs and the storage position for
+    CSPs. Position p holds the entry `key[p]` of owner `owners()[p]`, with
+    its `weight[p]`; `rank[p]` is its place in its owner's heaviest-first
+    list, so the delta-prefix of an owner is its entries with rank < delta.
+    Positions run owner by owner and rank by rank, so `owners` rebuilds
+    them from the per-owner `counts`, which keeps a cached order at 24
+    bytes per entry.
     """
 
-    def __init__(self, n, owner, other, weight, tiebreak):
-        self.entries = np.lexsort((tiebreak, -weight, owner))
-        self.other = other[self.entries]
-        self.weight = weight[self.entries]
-        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=n))))
+    def __init__(self, n, owner, key, weight):
+        order = np.lexsort((key, -weight, owner))
+        self.key = key[order]
+        self.weight = weight[order]
+        counts = self.counts = np.bincount(owner, minlength=n)
+        self.rank = np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)
 
-    def span(self, i, delta):
-        """Positions of owner i's delta-prefix and of the rest, as two slices."""
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        cut = min(lo + int(delta), hi)
-        return slice(lo, cut), slice(cut, hi)
+    def owners(self, lo=0, hi=None):
+        """The owner of each position whose rank lies in [lo, hi), in position order."""
+        top = self.counts if hi is None else np.minimum(self.counts, max(lo, hi))
+        return np.repeat(np.arange(len(self.counts)), np.maximum(top - lo, 0))
 
     def prefix_weights(self, delta):
         """Per-owner sum of the delta heaviest weights, added heaviest first."""
-        deg = np.diff(self.indptr)
-        total = np.zeros(len(deg))
-        for r in range(min(int(delta), int(deg.max(initial=0)))):
-            has = deg > r
-            total[has] += self.weight[self.indptr[:-1][has] + r]
-        return total
+        return np.bincount(self.owners(0, delta), self.weight[self.rank < delta],
+                           minlength=len(self.counts))
 
 
 @dataclass(frozen=True)
@@ -342,9 +339,8 @@ def truncated_adjacency(g: Graph, delta: int) -> sp.csr_matrix:
     if delta < 0:
         raise ParameterError(f"delta must be >= 0, got {delta}")
     po = g.prefix_order
-    owner = np.repeat(np.arange(g.n), np.diff(po.indptr))
-    tail = np.arange(len(owner)) - po.indptr[owner] >= delta
-    return sp.csr_matrix((po.weight[tail], (owner[tail], po.other[tail])), shape=(g.n, g.n))
+    tail = po.rank >= delta
+    return sp.csr_matrix((po.weight[tail], (po.owners(delta), po.key[tail])), shape=(g.n, g.n))
 
 
 def gen_erdos_renyi(n, p, weight_law="unit", seed=0, q_cross=None, q_within=None,

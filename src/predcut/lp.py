@@ -43,7 +43,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from .errors import DimensionError, ParameterError, PredcutError
+from .errors import DimensionError, DomainError, ParameterError, PredcutError
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -72,6 +72,10 @@ class LpGroup:
             raise DimensionError("one offset per affine form required")
         if coeffs.shape[0] == 0:
             raise ParameterError("groups must contain at least one form")
+        if not np.isfinite(coeffs.data if sp.issparse(coeffs) else coeffs).all():
+            raise DomainError("group coefficients must be finite")
+        if not np.isfinite(offsets).all():
+            raise DomainError("group offsets must be finite")
         if not 0 <= self.budget < np.inf:
             raise ParameterError(f"group budget must be finite and >= 0, got {self.budget}")
 
@@ -86,6 +90,8 @@ class AbsSumLp:
     def __post_init__(self):
         c = np.asarray(self.objective, dtype=np.float64)
         object.__setattr__(self, "objective", c)
+        if not np.isfinite(c).all():
+            raise DomainError("LP objective must be finite")
         for grp in self.groups:
             if grp.coeffs.shape[1] != c.shape[0]:
                 raise DimensionError("group coefficient width must match objective length")

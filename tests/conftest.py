@@ -1,8 +1,14 @@
 import math
 
 import numpy as np
+from hypothesis import settings
 
 from predcut.graph import Graph, gen_erdos_renyi
+
+# every property test runs the same fixed examples, with no deadline and
+# no example database; each test sets only its own max_examples
+settings.register_profile("predcut", deadline=None, derandomize=True, database=None)
+settings.load_profile("predcut")
 
 
 def random_graph(rng, n=None, law=None):

@@ -10,7 +10,7 @@ from predcut.csp import (CspInstance, CUT_PREDICATE, build_csp_lp,
 from predcut.errors import DomainError, ParseError
 from predcut.exact import exact_csp
 from predcut.graph import cut_value, gen_erdos_renyi
-from predcut.lp import check_feasibility
+from predcut.lp import check_feasibility, solve as solve_lp
 from predcut.predictions import NoisyPrediction, sample_noisy, scaled_prediction
 from predcut.wide import estimate_imbalance
 
@@ -152,6 +152,21 @@ def test_lp_constant_predicate_has_zero_objective():
     inst = CspInstance(5, pred, cons)
     lp = build_csp_lp(inst, np.zeros(5), 1, 0.3, 0.2)
     assert np.all(lp.objective == 0.0)
+
+
+@pytest.mark.parametrize("k", [1.0, 2.0, 3.0, 7.0])
+def test_lp_objective_snaps_cancelling_tail_terms_to_zero(k):
+    # P = (1 + z1) / 2 has a1 = c1 / 2 and a12 = 0, so an entry of weight 2g
+    # adds +-g to its literal's objective, whatever Z is; literal 0's head is
+    # its heaviest entry and its tail adds -0.3k, 0.2k and 0.1k
+    pred = predicate_from_bits("1100")
+    cons = [(2 * 0.4 * k, (1, 1), (0, 1)), (2 * 0.3 * k, (-1, 1), (0, 2)),
+            (2 * 0.2 * k, (1, 1), (0, 3)), (2 * 0.1 * k, (1, 1), (0, 4))]
+    inst = CspInstance(5, pred, cons)
+    assert classify_literals(inst, 1, 0.45).wide_mask[0]
+    lp = build_csp_lp(inst, np.full(5, 1.25), 1, 0.45, 0.2)
+    assert lp.objective[0] == 0.0
+    assert solve_lp(lp).x[0] == 0.0
 
 
 def test_lp_empty_instance():

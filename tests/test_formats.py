@@ -20,7 +20,7 @@ from predcut.predictions import (NoisyPrediction, PartialPrediction, load_predic
                                  save_prediction)
 from predcut.sdp import SdpSolution, load_solution, save_solution
 
-PROPS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+PROPS = settings(max_examples=60)
 
 
 def _cut_csp(text):

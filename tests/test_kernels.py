@@ -1,8 +1,9 @@
 """Property tests of the shared kernels against plain reference code.
 
 The exhaustive search is checked against itertools.product, the delta-prefix
-order against a per-owner sort, best_cut against a first-wins scan, and
-Graph construction against a per-edge loop.
+order against a per-owner sort, the CSP wide LP against a per-literal
+loop, best_cut against a first-wins scan, and Graph construction against
+a per-edge loop.
 """
 
 import itertools
@@ -13,14 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from predcut.csp import CspInstance, classify_literals, csp_value, predicate_from_bits
+from predcut.csp import (CspInstance, build_csp_lp, classify_literals, csp_value,
+                         predicate_from_bits)
 from predcut.errors import DomainError
 from predcut.exact import exact_csp, exact_maxcut
 from predcut.graph import (CutAssignment, Graph, WEIGHT_TOL, best_cut, classify, cut_value,
                            delta_prefix_weight, load_edge_list, save_edge_list,
                            truncated_adjacency)
+from predcut.lp import AbsSumLp, LpGroup, solve as solve_lp
 
-PROPS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+PROPS = settings(max_examples=60)
 # few distinct weights, so ties are common; 0.0 gives zero-weight entries
 WEIGHTS = st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0, 0.3])
 
@@ -114,7 +117,10 @@ def test_csp_prefix_matches_storage_order_reference(inst, delta):
     for i in range(inst.n):
         stored = [t for t in range(len(inst.weights)) if inst.anchor[t] == i]
         ranked = sorted(stored, key=lambda t: (-inst.weights[t], t))
-        prefix, rest = (po.entries[s].tolist() for s in po.span(i, delta))
+        mine = po.owners() == i
+        assert po.rank[mine].tolist() == list(range(len(stored)))
+        prefix = po.key[mine & (po.rank < delta)].tolist()
+        rest = po.key[mine & (po.rank >= delta)].tolist()
         assert prefix == ranked[:delta] and rest == ranked[delta:]
         total = inst.weights[stored].sum()
         mask.append(inst.weights[ranked[:delta]].sum() <= 0.3 * total + WEIGHT_TOL)
@@ -125,9 +131,69 @@ def test_csp_prefix_tie_prefers_storage_order():
     cons = [(1.0, (1, 1), (0, 3)), (1.0, (1, 1), (0, 1)), (2.0, (1, 1), (0, 2))]
     inst = CspInstance(4, predicate_from_bits("0110"), cons)
     po = inst.prefix_order
-    prefix, rest = (po.entries[s].tolist() for s in po.span(0, 2))
+    mine = po.owners() == 0
+    prefix = po.key[mine & (po.rank < 2)].tolist()
+    rest = po.key[mine & (po.rank >= 2)].tolist()
     # entries anchored at 0 are stored at 0, 2, 4; the weight-2 one leads
     assert prefix == [4, 0] and rest == [2]
+
+
+def _reference_csp_lp(inst, z, delta, eta):
+    """build_csp_lp's forms and objective, one literal at a time.
+
+    A wide literal gives its tail form (entries past its delta heaviest),
+    then its head form; a narrow literal gives one head form in storage
+    order. Returns the dense form matrix, the offsets and the objective
+    before negation, snapped to 0.0 within 1e-12 of its terms' magnitude.
+    """
+    wide = classify_literals(inst, delta, eta).wide_mask
+    w, other = inst.weights, inst.other
+    a0, a1, a2, a12 = inst.coeffs.T
+    objective, rows, offsets = np.zeros(inst.n), [], []
+    for i in range(inst.n):
+        stored = [t for t in range(len(w)) if inst.anchor[t] == i]
+        ranked = sorted(stored, key=lambda t: (-w[t], t))
+        head, tail = (ranked[:delta], ranked[delta:]) if wide[i] else (stored, [])
+        if tail:
+            terms = [w[t] * (a1[t] + a12[t] * z[other[t]]) for t in tail]
+            if abs(sum(terms)) > 1e-12 * sum(abs(v) for v in terms):
+                objective[i] = sum(terms)
+        for part, offset in ((tail, lambda t: -w[t] * (a2[t] + a12[t]) * z[other[t]]),
+                             (head, lambda t: w[t] * (a0[t] + a1[t]))):
+            if part:
+                row = np.zeros(inst.n)
+                for t in part:
+                    row[other[t]] += w[t] * (a2[t] + a12[t])
+                rows.append(row)
+                offsets.append(sum(offset(t) for t in part))
+    return np.array(rows).reshape(-1, inst.n), np.array(offsets), objective
+
+
+@PROPS
+@given(inst=csps(), delta=st.integers(1, 6), eta=st.sampled_from([0.1, 0.3, 0.45]),
+       eps_prime=st.sampled_from([0.0, 0.05, 0.2]), C=st.sampled_from([0.02, 0.2, 4.0]),
+       data=st.data())
+def test_csp_lp_matches_a_per_literal_loop(inst, delta, eta, eps_prime, C, data):
+    z = np.array(data.draw(st.lists(st.sampled_from([-2.5, -1.25, -1.0, 1.0, 1.25, 2.5]),
+                                    min_size=inst.n, max_size=inst.n)))
+    rows, offsets, objective = _reference_csp_lp(inst, z, delta, eta)
+    lp = build_csp_lp(inst, z, delta, eta, eps_prime, C)   # small C makes HiGHS run
+    tol = 1e-12 * max(1.0, inst.total_weight)
+    if len(rows):
+        (group,) = lp.groups
+        assert np.allclose(group.coeffs.toarray(), rows, rtol=1e-12, atol=tol)
+        assert np.allclose(group.offsets, offsets, rtol=1e-12, atol=tol)
+    else:
+        assert lp.groups == []
+    assert np.allclose(-lp.objective, objective, rtol=1e-12, atol=tol)
+    assert np.array_equal(lp.objective == 0.0, objective == 0.0)
+    ref = AbsSumLp(objective=-objective, groups=[LpGroup(rows, offsets, g.budget)
+                                                 for g in lp.groups])
+    # a narrow literal's head sums in another order, so an LP that reaches
+    # HiGHS may return x an ulp or two apart; x is all NaN when infeasible
+    got, want = solve_lp(lp), solve_lp(ref)
+    assert got.status == want.status
+    assert np.allclose(got.x, want.x, rtol=0.0, atol=1e-9, equal_nan=True)
 
 
 @PROPS
@@ -202,7 +268,7 @@ def edge_lists(draw):
     return n, edges
 
 
-@settings(PROPS, max_examples=300)
+@settings(max_examples=300)
 @given(case=edge_lists(), as_iterator=st.booleans())
 def test_graph_construction_matches_a_per_edge_loop(case, as_iterator):
     n, edges = case

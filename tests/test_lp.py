@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import predcut.lp
-from predcut.errors import DimensionError
+from predcut.errors import DimensionError, DomainError
 from predcut.lp import (AbsSumLp, FEAS_TOL, INFEASIBLE, LpGroup, OPT_TOL, OPTIMAL,
                         check_feasibility, solve)
 
@@ -208,6 +208,26 @@ def test_dimension_mismatch():
                  groups=[LpGroup(np.zeros((1, 2)), np.zeros(1), 1.0)])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_objective_is_refused(bad):
+    with pytest.raises(DomainError, match="objective must be finite"):
+        AbsSumLp(objective=np.array([bad, 1.0]), groups=[LpGroup(np.eye(2), np.zeros(2), 5.0)])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_offset_is_refused(bad):
+    with pytest.raises(DomainError, match="offsets must be finite"):
+        LpGroup(np.eye(2), np.array([0.0, bad]), 5.0)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_coefficient_is_refused(bad, sparse):
+    coeffs = np.array([[1.0, 0.0], [0.0, bad]])
+    with pytest.raises(DomainError, match="coefficients must be finite"):
+        LpGroup(sp.csr_matrix(coeffs) if sparse else coeffs, np.zeros(2), 5.0)
+
+
 # Coefficients, offsets and test points on a grid of quarters, so every
 # product and sum below is exact and the two evaluation orders (dense
 # matrix-vector product, CSR row sums) cannot round apart.
@@ -240,7 +260,7 @@ def _bytes(v):
     return np.asarray(v, dtype=np.float64).tobytes()
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80)
 @given(data=sparse_lp_data(), fmt=st.sampled_from(["csr", "csc", "coo", "stored zeros"]))
 # one one-form group whose budget cannot be met: |x - 3| <= 0.5 on [-1, 1]
 @example(data=(np.array([1.0]), [(np.array([[1.0]]), np.array([-3.0]), 0.5)]), fmt="csr")
@@ -335,7 +355,7 @@ def box_lp_data(draw):
     return c, coeffs, offsets, draw(st.sampled_from([0.5, 0.99, 1.0, 1.5, 3.0]))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(data=box_lp_data())
 @example(data=(np.array([1.0, 0.0, -2.0]), np.array([[1.0, -1.0, 0.25]]), np.array([0.5]), 1.0))
 def test_box_early_exit_matches_vertex_enumeration(data):

@@ -115,7 +115,7 @@ def test_infeasible_wide_lp_runs_one_plain_solve(monkeypatch):
     assert len(configs) == 1 and not configs[0].triangle and not configs[0].fixed_labels
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(n=st.integers(2, 14), p=st.sampled_from([0.0, 0.3, 0.7, 1.0]), data=st.data())
 def test_narrow_portfolio_against_the_exact_oracle(n, p, data):
     # unpinned graphs with zero-weight edges, isolated vertices or no edges:

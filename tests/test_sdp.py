@@ -330,7 +330,7 @@ def continuation_case(rng, n, pinned_share, blend, k=None):
     return A, V, free, max(g.total_weight, 1.0)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(n=st.integers(3, 30), pinned_share=st.sampled_from([0.0, 0.2, 0.5]),
        blend=st.sampled_from([0.02, 0.3, 1.0]), seed=st.integers(0, 2 ** 31 - 1))
 def test_penalty_rounds_keep_pins_and_unit_rows(n, pinned_share, blend, seed):
@@ -385,7 +385,7 @@ def test_triangle_config_with_a_subset_is_refused():
         SubsetLadder(g, [], SdpConfig(triangle=True))
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(n=st.sampled_from([1, 2, 3, 4, 7, 12, 19, 20, 21, 22]),
        p=st.sampled_from([0.0, 0.4, 0.8]), data=st.data())
 def test_triangle_stage_on_degenerate_graphs(n, p, data):
@@ -540,7 +540,7 @@ def test_ascent_objective_never_decreases():
             prev = obj
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(n=st.integers(1, 16), l=st.sampled_from([0.0, 1.0, 3.0, 2.0 ** 10]), data=st.data())
 def test_sweep_gain_equals_the_dense_objective_difference(n, l, data):
     # pins (vertices left out of the classes), zero weights, an isolated
@@ -607,7 +607,7 @@ def test_report_exposes_sweeps_and_the_cap(monkeypatch):
     assert sub.feasibility_report["sweeps"] > sol.feasibility_report["sweeps"]
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(n=st.integers(1, 9), p=st.floats(0.0, 1.0),
        law=st.sampled_from(["unit", "uniform"]), seed=st.integers(0, 2 ** 31 - 1))
 def test_relaxation_dominates_exact_with_unit_vectors(n, p, law, seed):
@@ -624,7 +624,7 @@ def class_rows_reference(A, A_sub, l, classes, V):
     return [(M[c] @ V).tobytes() for c in classes]
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(n=st.integers(1, 14), data=st.data())
 def test_class_rows_equal_scipy_sums_bit_for_bit(n, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31 - 1)))
@@ -643,7 +643,7 @@ def test_class_rows_equal_scipy_sums_bit_for_bit(n, data):
         assert [V[rows.perm][s].tobytes() for s in rows.spans] == [V[c].tobytes() for c in classes]
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(n=st.integers(1, 16), k=st.integers(2, 12), data=st.data())
 def test_direct_class_products_equal_scipy_bit_for_bit(n, k, data):
     # the ascent calls csr_matvecs itself; zero weights, isolated vertices
@@ -663,7 +663,7 @@ def test_direct_class_products_equal_scipy_bit_for_bit(n, k, data):
             assert _csr_product(B.indptr, B.indices, B.data, V).tobytes() == (B @ V).tobytes()
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(m=st.integers(0, 20), k=st.integers(1, 12), data=st.data())
 def test_row_norms_equal_numpy_norm_bit_for_bit(m, k, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31 - 1)))
@@ -818,7 +818,7 @@ def per_tau_reference(g, pins, subset, tau, seed):
     return V, sum(r[0] for r in runs), all(r[1] for r in runs), feasible, lam
 
 
-@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@settings(max_examples=50)
 @given(n=st.integers(2, 12), data=st.data())
 def test_shared_ladder_equals_a_single_tau_solve_per_tau(n, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31 - 1)))
