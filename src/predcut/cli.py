@@ -33,6 +33,7 @@ from .wide import solve_wide
 ALGOS = ("oracle", "wide", "narrow", "auto", "gw", "gw-fixed", "rt", "prediction")
 # stable per-algorithm seed salts
 _ALGO_SALT = {name: 100 + k for k, name in enumerate(ALGOS)}
+_SAMPLERS = {"noisy": sample_noisy, "partial": sample_partial}
 
 # Solver parameters as (name, type, default); a tuple type lists the allowed
 # strings. `solve` takes each as a flag, `csp-solve` the first four, and an
@@ -92,10 +93,7 @@ def cmd_gen_graph(args):
 
 def cmd_gen_predictions(args):
     truth = _load_truth(args.truth)
-    if args.model == "noisy":
-        pred = sample_noisy(truth, args.eps, args.seed, args.independence)
-    else:
-        pred = sample_partial(truth, args.eps, args.seed, args.independence)
+    pred = _SAMPLERS[args.model](truth, args.eps, args.seed, args.independence)
     _write(args.out, save_prediction(pred))
     print(f"wrote {args.out} (n={len(pred)}, model={args.model}, eps={_fmt(args.eps)})")
     return 0
@@ -285,16 +283,12 @@ def run_experiment(config_path, master_seed=None, timing=False):
         reference_kinds.add(ref_kind)
 
         pred = None
-        if model == "noisy":
+        if model is not None:
+            if model not in _SAMPLERS:
+                raise ParameterError(f"unknown prediction model {model!r}")
             if truth is None:
-                raise ParameterError("noisy predictions need an oracle or planted ground truth")
-            pred = sample_noisy(truth, eps, derive(master_seed, trial, 2), independence)
-        elif model == "partial":
-            if truth is None:
-                raise ParameterError("partial predictions need an oracle or planted ground truth")
-            pred = sample_partial(truth, eps, derive(master_seed, trial, 2), independence)
-        elif model is not None:
-            raise ParameterError(f"unknown prediction model {model!r}")
+                raise ParameterError(f"{model} predictions need an oracle or planted ground truth")
+            pred = _SAMPLERS[model](truth, eps, derive(master_seed, trial, 2), independence)
 
         for algo in sorted(algos):
             t0 = time.perf_counter()
@@ -308,22 +302,14 @@ def run_experiment(config_path, master_seed=None, timing=False):
                 val = cut_value(g, cut)
             ms = int(round(1000.0 * (time.perf_counter() - t0))) if timing else 0
             ratio = val / reference if reference > 0 else 1.0
-            rows.append((trial, g.n, model or "none", eps if eps is not None else 0.0,
-                         algo, val, reference, ratio, trial_seed, ms, ref_kind))
+            rows.append([str(trial), str(g.n), model or "none",
+                         _fmt(eps if eps is not None else 0.0), algo, _fmt(val),
+                         _fmt(reference), _fmt(ratio), str(trial_seed), str(ms), ref_kind])
 
-    with_kind = reference_kinds != {"oracle"}
-    header = "trial,n,model,eps,algo,cut,reference,ratio,seed,runtime_ms"
-    if with_kind:
-        header += ",reference_kind"
-    lines = [header]
-    for row in sorted(rows, key=lambda r: (r[0], r[4])):
-        trial, n, mdl, e, algo, val, ref, ratio, tseed, ms, kind = row
-        cells = [str(trial), str(n), mdl, _fmt(e), algo, _fmt(val), _fmt(ref),
-                 _fmt(ratio), str(tseed), str(ms)]
-        if with_kind:
-            cells.append(kind)
-        lines.append(",".join(cells))
-    csv_text = "\n".join(lines) + "\n"
+    header = "trial,n,model,eps,algo,cut,reference,ratio,seed,runtime_ms,reference_kind".split(",")
+    if reference_kinds == {"oracle"}:       # the kind column only when some reference is not
+        header, rows = header[:-1], [cells[:-1] for cells in rows]
+    csv_text = "".join(",".join(cells) + "\n" for cells in [header] + rows)
     _write(out_path, csv_text)
     return out_path, csv_text
 

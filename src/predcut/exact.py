@@ -15,6 +15,7 @@ from .graph import CutAssignment, Graph
 
 MAXCUT_LIMIT = 24
 CSP_LIMIT = 22
+BLOCK_SCORES = 1 << 20   # about this many (head, tail) scores per block of _max_quadratic
 
 
 def _sign_table(bits: int) -> np.ndarray:
@@ -30,9 +31,9 @@ def _max_quadratic(lin, Q, pin_first=False):
     """(max of <lin, x> + <x, Q x> over x in {-1,+1}^n, one maximizer).
 
     The head half enumerates 2^h sign rows (x_0 = +1 when pin_first), the
-    tail half 2^t; each block of head rows is scored against every tail row
-    with one matrix product. Ties keep the first maximizer in enumeration
-    order.
+    tail half 2^t; each block of about BLOCK_SCORES // 2^t head rows is
+    scored against every tail row with one matrix product. Ties keep the
+    first maximizer in enumeration order.
     """
     n = len(lin)
     h = (n + 1) // 2
@@ -43,15 +44,13 @@ def _max_quadratic(lin, Q, pin_first=False):
     T = _sign_table(t)
     sh = np.einsum("ri,ij,rj->r", H, Q[:h, :h], H) + H @ lin[:h]
     st = np.einsum("ri,ij,rj->r", T, Q[h:, h:], T) + T @ lin[h:]
-    cross = H @ (Q[:h, h:] + Q[h:, :h].T) if t else None
+    cross = H @ (Q[:h, h:] + Q[h:, :h].T)
     best_s = -np.inf
     best = None
-    chunk = 2048
+    chunk = max(1, BLOCK_SCORES // T.shape[0])
     for r0 in range(0, H.shape[0], chunk):
         r1 = min(r0 + chunk, H.shape[0])
-        total = sh[r0:r1, None] + st[None, :]
-        if t:
-            total = total + cross[r0:r1] @ T.T
+        total = sh[r0:r1, None] + st[None, :] + cross[r0:r1] @ T.T
         flat = int(np.argmax(total))
         rr, tt = divmod(flat, T.shape[0])
         if total[rr, tt] > best_s:

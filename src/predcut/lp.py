@@ -136,22 +136,14 @@ def _budget_slack(lp: AbsSumLp, x) -> tuple:
 def solve(lp: AbsSumLp) -> LpSolution:
     """Solve the LP; returns status infeasible when no x fits.
 
-    With n = 0 the only x is empty: it is optimal, with objective 0.0, when
-    every group's constant forms fit its budget within FEAS_TOL, and
-    infeasible otherwise.
-
-    Otherwise the box minimizer x_box is tried first (see the module
-    docstring). Every x in the box has <c, x> >= -sum_i |c_i| = <c, x_box>
-    and every feasible x lies in the box, so an x_box that fits every budget
-    is optimal.
+    The box minimizer x_box is tried first (see the module docstring).
+    Every x in the box has <c, x> >= -sum_i |c_i| = <c, x_box> and every
+    feasible x lies in the box, so an x_box that fits every budget is
+    optimal. With n = 0 the only x is the empty x_box: it is returned, with
+    objective 0.0, when every group's constant forms fit its budget
+    exactly, and otherwise HiGHS decides within its feasibility tolerance.
     """
     n = lp.n
-    if n == 0:
-        x = np.zeros(0)
-        if check_feasibility(lp, x) > FEAS_TOL:
-            return LpSolution(x=x, objective_value=np.nan, status=INFEASIBLE)
-        return LpSolution(x=x, objective_value=0.0, status=OPTIMAL,
-                          budget_slack=_budget_slack(lp, x))
     c = lp.objective
     x_box = np.zeros(n)
     x_box[c > 0] = -1.0

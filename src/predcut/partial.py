@@ -37,7 +37,7 @@ class TauGrid:
         W = g.total_weight
         ks = int(np.floor(1.0 / step + 1e-12))
         vals = np.array([k * step * W for k in range(ks + 1)])
-        if len(vals) == 0 or vals[-1] < W - 1e-12 * max(W, 1.0):
+        if vals[-1] < W - 1e-12 * max(W, 1.0):
             vals = np.append(vals, W)
         vals = np.minimum(vals, W)
         return cls(step=float(step), values=vals)

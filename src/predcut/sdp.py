@@ -21,7 +21,7 @@ Three optional constraint families:
     that meets tau. The ladder does not depend on tau until a rung meets
     it, so SubsetLadder solves each rung once and serves every tau of a
     sweep from the same rungs, with the output of a solve per tau; the
-    colour-class row blocks are built once per ladder and each rung only
+    class-ordered rows are built once per ladder and each rung only
     rewrites their data,
   * the odd-cycle triangle inequalities
         s (<v_j, v_k> + <v_i, v_k>) <= 1 + <v_i, v_j>,  s in {-1, +1},
@@ -171,18 +171,19 @@ def _subset_weights(g: Graph, subset):
 
 
 class _ClassRows:
-    """The colour-class row blocks M[c] of the ascent's weights M = A + l * A_sub; no full M.
+    """The colour-class rows of the ascent's weights M = A + l * A_sub as one CSR triple; no full M.
 
     A sweep works on V in the run's layout, perm: the free rows class by
-    class, then the pinned rows. The blocks keep A's sparsity pattern and
-    stored order with their column indices remapped to that layout, so a
-    block's product with V[perm] is M[c] @ V bit for bit, and a class's rows
-    are one slice. They are built once, and their data are views of one
-    array laid out class by class. set_multiplier(l) rewrites it in place
-    with a + l * s, s being A_sub's weight on A's entries (_subset_weights):
-    entry by entry the value scipy's A + l * A_sub holds. That sum drops
-    stored zeros and these keep them, but a stored zero adds a +-0 product
-    to a sum that starts at +0, leaving the sum's bits as they are.
+    class, then the pinned rows. indptr, indices and data hold the free
+    rows of M in that order, taken with one row slice of A, so they keep
+    A's sparsity pattern and stored order, with their column indices
+    remapped to the layout. Class c is rows cuts[c] to cuts[c + 1]: its
+    product with V[perm] is M[c] @ V bit for bit, and its rows are one
+    slice. set_multiplier(l) rewrites data in place with a + l * s, s being
+    A_sub's weight on A's entries (_subset_weights): entry by entry the
+    value scipy's A + l * A_sub holds. That sum drops stored zeros and
+    these keep them, but a stored zero adds a +-0 product to a sum that
+    starts at +0, leaving the sum's bits as they are.
     """
 
     def __init__(self, A, classes, s=None):
@@ -191,27 +192,15 @@ class _ClassRows:
         order = np.concatenate(classes) if classes else np.empty(0, dtype=np.intp)
         self.free = len(order)
         self.perm = np.concatenate([order, np.setdiff1d(np.arange(n), order)])
-        layout = np.empty(n, dtype=A.indices.dtype)
+        self.cuts = np.cumsum([0] + [len(c) for c in classes]).tolist()
+        # positions in A.data of the free rows' entries, class by class
+        P = sp.csr_matrix((np.arange(A.nnz), A.indices, A.indptr), shape=A.shape)[order]
+        layout = np.empty(n, dtype=P.indices.dtype)
         layout[self.perm] = np.arange(n)
-        counts = np.diff(A.indptr)[order]
-        bounds = np.concatenate([[0], np.cumsum(counts)])
-        # positions in A.data of the rows' entries, class by class
-        gather = np.repeat(A.indptr[order] - bounds[:-1], counts) + np.arange(bounds[-1])
-        self.a = A.data[gather]
-        self.s = None if s is None else s[gather]
+        self.indptr, self.indices = P.indptr, layout[P.indices]
+        self.a = A.data[P.data]
+        self.s = None if s is None else s[P.data]
         self.data = self.a.copy()
-        indices = layout[A.indices[gather]]
-        self.spans, self.blocks = [], []
-        r0 = 0
-        for c in classes:
-            r1 = r0 + len(c)
-            d0, d1 = bounds[r0], bounds[r1]
-            blk = sp.csr_matrix((self.data[d0:d1], indices[d0:d1], bounds[r0:r1 + 1] - d0),
-                                shape=(len(c), n))
-            blk.data = self.data[d0:d1]      # the constructor copied it
-            self.spans.append(slice(r0, r1))
-            self.blocks.append(blk)
-            r0 = r1
 
     def set_multiplier(self, l):
         np.add(self.a, l * self.s, out=self.data)
@@ -228,8 +217,10 @@ class _ClassRows:
         free = slice(0, self.free)
         old = V[free].copy()
         norms = np.empty(self.free)
-        for rows, B in zip(self.spans, self.blocks):
-            U = _csr_product(B.indptr, B.indices, B.data, V)
+        indptr, indices, data = self.indptr, self.indices, self.data
+        for r0, r1 in zip(self.cuts[:-1], self.cuts[1:]):
+            U = _csr_product(indptr[r0:r1 + 1], indices, data, V)
+            rows = slice(r0, r1)
             norms[rows] = nrm = _row_norms(U)
             if nrm[nrm.argmin()] > 1e-300:     # argmin finds a NaN as well
                 U /= nrm[:, None]
@@ -255,9 +246,11 @@ def _csr_product(indptr, indices, data, V):
     csr_matvecs is the kernel B @ V calls for a dense V of two or more
     columns: it adds each row's stored products, in stored order, into a
     zeroed output. Calling it directly skips scipy's operator dispatch,
-    which costs more than the product on the ascent's small blocks. indptr
-    and indices share one integer type, as in a scipy CSR matrix, and V is
-    a float64 array with as many rows as the matrix has columns.
+    which costs more than the product on the ascent's small classes. indptr
+    may be a slice of a larger matrix's, its offsets reading that matrix's
+    whole indices and data. indptr and indices share one integer type, as
+    in a scipy CSR matrix, and V is a float64 array with as many rows as
+    the matrix has columns.
     """
     m, k = len(indptr) - 1, V.shape[1]
     out = np.zeros((m, k))

@@ -5,7 +5,9 @@ import pytest
 from predcut.cli import PARAMS, _experiment_params, build_parser, main, run_experiment
 from predcut.csp import maxcut_as_csp, save_csp
 from predcut.exact import exact_maxcut
-from predcut.graph import load_edge_list
+from predcut.graph import gen_erdos_renyi, load_edge_list
+from predcut.sdp import SdpConfig, solve_sdp
+from predcut.seeds import derive
 
 
 @pytest.fixture
@@ -204,6 +206,48 @@ path = {}
     assert lines[1].endswith(",planted")
 
 
+SDP_REFERENCE_CONFIG = """
+[experiment]
+master_seed = 3
+trials = 2
+
+[graph]
+n = 30
+p = 0.3
+
+[algorithms]
+list = gw
+
+[params]
+roundings = 2
+
+[output]
+path = {out}
+"""
+
+
+def test_experiment_without_truth_uses_the_plain_sdp_as_reference(tmp_path, capsys):
+    # n > 24 with no planted cut: no oracle, so the plain SDP objective is
+    # the reference, and predictions, which need a truth, are refused
+    cfg = tmp_path / "exp.ini"
+    out = tmp_path / "r.csv"
+    cfg.write_text(SDP_REFERENCE_CONFIG.format(out=out))
+    _, text = run_experiment(cfg)
+    header, *rows = text.splitlines()
+    assert header.endswith(",reference_kind") and len(rows) == 2
+    for trial, row in enumerate(rows):
+        g = gen_erdos_renyi(30, 0.3, "unit", seed=derive(3, trial, 0))
+        ref = solve_sdp(g, SdpConfig(seed=derive(3, trial, 1))).objective_value
+        cells = row.split(",")
+        assert cells[4] == "gw" and cells[6] == f"{ref:.10g}" and cells[10] == "sdp"
+    for model in ("noisy", "partial"):
+        cfg.write_text(SDP_REFERENCE_CONFIG.format(out=out)
+                       + f"\n[prediction]\nmodel = {model}\neps = 0.2\n")
+        rc, err = _error(capsys, "experiment", "--config", cfg)
+        assert rc == 1
+        assert err == f"error: {model} predictions need an oracle or planted ground truth\n"
+
+
 def test_run_experiment_python_api(tmp_path):
     cfg = tmp_path / "exp.ini"
     out = tmp_path / "r.csv"
@@ -237,6 +281,7 @@ def test_bad_truth_file_is_an_error_on_its_line(tmp_path, capsys):
     ("roundings = 4", "rounding = round",
      "error: config [params] rounding: expected repeat|pipage, got 'round'"),
     ("restarts = 3", "restart = 3", "error: config [params] has unknown key 'restart'"),
+    ("model = noisy", "model = bogus", "error: unknown prediction model 'bogus'"),
 ])
 def test_bad_config_values_are_named_errors(tmp_path, capsys, old, new, message):
     cfg = tmp_path / "exp.ini"

@@ -184,6 +184,26 @@ def test_solve_csp_wide_constant_zero_predicate():
     assert exact_csp(inst)[0] == pytest.approx(0.0)
 
 
+def test_solve_csp_wide_returns_the_prediction_when_its_lp_is_infeasible():
+    # every literal is narrow, so each head form is the constant weight of
+    # its literal's always-satisfied constraints: their sum W = 8 overruns
+    # the budget C (eps' + 2 eta) W = 1.2
+    inst = CspInstance(4, fourier_expand([1, 1, 1, 1]),
+                       [(1.0, (1, 1), (0, 1)), (2.0, (1, -1), (2, 3)), (1.0, (1, 1), (1, 2))])
+    y = NoisyPrediction(y=np.array([1.0, -1.0, -1.0, 1.0]), epsilon=0.3)
+    lp = build_csp_lp(inst, scaled_prediction(y), 2, 0.05, 0.05, C=1.0)
+    assert not solve_lp(lp).optimal
+    out = solve_csp_wide(inst, y, 2, 0.05, 0.05, C=1.0, seed=1)
+    assert np.array_equal(out.values, y.y)
+
+
+def test_zero_weight_instance_has_value_zero():
+    inst = CspInstance(3, CUT_PREDICATE, [(0.0, (1, 1), (0, 1)), (0.0, (1, -1), (1, 2))])
+    for x in (np.ones(3), np.array([1.0, -1.0, 1.0])):
+        assert csp_value(inst, x) == 0.0
+        assert csp_value_table(inst, x) == 0.0
+
+
 def test_solve_csp_wide_near_perfect_predictions():
     rng = np.random.default_rng(126)
     for t in range(5):

@@ -4,7 +4,8 @@ import time
 import numpy as np
 import pytest
 
-from predcut.csp import csp_value, fourier_expand, maxcut_as_csp, CspInstance
+import predcut.exact
+from predcut.csp import csp_value, fourier_expand, maxcut_as_csp, predicate_from_bits, CspInstance
 from predcut.errors import ParameterError
 from predcut.exact import exact_csp, exact_maxcut
 from predcut.graph import Graph, cut_value, gen_erdos_renyi
@@ -109,3 +110,31 @@ def test_exact_csp_brute_force_cross_check():
     )
     opt, _ = exact_csp(inst)
     assert opt == pytest.approx(brute, abs=1e-9)
+
+
+def test_small_blocks_keep_the_default_value_and_maximizer(monkeypatch):
+    # blocks of two head rows split the head half many times over, and unit
+    # weights make many ties: each must still keep the first maximizer in
+    # enumeration order. A one-row block would go through BLAS's
+    # matrix-vector kernel, whose sums may differ in the last bit; the
+    # library forms one only when the head half has a single row.
+    rng = np.random.default_rng(55)
+    graphs = [random_graph(rng, n=int(rng.integers(10, 19))) for _ in range(8)]
+    csps = []
+    for _ in range(6):
+        n = int(rng.integers(10, 19))
+        bits = "".join(str(int(rng.integers(2))) for _ in range(4))
+        cons = [(float(rng.choice([1.0, rng.uniform(0.1, 2)])),
+                 (int(rng.choice([-1, 1])), int(rng.choice([-1, 1]))),
+                 (int(rng.integers(n)), int(rng.integers(n)))) for _ in range(2 * n)]
+        csps.append(CspInstance(n, predicate_from_bits(bits), cons))
+
+    cases = [(exact_maxcut, g) for g in graphs] + [(exact_csp, inst) for inst in csps]
+    for solve, inst in cases:
+        v, x = solve(inst)
+        with monkeypatch.context() as m:
+            # two head rows per block, each scored against 2^t tail rows
+            m.setattr(predcut.exact, "BLOCK_SCORES", 2 * 2 ** (inst.n // 2))
+            v_small, x_small = solve(inst)
+        assert v_small == v
+        assert np.array_equal(x_small.values, x.values)

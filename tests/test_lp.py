@@ -149,6 +149,21 @@ def test_empty_variable_vector_with_an_overrun_budget_is_infeasible():
     assert sol.status == INFEASIBLE and sol.budget_slack == ()
 
 
+@pytest.mark.parametrize("overrun, status", [(0.0, OPTIMAL), (5e-8, OPTIMAL), (1e-7, OPTIMAL),
+                                             (2e-7, INFEASIBLE), (1e-6, INFEASIBLE)])
+def test_empty_variable_vector_overruns_its_budget_within_the_feasibility_tolerance(overrun,
+                                                                                   status):
+    # n = 0 takes the general path: the empty x_box fits only at overrun 0,
+    # and HiGHS allows an overrun up to FEAS_TOL
+    lp = AbsSumLp(objective=np.zeros(0), groups=[LpGroup(np.zeros((1, 0)), [overrun], 0.0)])
+    sol = solve(lp)
+    assert sol.status == status and sol.x.shape == (0,)
+    if status == OPTIMAL:
+        assert sol.objective_value == 0.0 and sol.budget_slack == (-overrun,)
+    else:
+        assert sol.budget_slack == ()
+
+
 def test_zero_budget_forces_equalities():
     # |x1 + x2 - 1| <= 0 and |x1 - x2| <= 0  ->  x = (0.5, 0.5)
     lp = AbsSumLp(objective=np.array([1.0, 0.0]),

@@ -39,6 +39,14 @@ def test_tau_grid_values():
         TauGrid.for_graph(g, 0.0)
 
 
+def test_tau_grid_appends_the_total_weight_when_the_step_misses_it():
+    # 1 / 0.3 is not a whole number: the steps stop at 0.9 W and W is added
+    g = gen_erdos_renyi(10, 0.5, "uniform", seed=101)
+    W = g.total_weight
+    grid = TauGrid.for_graph(g, 0.3)
+    assert grid.values.tolist() == [0.0, 0.3 * W, 2 * 0.3 * W, 3 * 0.3 * W, W]
+
+
 def test_gw_fully_labeled_recovers_optimum():
     rng = np.random.default_rng(102)
     for _ in range(5):

@@ -358,6 +358,18 @@ def test_rounded_floor_and_pinned_triangle_solves_still_run_the_plain_ascent():
         assert report["sweeps"] >= 1 and report["converged"]
 
 
+def test_fully_pinned_triangle_solve_runs_no_penalty_round():
+    # no row is free, so no round runs and every row stays at its pin
+    g = gen_erdos_renyi(9, 0.6, "uniform", seed=4)
+    pins = {v: (1 if v % 3 else -1) for v in range(g.n)}
+    sol = solve_sdp(g, SdpConfig(triangle=True, fixed_labels=pins))
+    report = sol.feasibility_report
+    assert report["penalty_rounds"] == 0 and report["fallback"] is False
+    for v, s in pins.items():
+        assert np.array_equal(sol.vertex_vectors[v], s * sol.v0)
+    assert report["triangle"] == max_triangle_violation(sol) == 0.0
+
+
 def test_sdp_module_does_not_reference_the_exact_oracle():
     # the triangle floor comes from roundings of the plain solve, never from
     # the exhaustive oracle that the tests check the solver against
@@ -635,12 +647,16 @@ def test_class_rows_equal_scipy_sums_bit_for_bit(n, data):
     sub = np.flatnonzero(rng.random(g.num_edges) < 0.4)
     classes = _colour_classes(g.csr, np.flatnonzero(rng.random(n) < 0.8))
     rows = _ClassRows(g.csr, classes, _subset_weights(g, sub))
+    assert not any(sp.issparse(v) for v in vars(rows).values())
+    cuts = list(zip(rows.cuts[:-1], rows.cuts[1:]))
     V = random_unit_rows(rng, n, 4)
+    W = V[rows.perm]
+    assert [W[r0:r1].tobytes() for r0, r1 in cuts] == [V[c].tobytes() for c in classes]
     for l in (0.0, 1.0, 3.0, 0.5 * (2.0 + 4.0), float(rng.uniform(0, 2 ** 20)), 2.0 ** 20):
         rows.set_multiplier(l)
+        M = sp.csr_matrix((rows.data, rows.indices, rows.indptr), shape=(rows.free, n))
         blocks = class_rows_reference(g.csr, subset_matrix(g, sub), l, classes, V)
-        assert [(B @ V[rows.perm]).tobytes() for B in rows.blocks] == blocks
-        assert [V[rows.perm][s].tobytes() for s in rows.spans] == [V[c].tobytes() for c in classes]
+        assert [(M[r0:r1] @ W).tobytes() for r0, r1 in cuts] == blocks
 
 
 @settings(max_examples=60)
@@ -659,8 +675,11 @@ def test_direct_class_products_equal_scipy_bit_for_bit(n, k, data):
     V = rng.standard_normal((n, k)) * float(rng.choice([1e-200, 1.0, 1e200]))
     for l in (0.0, 1.0, 0.5 * (2.0 + 4.0), float(rng.uniform(0, 2 ** 20))):
         rows.set_multiplier(l)
-        for B in rows.blocks:
-            assert _csr_product(B.indptr, B.indices, B.data, V).tobytes() == (B @ V).tobytes()
+        M = sp.csr_matrix((rows.data, rows.indices, rows.indptr), shape=(rows.free, n))
+        for r0, r1 in zip(rows.cuts[:-1], rows.cuts[1:]):
+            # a class's indptr slice reads the whole indices and data
+            U = _csr_product(rows.indptr[r0:r1 + 1], rows.indices, rows.data, V)
+            assert U.tobytes() == (M[r0:r1] @ V).tobytes()
 
 
 @settings(max_examples=60)
