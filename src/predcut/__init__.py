@@ -10,7 +10,8 @@ from .predictions import (NoisyPrediction, PartialPrediction, bias_grid,
                           save_prediction, scaled_prediction)
 from .lp import AbsSumLp, LpGroup, LpSolution, solve as solve_lp
 from .sdp import (SdpConfig, SdpSolution, SubsetLadder, hyperplane_round, load_solution,
-                  rt_round, save_solution, sdp_objective, solve_gw, solve_sdp)
+                  rt_round, save_solution, sdp_objective, sdp_upper_bound, solve_gw,
+                  solve_sdp)
 from .exact import exact_csp, exact_maxcut
 from .wide import (ImbalanceEstimate, build_wide_lp, estimate_imbalance,
                    pipage_round, randomized_round_best, solve_wide)

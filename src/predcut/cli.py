@@ -26,7 +26,7 @@ from .partial import TauGrid, solve_partial_gw, solve_partial_rt
 from .pipeline import choose_delta, solve_noisy
 from .predictions import (NoisyPrediction, PartialPrediction, _labels, load_prediction,
                           sample_noisy, sample_partial, save_prediction)
-from .sdp import SdpConfig, solve_gw, solve_sdp
+from .sdp import SdpConfig, sdp_upper_bound, solve_gw, solve_sdp
 from .seeds import derive, seed_to_int
 from .wide import solve_wide
 
@@ -108,14 +108,12 @@ def cmd_oracle(args):
 
 def _run_algo(algo, g, pred, args, seed):
     """Dispatch one solver; returns (cut assignment, optional branch tag)."""
-    delta = args.delta
-    if delta is None and pred is not None and isinstance(pred, NoisyPrediction):
-        delta = choose_delta(pred.epsilon, args.eps_prime, args.c_delta)
     if algo == "wide":
         _need(pred, NoisyPrediction, algo)
-        return solve_wide(g, pred, delta, args.eta, args.eps_prime,
+        return solve_wide(g, pred, _delta(args, pred), args.eta, args.eps_prime,
                           rounding=args.rounding, seed=seed), None
     if algo == "narrow":
+        delta = _delta(args, pred)
         if delta is None:
             raise ParameterError("narrow needs --delta (or a noisy prediction to derive it)")
         return solve_narrow(g, delta, args.eta, seed=seed, restarts=args.restarts), None
@@ -140,6 +138,13 @@ def _run_algo(algo, g, pred, args, seed):
             raise ParameterError("algo prediction needs --pred")
         return _prediction_as_cut(pred), None
     raise ParameterError(f"unknown algorithm {algo!r}")
+
+
+def _delta(args, pred):
+    """--delta, else choose_delta from a noisy prediction's bias; None without either."""
+    if args.delta is None and isinstance(pred, NoisyPrediction):
+        return choose_delta(pred.epsilon, args.eps_prime, args.c_delta)
+    return args.delta
 
 
 def _need(pred, kind, algo):
@@ -179,10 +184,7 @@ def cmd_csp_solve(args):
     pred = load_prediction(_read(args.pred))
     if not isinstance(pred, NoisyPrediction):
         raise ParameterError("csp-solve needs a noisy prediction file")
-    delta = args.delta
-    if delta is None:
-        delta = choose_delta(pred.epsilon, args.eps_prime, args.c_delta)
-    x = solve_csp_wide(inst, pred, delta, args.eta, args.eps_prime,
+    x = solve_csp_wide(inst, pred, _delta(args, pred), args.eta, args.eps_prime,
                        C=args.constraint_scale, seed=derive(args.seed, 7))
     val = csp_value(inst, x)
     print(f"val {_fmt(val)}")
@@ -278,8 +280,9 @@ def run_experiment(config_path, master_seed=None, timing=False):
             ref_kind = "planted"
         else:
             truth = None
-            reference = solve_sdp(g, SdpConfig(seed=derive(master_seed, trial, 1))).objective_value
-            ref_kind = "sdp"
+            sol = solve_sdp(g, SdpConfig(seed=derive(master_seed, trial, 1)))
+            reference = sdp_upper_bound(g, sol)
+            ref_kind = "bound"
         reference_kinds.add(ref_kind)
 
         pred = None

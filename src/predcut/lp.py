@@ -29,10 +29,11 @@ x_box uses 6-22% of each budget.
 A group's forms may be a dense array or a scipy.sparse matrix (held as
 CSR); either way the constraint matrix is assembled sparse, with the zero
 coefficients dropped, so HiGHS receives the same matrix for the same
-coefficients. The contract is the tolerance pair (1e-7 feasibility, 1e-6
-relative optimality), not the method. The objective is normalized by its
-largest magnitude before solving, so rescaling c by a positive constant
-cannot change the argmin.
+coefficients. The contract is the tolerance pair (1e-7 feasibility on
+HiGHS's own rows, 1e-6 relative optimality), not the method; the numpy
+budget_slack of a HiGHS solution adds those rows' residuals and its own
+rounding. The objective is normalized by its largest magnitude before
+solving, so rescaling c by a positive constant cannot change the argmin.
 """
 
 from __future__ import annotations

@@ -1,17 +1,27 @@
 """Low-rank MaxCut semidefinite solver and rounding schemes.
 
 The relaxation max sum_{i<j} w_ij (1 - <v_i, v_j>)/2 over unit vectors is
-optimized on a rank-k factorization with k = ceil(sqrt(2n)) + 1, which is
-past the Burer-Monteiro rank threshold, by block-coordinate ascent (the
-Mixing method): with all other rows fixed the optimal v_i is -u/||u|| for
-u = sum_j w_ij v_j. The weights are the graph's cached symmetric CSR
-matrix (Graph.csr), and the free vertices are coloured greedily in index
-order; each colour class is an independent set, so its rows are updated
+optimized on a rank-k factorization with k = min(ceil(sqrt(2n)) + 1,
+MAX_RANK), by block-coordinate ascent (the Mixing method): with all other
+rows fixed the optimal v_i is -u/||u|| for u = sum_j w_ij v_j. The
+weights are the graph's cached symmetric CSR matrix (Graph.csr), and the
+free vertices are coloured greedily in index order; each colour class is an independent set, so its rows are updated
 together from one sparse product and the update stays exact. A sweep
 costs O(nnz * k) and reads its objective gain from its own updates, with
 no full product. The products call scipy's csr_matvecs kernel directly,
 the kernel B @ V runs, since on small graphs the sparse operator's
 dispatch costs more than the product.
+
+Up to n = 200, k is ceil(sqrt(2n)) + 1, past the Burer-Monteiro rank
+threshold k(k + 1)/2 > n, from which the factorized problem has benign
+landscapes for generic costs (Boumal, Voroninski and Bandeira, 2016).
+Above n = 200 the rank stays at MAX_RANK = 21, which is below that
+threshold from n = 231 on. There a local maximum is only known to reach a
+(1 - 1/(k - 1)) share of the optimum (Mei, Misiakiewicz, Montanari and
+Oliveira, 2017), so the gap is measured instead: sdp_upper_bound certifies
+an upper bound on the relaxation, and on MaxCut itself, from any
+solution's vectors. Above n = 200 the cap shortens every sweep, at about
+the same sweep count.
 
 Three optional constraint families:
   * fixed labels pin v_i = +-v_0 structurally (v_0 = e_1, never updated),
@@ -51,6 +61,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import minimize
 from scipy.sparse._sparsetools import csr_matvecs
+from scipy.sparse.linalg import eigsh
 from scipy.special import ndtri
 
 from .errors import DimensionError, ParameterError, ParseError
@@ -62,6 +73,8 @@ TRIANGLE_TOL = 1e-3
 SUBSET_TOL_FRAC = 1e-4
 TRIANGLE_CHUNK = 1 << 18     # hinge elements per pass of _triangle_terms
 ZERO_PERP_TOL = 1e-9
+MAX_RANK = 21                # the factorization's rank cap, ceil(sqrt(2n)) + 1 at n = 200
+DENSE_EIG_LIMIT = 2000       # sdp_upper_bound's largest n for a dense eigvalsh
 SWEEP_TOL = 1e-8             # an ascent stops on sweep gains below this times max(W, 1)
 MAX_SWEEPS = 1500            # sweep cap of one coordinate-ascent run
 # L-BFGS-B stopping rules of one triangle penalty round, on the objective divided by max(W, 1)
@@ -500,7 +513,7 @@ class SubsetLadder:
         self.subset = None if subset is None else np.asarray(subset, dtype=np.intp)
         self.scale = max(g.total_weight, 1.0)
 
-        self.k = k = math.ceil(math.sqrt(2 * n)) + 1
+        self.k = k = min(math.ceil(math.sqrt(2 * n)) + 1, MAX_RANK)
         rng = np.random.default_rng(cfg.seed)
         V = rng.standard_normal((n, k))
         V /= np.linalg.norm(V, axis=1, keepdims=True)
@@ -653,6 +666,46 @@ def sdp_objective(g: Graph, sol: SdpSolution) -> float:
     if sol.vectors.shape[0] != g.n + 1:
         raise DimensionError("solution size does not match the graph")
     return _edge_contribution(g, sol.vertex_vectors)
+
+
+def sdp_upper_bound(g: Graph, sol: SdpSolution) -> float:
+    """A certified upper bound on the plain relaxation of g, and so on its maximum cut.
+
+    The relaxation is W/4 + max <C, X> over PSD X with unit diagonal, for
+    C = -A/4 and W = g.total_weight, the degree sum. For any vector u,
+    <C, X> = sum(u) + <C - Diag(u), X> <= sum(u) + n * lambda_max(C - Diag(u)),
+    since X is PSD with trace n (Poljak and Rendl, 1995). The bound takes
+    u_i = (C V V^T)_ii from the solution's vertex rows V, the dual
+    certificate of the Mixing method; it holds for any u, so pinned, subset
+    and triangle solutions give valid, only looser, bounds on the
+    unconstrained relaxation. The bound is computed on each call; no solver
+    calls it.
+
+    lambda_max of M = C - Diag(u) comes from a dense eigvalsh up to n =
+    DENSE_EIG_LIMIT, raised by 8 n eps ||M||_F to cover LAPACK's backward
+    error. Above that n it is the Ritz value theta of a Lanczos run (scipy's
+    eigsh, seeded start) plus the residual norm ||M x - theta x|| of its
+    unit Ritz vector x: some eigenvalue lies within that distance of theta,
+    so the sum bounds lambda_max when Lanczos has found the top of the
+    spectrum.
+    """
+    if sol.vectors.shape[0] != g.n + 1:
+        raise DimensionError("solution size does not match the graph")
+    n, V = g.n, sol.vertex_vectors
+    u = -0.25 * np.einsum("ik,ik->i", g.csr @ V, V)
+    M = sp.diags(-u) - 0.25 * g.csr
+    if n <= DENSE_EIG_LIMIT:
+        D = M.toarray()
+        lam = float(np.linalg.eigvalsh(D)[-1])
+        lam += 8.0 * n * np.finfo(float).eps * float(np.linalg.norm(D))
+    else:
+        x0 = np.random.default_rng(0).standard_normal(n)
+        _, X = eigsh(M, k=1, which="LA", tol=1e-10, v0=x0)
+        x = X[:, 0] / np.linalg.norm(X[:, 0])
+        Mx = M @ x
+        theta = float(x @ Mx)
+        lam = theta + float(np.linalg.norm(Mx - theta * x))
+    return 0.25 * g.total_weight + float(u.sum()) + n * lam
 
 
 def save_solution(sol: SdpSolution) -> str:

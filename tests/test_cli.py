@@ -6,7 +6,7 @@ from predcut.cli import PARAMS, _experiment_params, build_parser, main, run_expe
 from predcut.csp import maxcut_as_csp, save_csp
 from predcut.exact import exact_maxcut
 from predcut.graph import gen_erdos_renyi, load_edge_list
-from predcut.sdp import SdpConfig, solve_sdp
+from predcut.sdp import SdpConfig, sdp_upper_bound, solve_sdp
 from predcut.seeds import derive
 
 
@@ -226,9 +226,10 @@ path = {out}
 """
 
 
-def test_experiment_without_truth_uses_the_plain_sdp_as_reference(tmp_path, capsys):
-    # n > 24 with no planted cut: no oracle, so the plain SDP objective is
-    # the reference, and predictions, which need a truth, are refused
+def test_experiment_without_truth_uses_the_sdp_bound_as_reference(tmp_path, capsys):
+    # n > 24 with no planted cut: no oracle, so the certified upper bound of
+    # the plain SDP is the reference, every ratio is at most 1, and
+    # predictions, which need a truth, are refused
     cfg = tmp_path / "exp.ini"
     out = tmp_path / "r.csv"
     cfg.write_text(SDP_REFERENCE_CONFIG.format(out=out))
@@ -237,9 +238,10 @@ def test_experiment_without_truth_uses_the_plain_sdp_as_reference(tmp_path, caps
     assert header.endswith(",reference_kind") and len(rows) == 2
     for trial, row in enumerate(rows):
         g = gen_erdos_renyi(30, 0.3, "unit", seed=derive(3, trial, 0))
-        ref = solve_sdp(g, SdpConfig(seed=derive(3, trial, 1))).objective_value
+        ref = sdp_upper_bound(g, solve_sdp(g, SdpConfig(seed=derive(3, trial, 1))))
         cells = row.split(",")
-        assert cells[4] == "gw" and cells[6] == f"{ref:.10g}" and cells[10] == "sdp"
+        assert cells[4] == "gw" and cells[6] == f"{ref:.10g}" and cells[10] == "bound"
+        assert float(cells[7]) <= 1.0
     for model in ("noisy", "partial"):
         cfg.write_text(SDP_REFERENCE_CONFIG.format(out=out)
                        + f"\n[prediction]\nmodel = {model}\neps = 0.2\n")

@@ -164,6 +164,18 @@ def test_empty_variable_vector_overruns_its_budget_within_the_feasibility_tolera
         assert sol.budget_slack == ()
 
 
+def test_highs_tolerance_applies_to_its_own_rows_not_to_the_numpy_slack():
+    # x_box overruns the budget, so HiGHS runs; its 1e-7 tolerance admits the
+    # equality row 1 + 1e-7 = p - q at p = 1, and the numpy slack then reads
+    # the float 1 + 1e-7, which lies a few ulps above it
+    lp = AbsSumLp(objective=np.array([1.0]),
+                  groups=[LpGroup(np.zeros((1, 1)), [1.0 + 1e-7], 1.0)])
+    sol = solve(lp)
+    assert sol.status == OPTIMAL and sol.x.tolist() == [-1.0] and sol.objective_value == -1.0
+    assert sol.budget_slack == (1.0 - (1.0 + 1e-7),) == (-1.0000000005838672e-07,)
+    assert sol.budget_slack[0] < -FEAS_TOL
+
+
 def test_zero_budget_forces_equalities():
     # |x1 + x2 - 1| <= 0 and |x1 - x2| <= 0  ->  x = (0.5, 0.5)
     lp = AbsSumLp(objective=np.array([1.0, 0.0]),

@@ -18,7 +18,8 @@ from predcut.sdp import (SUBSET_TOL_FRAC, TRIANGLE_TOL, SdpConfig, SdpSolution, 
                          _ClassRows, _colour_classes, _coordinate_ascent, _csr_product,
                          _penalty_continuation, _row_norms, _rt_thresholds, _subset_weights,
                          _triangle_terms, hyperplane_round, load_solution,
-                         round_by_direction, rt_round, save_solution, sdp_objective, solve_sdp)
+                         round_by_direction, rt_round, save_solution, sdp_objective,
+                         sdp_upper_bound, solve_sdp)
 
 from conftest import random_graph, three_sigma
 
@@ -628,6 +629,75 @@ def test_relaxation_dominates_exact_with_unit_vectors(n, p, law, seed):
     sol = solve_sdp(g, SdpConfig(seed=seed))
     assert sol.objective_value >= opt - 1e-6 * max(g.total_weight, 1.0)
     assert np.max(np.abs(np.linalg.norm(sol.vectors, axis=1) - 1.0)) <= 1e-6
+
+
+@settings(max_examples=80)
+@given(n=st.integers(1, 12), p=st.sampled_from([0.0, 0.4, 0.9]),
+       kind=st.sampled_from(["plain", "pinned", "subset", "triangle", "pinned triangle"]),
+       data=st.data())
+def test_upper_bound_dominates_the_exact_cut_and_the_objective(n, p, kind, data):
+    # no edges, zero-weight edges and isolated vertices; the bound holds for
+    # any u, so pinned, subset and triangle solutions bound the plain MaxCut
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31 - 1)))
+    weights = [0.0, 1.0, float(rng.uniform(0, 3))]
+    isolated = rng.random(n) < 0.2
+    edges = [(i, j, weights[int(rng.integers(3))]) for i in range(n) for j in range(i + 1, n)
+             if not (isolated[i] or isolated[j]) and rng.random() < p]
+    g = Graph(n, edges)
+    pins = {}
+    if "pinned" in kind:
+        pins = {int(v): float(rng.choice([-1.0, 1.0]))
+                for v in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)}
+    subset = None
+    if kind == "subset" and edges:
+        idx = np.flatnonzero(rng.random(len(edges)) < 0.5)
+        subset = (idx, float(rng.uniform(0, 1)) * float(g.edge_w[idx].sum()))
+    sol = solve_sdp(g, SdpConfig(fixed_labels=pins, subset_constraint=subset,
+                                 triangle="triangle" in kind, seed=int(rng.integers(1000))))
+    bound = sdp_upper_bound(g, sol)
+    opt, _ = exact_maxcut(g)
+    assert bound >= opt
+    assert bound >= sol.objective_value
+
+
+def test_upper_bound_refuses_a_mismatched_solution():
+    with pytest.raises(DimensionError):
+        sdp_upper_bound(k3(), solve_sdp(Graph(4, [(0, 1, 1.0)])))
+
+
+def test_upper_bound_of_a_single_edge_is_its_weight():
+    # antipodal rows: u = (w/4, w/4), C - Diag(u) has eigenvalues 0 and -w/2
+    g = Graph(2, [(0, 1, 3.0)])
+    bound = sdp_upper_bound(g, synthetic_solution([[1.0, 0.0], [-1.0, 0.0]]))
+    assert bound == pytest.approx(3.0, abs=1e-12) and bound >= 3.0
+
+
+def test_lanczos_bound_matches_the_dense_bound(monkeypatch):
+    # above DENSE_EIG_LIMIT the bound reads eigsh's Ritz value plus its residual
+    g = gen_erdos_renyi(120, 0.0, "planted", seed=61, q_cross=0.15, q_within=0.05)
+    sol = solve_sdp(g, SdpConfig(seed=2))
+    dense = sdp_upper_bound(g, sol)
+    monkeypatch.setattr(predcut.sdp, "DENSE_EIG_LIMIT", 100)
+    lanczos = sdp_upper_bound(g, sol)
+    assert lanczos == pytest.approx(dense, rel=1e-9)
+    assert lanczos >= sol.objective_value and lanczos >= cut_value(g, g.planted)
+
+
+@pytest.mark.parametrize("n, k", [(180, 20), (181, 21), (200, 21), (201, 21), (1000, 21)])
+def test_rank_is_capped_at_max_rank(n, k):
+    g = gen_erdos_renyi(n, 4.0 / n, "unit", seed=n)
+    assert solve_sdp(g, SdpConfig(seed=1)).dim == k
+
+
+@pytest.mark.parametrize("n", [700, 900, 1100])
+def test_capped_solves_have_a_small_certified_gap(n):
+    # the bench's gw_sparse graphs: planted, 9 expected neighbours across the
+    # cut and 3 within, solved at rank 21 < sqrt(2n)
+    g = gen_erdos_renyi(n, 0.0, "planted", seed=[62, n], q_cross=18.0 / n, q_within=6.0 / n)
+    sol = solve_sdp(g, SdpConfig(seed=3))
+    assert sol.dim == 21 and sol.feasibility_report["converged"]
+    bound = sdp_upper_bound(g, sol)
+    assert 0.0 <= (bound - sol.objective_value) / bound <= 1e-4
 
 
 def class_rows_reference(A, A_sub, l, classes, V):
