@@ -28,10 +28,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionError, DomainError, ParameterError, ParseError
-from .graph import (CutAssignment, Graph, PrefixOrder, WideNarrowReport, wide_narrow_report,
-                    _file_lines, _records, _typed, _values_of)
+from .graph import (CutAssignment, Graph, PrefixOrder, WideNarrowReport, check_delta,
+                    wide_narrow_report, _file_lines, _records, _typed, _values_of)
 from .lp import AbsSumLp, LpGroup, solve as lp_solve
-from .predictions import NoisyPrediction, scaled_prediction
+from .predictions import NoisyPrediction, _check_length, scaled_prediction
 from .wide import draw_roundings
 
 # evaluation order of the four truth-table entries in compact forms
@@ -189,8 +189,8 @@ def maxcut_as_csp(g: Graph) -> CspInstance:
 
     Satisfies csp_value(inst, x) * W_inst = 2 * cut_value(g, x).
     """
-    constraints = [(w, (1, 1), (i, j)) for (i, j, w) in g.edges]
-    return CspInstance(g.n, CUT_PREDICATE, constraints)
+    edges = zip(g.edge_i.tolist(), g.edge_j.tolist(), g.edge_w.tolist())
+    return CspInstance(g.n, CUT_PREDICATE, [(w, (1, 1), (i, j)) for i, j, w in edges])
 
 
 def classify_literals(inst: CspInstance, delta: int, eta: float) -> WideNarrowReport:
@@ -199,6 +199,7 @@ def classify_literals(inst: CspInstance, delta: int, eta: float) -> WideNarrowRe
     The kernel classify uses for graphs: a literal's prefix weight is added
     heaviest first and its total weight in storage order.
     """
+    check_delta(delta)
     totals = np.bincount(inst.anchor, inst.weights, inst.n)
     return wide_narrow_report(delta, eta, inst.prefix_order.prefix_weights(delta), totals,
                               inst.total_weight)
@@ -273,8 +274,7 @@ def solve_csp_wide(inst: CspInstance, y: NoisyPrediction, delta: int, eta: float
                    eps_prime: float, C: float = 4.0, seed=0) -> CutAssignment:
     """LP plus best-of randomized roundings; the prediction itself is the
     fallback assignment when the LP is infeasible."""
-    if len(y) != inst.n:
-        raise DimensionError("prediction length does not match the instance")
+    _check_length(y, inst.n)
     z = scaled_prediction(y)
     lp = build_csp_lp(inst, z, delta, eta, eps_prime, C)
     sol = lp_solve(lp)

@@ -68,7 +68,7 @@ def exact_maxcut(g: Graph):
     n = g.n
     if n > MAXCUT_LIMIT:
         raise ParameterError(f"exact_maxcut enumerates up to n={MAXCUT_LIMIT}, got {n}")
-    best, x = _max_quadratic(np.zeros(n), -g.adjacency, pin_first=True)
+    best, x = _max_quadratic(np.zeros(n), -g.csr.toarray(), pin_first=True)
     return 0.25 * (g.total_weight + best), CutAssignment(values=x)
 
 

@@ -1,11 +1,12 @@
 """Weighted graphs, cut objectives, and heavy-edge prefix machinery.
 
 A graph on n vertices is a symmetric nonnegative weighted adjacency matrix
-with zero diagonal. A Graph stores its edges as three sorted arrays and
-builds one symmetric CSR matrix from them on first use; every kernel here
-and on the wide path reads those. The dense n x n `adjacency` is built only
-when something asks for it: the exact oracle (n <= 24), the triangle SDP
-(n <= 200) and tests. W_i is the weighted degree of vertex i and
+with zero diagonal. A Graph stores its edges once, as three sorted arrays,
+and builds one symmetric CSR matrix from them on first use; every kernel
+reads those two forms. No dense n x n matrix is kept: the three callers
+that need one, the exact oracle (n <= 24), the triangle SDP (n <= 200) and
+sdp_upper_bound (n <= 2000), each build it from the CSR matrix inside their
+own size limit. W_i is the weighted degree of vertex i and
 W = sum_i W_i, so W counts each edge weight twice (once per endpoint).
 The cut value of x in {-1,+1}^n is (1/4) <x, Lx> = (1/4) (W - <x, Ax>)
 with L = D - A.
@@ -42,10 +43,10 @@ class Graph:
     """Immutable undirected weighted graph.
 
     Edges are (i, j, w) with i < j and finite w >= 0; no loops, no duplicates.
-    They are held as the arrays edge_i, edge_j, edge_w, sorted by (i, j).
-    The symmetric CSR matrix `csr`, the dense `adjacency` and the tuple list
-    `edges` are each built on first access and cached. `planted` optionally
-    stores the ground-truth assignment a generator built the graph around.
+    They are held as the arrays edge_i, edge_j, edge_w, sorted by (i, j), and
+    the symmetric CSR matrix `csr` is built from them on first access and
+    cached. `planted` optionally stores the ground-truth assignment a
+    generator built the graph around.
     """
 
     def __init__(self, n, edges, planted=None):
@@ -71,11 +72,6 @@ class Graph:
         return len(self.edge_w)
 
     @cached_property
-    def edges(self):
-        """The canonical (i, j, w) tuples, in (i, j) order."""
-        return list(zip(self.edge_i.tolist(), self.edge_j.tolist(), self.edge_w.tolist()))
-
-    @cached_property
     def csr(self):
         """Symmetric CSR weight matrix with sorted column indices.
 
@@ -85,15 +81,6 @@ class Graph:
                               (np.concatenate([self.edge_i, self.edge_j]),
                                np.concatenate([self.edge_j, self.edge_i]))),
                              shape=(self.n, self.n))
-
-    @cached_property
-    def adjacency(self):
-        """Dense read-only n x n weight matrix, for the exact oracle and the triangle SDP."""
-        A = np.zeros((self.n, self.n))
-        A[self.edge_i, self.edge_j] = self.edge_w
-        A[self.edge_j, self.edge_i] = self.edge_w
-        A.setflags(write=False)
-        return A
 
     @cached_property
     def prefix_order(self):
@@ -288,9 +275,16 @@ def delta_prefix_weight(g: Graph, i: int, delta: int) -> float:
     """
     if not (0 <= i < g.n):
         raise DomainError(f"invalid vertex id {i}")
-    if delta < 0:
-        raise ParameterError(f"delta must be >= 0, got {delta}")
+    check_delta(delta, 0)
     return float(g.prefix_order.prefix_weights(delta)[i])
+
+
+def check_delta(delta, low=1):
+    """ParameterError unless delta is an int or np.integer (2.0 is not) of at least low."""
+    if not isinstance(delta, (int, np.integer)):
+        raise ParameterError(f"delta must be an integer, got {delta!r}")
+    if delta < low:
+        raise ParameterError(f"delta must be >= {low}, got {delta}")
 
 
 def wide_mask(prefix, totals, eta) -> np.ndarray:
@@ -299,23 +293,16 @@ def wide_mask(prefix, totals, eta) -> np.ndarray:
 
 
 def wide_narrow_report(delta, eta, prefix, totals, total_weight) -> WideNarrowReport:
-    """Classify owners by wide_mask and the whole instance by the wide share."""
+    """Classify owners by wide_mask and the instance by the wide share; the caller checks delta."""
     if not (0.0 < eta < 0.5):
         raise ParameterError(f"eta must lie in (0, 1/2), got {eta}")
-    if delta < 1:
-        raise ParameterError(f"delta must be >= 1, got {delta}")
     wide = wide_mask(prefix, totals, eta)
     wide_weight = float(totals[wide].sum())
     narrow_weight = float(totals[~wide].sum())
     graph_class = WIDE if wide_weight >= (1.0 - eta) * total_weight - WEIGHT_TOL else NARROW
-    return WideNarrowReport(
-        delta=int(delta),
-        eta=float(eta),
-        wide_mask=wide,
-        wide_weight=wide_weight,
-        narrow_weight=narrow_weight,
-        graph_class=graph_class,
-    )
+    return WideNarrowReport(delta=int(delta), eta=float(eta), wide_mask=wide,
+                            wide_weight=wide_weight, narrow_weight=narrow_weight,
+                            graph_class=graph_class)
 
 
 def classify(g: Graph, delta: int, eta: float) -> WideNarrowReport:
@@ -325,6 +312,7 @@ def classify(g: Graph, delta: int, eta: float) -> WideNarrowReport:
     (zero-degree vertices are vacuously wide); the graph is wide iff wide
     vertices carry at least (1 - eta) of the total degree weight W.
     """
+    check_delta(delta)
     return wide_narrow_report(delta, eta, g.prefix_order.prefix_weights(delta),
                               g.weighted_degrees, g.total_weight)
 
@@ -336,8 +324,7 @@ def truncated_adjacency(g: Graph, delta: int) -> sp.csr_matrix:
     generally not symmetric; every surviving entry in row i is at most
     W_i / delta.
     """
-    if delta < 0:
-        raise ParameterError(f"delta must be >= 0, got {delta}")
+    check_delta(delta, 0)
     po = g.prefix_order
     tail = po.rank >= delta
     return sp.csr_matrix((po.weight[tail], (po.owners(delta), po.key[tail])), shape=(g.n, g.n))
@@ -408,7 +395,5 @@ def load_edge_list(text: str) -> Graph:
 
 def save_edge_list(g: Graph) -> str:
     """Serialize to the edge-list format; load(save(g)) reproduces g."""
-    lines = [f"{g.n} {g.num_edges}"]
-    for (i, j, w) in g.edges:
-        lines.append(f"{i} {j} {w!r}")
-    return "\n".join(lines) + "\n"
+    edges = zip(g.edge_i.tolist(), g.edge_j.tolist(), g.edge_w.tolist())
+    return "\n".join([f"{g.n} {g.num_edges}"] + [f"{i} {j} {w!r}" for i, j, w in edges]) + "\n"

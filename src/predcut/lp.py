@@ -26,10 +26,10 @@ with presolve, 0.8-1.0 s for the split form with presolve, and 0.4-0.5 s
 for the split form without it. Those nine LPs never reach HiGHS, since
 x_box uses 6-22% of each budget.
 
-A group's forms may be a dense array or a scipy.sparse matrix (held as
-CSR); either way the constraint matrix is assembled sparse, with the zero
-coefficients dropped, so HiGHS receives the same matrix for the same
-coefficients. The contract is the tolerance pair (1e-7 feasibility on
+A group stores its forms as one CSR matrix whether they come dense or as
+any scipy.sparse matrix; the budget slacks and the HiGHS matrix, which
+drops zero coefficients, read it, so the same coefficients give the same
+LP either way. The contract is the tolerance pair (1e-7 feasibility on
 HiGHS's own rows, 1e-6 relative optimality), not the method; the numpy
 budget_slack of a HiGHS solution adds those rows' residuals and its own
 rounding. The objective is normalized by its largest magnitude before
@@ -57,15 +57,13 @@ OPT_TOL = 1e-6
 class LpGroup:
     """Affine forms <g_k, x> + h_k sharing one absolute-value budget."""
 
-    coeffs: object       # (K, n) rows g_k: a dense array, or CSR if given sparse
-    offsets: np.ndarray  # (K,) entries h_k
+    coeffs: sp.csr_matrix  # (K, n) rows g_k, stored as CSR whether given dense or sparse
+    offsets: np.ndarray    # (K,) entries h_k
     budget: float
 
     def __post_init__(self):
-        if sp.issparse(self.coeffs):
-            coeffs = sp.csr_matrix(self.coeffs, dtype=np.float64)
-        else:
-            coeffs = np.atleast_2d(np.asarray(self.coeffs, dtype=np.float64))
+        given = self.coeffs if sp.issparse(self.coeffs) else np.atleast_2d(self.coeffs)
+        coeffs = sp.csr_matrix(given, dtype=np.float64)
         offsets = np.atleast_1d(np.asarray(self.offsets, dtype=np.float64))
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "offsets", offsets)
@@ -73,7 +71,7 @@ class LpGroup:
             raise DimensionError("one offset per affine form required")
         if coeffs.shape[0] == 0:
             raise ParameterError("groups must contain at least one form")
-        if not np.isfinite(coeffs.data if sp.issparse(coeffs) else coeffs).all():
+        if not np.isfinite(coeffs.data).all():
             raise DomainError("group coefficients must be finite")
         if not np.isfinite(offsets).all():
             raise DomainError("group offsets must be finite")
@@ -118,11 +116,7 @@ class LpSolution:
 
 
 def check_feasibility(lp: AbsSumLp, x) -> float:
-    """Worst constraint violation of x (box overrun or group budget excess).
-
-    Forms are evaluated through the CSR form of coeffs, so dense coeffs and
-    the same coefficients given sparse give the same value.
-    """
+    """Worst constraint violation of x (box overrun or group budget excess)."""
     x = np.asarray(x, dtype=np.float64)
     worst = float(np.max(np.abs(x)) - 1.0) if len(x) else 0.0
     return max([worst] + [-slack for slack in _budget_slack(lp, x)])
@@ -130,7 +124,7 @@ def check_feasibility(lp: AbsSumLp, x) -> float:
 
 def _budget_slack(lp: AbsSumLp, x) -> tuple:
     """B_t - sum_k |<g_k, x> + h_k| for each group t."""
-    return tuple(grp.budget - float(np.abs(sp.csr_matrix(grp.coeffs) @ x + grp.offsets).sum())
+    return tuple(grp.budget - float(np.abs(grp.coeffs @ x + grp.offsets).sum())
                  for grp in lp.groups)
 
 
@@ -166,7 +160,7 @@ def solve(lp: AbsSumLp) -> LpSolution:
     A_ub = b_ub = A_eq = b_eq = None
     if lp.groups:
         # g_k x + h_k = p_k - q_k   ->   g_k x - p_k + q_k = -h_k
-        G = sp.vstack([sp.csr_matrix(grp.coeffs) for grp in lp.groups])
+        G = sp.vstack([grp.coeffs for grp in lp.groups])
         eye = sp.eye(K, format="csr")
         A_eq = sp.hstack([G, -eye, eye], format="csr")
         A_eq.eliminate_zeros()

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .graph import CutAssignment, Graph, best_cut
-from .predictions import PartialPrediction
+from .predictions import PartialPrediction, _check_length
 from .sdp import SUBSET_TOL_FRAC, SdpConfig, SubsetLadder, rt_round, solve_gw
 from .seeds import derive
 
@@ -45,8 +45,7 @@ class TauGrid:
 
 def revealed_edge_set(g: Graph, y: PartialPrediction) -> np.ndarray:
     """Indices of edges with at least one revealed endpoint."""
-    if len(y) != g.n:
-        raise ParameterError("prediction length does not match the graph")
+    _check_length(y, g.n)
     rev = y.revealed
     return np.nonzero(rev[g.edge_i] | rev[g.edge_j])[0]
 
@@ -57,6 +56,7 @@ def _pins_of(y: PartialPrediction) -> dict:
 
 def solve_partial_gw(g: Graph, y: PartialPrediction, seed=0, roundings: int = 20) -> CutAssignment:
     """Label-fixed SDP plus best-of hyperplane roundings."""
+    _check_length(y, g.n)
     return solve_gw(g, derive(seed, 0), derive(seed, 1), roundings, pins=_pins_of(y))
 
 

@@ -10,16 +10,20 @@ from __future__ import annotations
 
 import math
 
+from .errors import ParameterError
 from .graph import CutAssignment, Graph, best_cut, classify
 from .narrow import solve_narrow
-from .predictions import NoisyPrediction
+from .predictions import NoisyPrediction, _check_length
 from .sdp import solve_gw
 from .seeds import derive
 from .wide import REPEAT, wide_lp_cut
 
 
 def choose_delta(epsilon: float, eps_prime: float, c_delta: float = 1.0) -> int:
-    """delta = ceil(c_delta / (eps * eps')^2); c_delta tunes the hidden constant."""
+    """delta = ceil(c_delta / (eps * eps')^2) for positive inputs; c_delta tunes the constant."""
+    for name, value in (("epsilon", epsilon), ("eps_prime", eps_prime), ("c_delta", c_delta)):
+        if not value > 0:
+            raise ParameterError(f"{name} must be positive, got {value}")
     return max(1, math.ceil(c_delta / (epsilon * eps_prime) ** 2))
 
 
@@ -32,8 +36,10 @@ def solve_noisy(g: Graph, y: NoisyPrediction, eta: float = 0.05, eps_prime: floa
     the fixed priority wide > narrow > gw > prediction. A wide graph whose
     LP comes back infeasible adds no wide candidate, since GW and the
     prediction are candidates already. A narrow graph above
-    sdp.TRIANGLE_LIMIT vertices raises ParameterError before any solve.
+    sdp.TRIANGLE_LIMIT vertices raises ParameterError, and a prediction of
+    the wrong length DimensionError, before any solve.
     """
+    _check_length(y, g.n)
     delta = choose_delta(y.epsilon, eps_prime, c_delta)
     report = classify(g, delta, eta)
     candidates = {}

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, ParseError
+from .errors import DimensionError, DomainError, ParameterError, ParseError
 from .graph import _file_lines, _records, _typed, _values_of
 
 MUTUAL = "mutual"
@@ -69,6 +69,12 @@ class PartialPrediction:
 
     def __len__(self):
         return len(self.y)
+
+
+def _check_length(pred, n):
+    """DimensionError unless the prediction holds one label per vertex (or CSP variable)."""
+    if len(pred) != n:
+        raise DimensionError(f"prediction length {len(pred)} does not match n={n}")
 
 
 def next_prime(n: int) -> int:

@@ -54,7 +54,7 @@ Three optional constraint families:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -95,11 +95,14 @@ class SdpConfig:
 class SdpSolution:
     """Unit vectors v_0, v_1, ..., v_n (rows) with Gram access."""
 
-    dim: int
     vectors: np.ndarray          # (n + 1, dim); row 0 is v_0
     objective_value: float
     feasibility_report: dict
     feasible_at_tau: bool = True
+
+    @property
+    def dim(self):
+        return self.vectors.shape[1]
 
     @property
     def n(self):
@@ -396,19 +399,20 @@ def _negated_penalized(x, A, V, free, rho, scale):
 def solve_sdp(g: Graph, cfg: SdpConfig = None) -> SdpSolution:
     """Solve the (optionally constrained) MaxCut relaxation for g.
 
-    A triangle config takes no subset constraint (ParameterError).
+    A triangle config goes to the triangle stage and takes no subset
+    constraint (ParameterError); any other config is one SubsetLadder solve.
     """
     cfg = cfg or SdpConfig()
     subset, tau = cfg.subset_constraint or (None, 0.0)
-    if cfg.triangle and subset is None:
+    if cfg.triangle:
+        if subset is not None:
+            raise ParameterError("the triangle SDP takes no subset constraint")
         return _triangle_solve(g, cfg)
     return SubsetLadder(g, subset, cfg).solve(tau)
 
 
-def _validated_pins(g: Graph, cfg: SdpConfig, subset):
-    """cfg's fixed labels as {vertex: +-1.0}; refuses a triangle config with a subset."""
-    if cfg.triangle and subset is not None:
-        raise ParameterError("the triangle SDP takes no subset constraint")
+def _validated_pins(g: Graph, cfg: SdpConfig):
+    """cfg's fixed labels as {vertex: +-1.0}."""
     pins = {}
     for v, s in cfg.fixed_labels.items():
         v = int(v)
@@ -430,7 +434,7 @@ def _solution(g: Graph, v0, V, runs, pins, extra, feasible_at_tau=True) -> SdpSo
     if pins:
         report["pins"] = float(max(np.linalg.norm(V[v] - s * v0) for v, s in pins.items()))
     report.update(extra)
-    return SdpSolution(dim=len(v0), vectors=full, objective_value=_edge_contribution(g, V),
+    return SdpSolution(vectors=full, objective_value=_edge_contribution(g, V),
                        feasibility_report=report, feasible_at_tau=feasible_at_tau)
 
 
@@ -447,10 +451,11 @@ def _triangle_solve(g: Graph, cfg: SdpConfig) -> SdpSolution:
     n = g.n
     if n > TRIANGLE_LIMIT:
         raise ParameterError(f"the triangle SDP is limited to n <= {TRIANGLE_LIMIT}, got n={n}")
-    plain = SubsetLadder(g, None, cfg)      # validates the pins; rung 0 is the plain solve
+    # validates the pins; rung 0 is the plain solve
+    plain = SubsetLadder(g, None, replace(cfg, triangle=False))
     pins, v0, k = plain.pins, plain.v0, plain.k
     # the penalty rounds work on the dense Gram matrix, so they take dense weights
-    D = g.adjacency
+    D = g.csr.toarray()
     P, _, run = plain._rung(0)
 
     def rounding(r):
@@ -502,14 +507,16 @@ class SubsetLadder:
     solve with cfg's pins and seed, since no multiplier moves anything.
     With a subset, solve(tau) equals solve_sdp with subset_constraint=
     (subset, tau), byte for byte, in any order of taus. cfg's own
-    subset_constraint is not read.
+    subset_constraint is not read, and a triangle config is refused.
     """
 
     def __init__(self, g: Graph, subset=None, cfg: SdpConfig = None):
         cfg = cfg or SdpConfig()
+        if cfg.triangle:
+            raise ParameterError("the subset ladder takes no triangle config; solve_sdp runs it")
         n = g.n
         self.g = g
-        self.pins = pins = _validated_pins(g, cfg, subset)
+        self.pins = pins = _validated_pins(g, cfg)
         self.subset = None if subset is None else np.asarray(subset, dtype=np.intp)
         self.scale = max(g.total_weight, 1.0)
 
@@ -733,5 +740,5 @@ def load_solution(text: str) -> SdpSolution:
         rows.append(vals)
     V = np.asarray(rows)
     report = {"unit_norm": float(np.max(np.abs(np.linalg.norm(V, axis=1) - 1.0)))}
-    return SdpSolution(dim=k, vectors=V, objective_value=float("nan"),
+    return SdpSolution(vectors=V, objective_value=float("nan"),
                        feasibility_report=report)

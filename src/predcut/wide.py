@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .graph import (CutAssignment, Graph, best_cut, truncated_adjacency, wide_mask,
-                    _values_of)
+from .graph import (CutAssignment, Graph, best_cut, check_delta, truncated_adjacency,
+                    wide_mask, _values_of)
 from .lp import AbsSumLp, LpGroup, LpSolution, solve as lp_solve
-from .predictions import NoisyPrediction
+from .predictions import NoisyPrediction, _check_length
 from .sdp import solve_gw
 from .seeds import derive
 
@@ -55,10 +55,10 @@ def estimate_imbalance(g: Graph, y: NoisyPrediction, delta: int, eta: float) -> 
     The wide/narrow marking uses the eta the caller carries, which here may
     go up to 1 (unlike the graph-level classification contract).
     """
+    _check_length(y, g.n)
     if not (0.0 < eta < 1.0):
         raise ParameterError(f"eta must lie in (0, 1), got {eta}")
-    if delta < 1:
-        raise ParameterError(f"delta must be >= 1, got {delta}")
+    check_delta(delta)
     wide = wide_mask(g.prefix_order.prefix_weights(delta), g.weighted_degrees, eta)
     At = truncated_adjacency(g, delta)
     r_hat = (At @ y.y) / (2.0 * y.epsilon)

@@ -159,7 +159,7 @@ def test_criterion_04_imbalance_deviation_scaling():
     g = gen_erdos_renyi(200, 0.5, "unit", seed=1300)
     rng = np.random.default_rng(1301)
     x_star = rng.choice([-1.0, 1.0], size=200)
-    r_star = g.adjacency @ x_star
+    r_star = g.csr.toarray() @ x_star
     means = []
     for delta in (8, 16, 32):
         devs = []

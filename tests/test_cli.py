@@ -120,6 +120,26 @@ def test_csp_solve_refuses_delta_zero(workdir, capsys):
     assert run(*argv)[0] == 0
 
 
+@pytest.mark.parametrize("algo", ["auto", "wide", "narrow", "csp-solve"])
+def test_a_zero_eps_prime_is_a_typed_error(workdir, capsys, algo):
+    # without --delta, delta comes from choose_delta, which refuses eps' = 0
+    d, run = workdir
+    run("gen-graph", "--n", 8, "--p", 0.9, "--seed", 6, "--out", d / "g.txt")
+    g = load_edge_list((d / "g.txt").read_text())
+    (d / "inst.txt").write_text(save_csp(maxcut_as_csp(g)))
+    (d / "truth.txt").write_text("\n".join(["+1", "-1"] * 4))
+    run("gen-predictions", "--truth", d / "truth.txt", "--model", "noisy",
+        "--eps", 0.45, "--seed", 7, "--out", d / "p.txt")
+    if algo == "csp-solve":
+        argv = ("csp-solve", "--csp", d / "inst.txt", "--predicate", "0110")
+    else:
+        argv = ("solve", "--graph", d / "g.txt", "--algo", algo)
+    capsys.readouterr()
+    assert main([str(a) for a in argv + ("--pred", d / "p.txt", "--eps-prime", 0)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: eps_prime must be positive, got 0.0\n"
+
+
 EXP_CONFIG = """
 [experiment]
 master_seed = 5

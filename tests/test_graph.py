@@ -27,7 +27,7 @@ def test_cut_value_matches_laplacian_quadratic_form():
     rng = np.random.default_rng(42)
     g = gen_erdos_renyi(8, 0.5, "uniform", seed=5)
     L = np.zeros((8, 8))
-    for (i, j, w) in g.edges:
+    for i, j, w in zip(g.edge_i, g.edge_j, g.edge_w):
         L[i, i] += w
         L[j, j] += w
         L[i, j] -= w
@@ -79,7 +79,7 @@ def test_quadratic_form_identity():
     for _ in range(20):
         g = random_graph(rng)
         x = random_cut(rng, g.n)
-        L = np.diag(g.weighted_degrees) - g.adjacency
+        L = np.diag(g.weighted_degrees) - g.csr.toarray()
         assert x @ L @ x == pytest.approx(4 * cut_value(g, x), abs=1e-9)
 
 
@@ -163,7 +163,7 @@ def test_truncated_adjacency_tie_break_lower_index():
 
 def test_truncated_adjacency_delta_zero_is_adjacency():
     g = random_graph(np.random.default_rng(15))
-    assert np.array_equal(truncated_adjacency(g, 0).toarray(), g.adjacency)
+    assert np.array_equal(truncated_adjacency(g, 0).toarray(), g.csr.toarray())
 
 
 def test_truncated_adjacency_entry_bound():
@@ -176,7 +176,7 @@ def test_truncated_adjacency_entry_bound():
         for i in range(g.n):
             row = At[i]
             assert np.all(row <= g.weighted_degrees[i] / delta + 1e-12)
-            assert np.all(row <= g.adjacency[i] + 1e-15)
+            assert np.all(row <= g.csr[i].toarray()[0] + 1e-15)
 
 
 def test_truncated_adjacency_wide_row_sum():
@@ -199,15 +199,16 @@ def test_gen_complete_graph():
 def test_gen_determinism():
     a = gen_erdos_renyi(30, 0.4, "uniform", seed=9)
     b = gen_erdos_renyi(30, 0.4, "uniform", seed=9)
-    assert a.edges == b.edges
+    for name in ("edge_i", "edge_j", "edge_w"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_gen_planted_crossing_fraction():
     g = gen_erdos_renyi(100, 0.0, "planted", seed=21, q_cross=0.9, q_within=0.1)
     assert g.planted is not None
     x = g.planted
-    crossing = sum(w for (i, j, w) in g.edges if x[i] != x[j])
-    frac = crossing / sum(w for (_, _, w) in g.edges)
+    crossing = g.edge_w[x[g.edge_i] != x[g.edge_j]].sum()
+    frac = crossing / g.edge_w.sum()
     # expected ~0.9*2500 / (0.9*2500 + 0.1*2450) ~ 0.902; binomial spread stays inside
     assert 0.80 <= frac <= 0.95
 
@@ -217,7 +218,7 @@ def test_gen_planted_stores_given_ground_truth():
     g = gen_erdos_renyi(6, 0.0, "planted", seed=1, q_cross=1.0, q_within=0.0,
                         ground_truth=truth)
     assert np.array_equal(g.planted, truth)
-    assert all(truth[i] != truth[j] for (i, j, _) in g.edges)
+    assert np.all(truth[g.edge_i] != truth[g.edge_j])
 
 
 def test_gen_invalid_probability():
@@ -253,12 +254,13 @@ def test_edge_list_round_trip():
         g = random_graph(rng)
         h = load_edge_list(save_edge_list(g))
         assert h.n == g.n
-        assert h.edges == g.edges
+        for a in ("edge_i", "edge_j", "edge_w"):
+            assert np.array_equal(getattr(h, a), getattr(g, a))
 
 
 def test_comments_ignored():
     g = load_edge_list("# a comment\n2 1\n# another\n0 1 2.5\n")
-    assert g.edges == [(0, 1, 2.5)]
+    assert (g.edge_i.tolist(), g.edge_j.tolist(), g.edge_w.tolist()) == ([0], [1], [2.5])
 
 
 def test_cut_assignment_validation():
@@ -282,9 +284,10 @@ def test_non_finite_vertex_id_is_out_of_range(bad):
     assert e.value.row == 1
 
 
-def test_only_the_exact_oracle_and_the_triangle_sdp_build_the_dense_adjacency():
-    # the dense n x n matrix is a cached attribute, so its absence from the
-    # instance dict means no call has built it
+def test_only_the_exact_oracle_and_the_triangle_sdp_build_the_dense_adjacency(monkeypatch):
+    # a Graph keeps no dense matrix, so each dense weight matrix is one
+    # toarray() of a CSR matrix; record the shape of every such call
+    import scipy.sparse as sp
     from predcut.exact import exact_maxcut
     from predcut.pipeline import choose_delta, solve_noisy
     from predcut.predictions import sample_noisy
@@ -304,14 +307,19 @@ def test_only_the_exact_oracle_and_the_triangle_sdp_build_the_dense_adjacency():
         "solve_sdp": lambda g: solve_sdp(g, SdpConfig(seed=1)),
         "solve_gw": lambda g: solve_gw(g, 1, 2, 5),
     }
+    densified = []
+    toarray = sp.csr_matrix.toarray
+
+    def recording(self, *args, **kwargs):
+        densified.append(self.shape)
+        return toarray(self, *args, **kwargs)
+
+    monkeypatch.setattr(sp.csr_matrix, "toarray", recording)
     for name, call in calls.items():
-        g = fresh()
-        call(g)
-        assert "adjacency" not in vars(g), name
-    g = fresh()
-    assert "adjacency" not in vars(g)
-    solve_sdp(g, SdpConfig(triangle=True, seed=1))
-    assert "adjacency" in vars(g)
-    g = Graph(5, [(0, 1, 1.0), (1, 2, 2.0), (3, 4, 0.5)])
-    exact_maxcut(g)
-    assert "adjacency" in vars(g)
+        call(fresh())
+        assert densified == [], name
+    solve_sdp(fresh(), SdpConfig(triangle=True, seed=1))
+    assert densified == [(40, 40)]
+    densified.clear()
+    exact_maxcut(Graph(5, [(0, 1, 1.0), (1, 2, 2.0), (3, 4, 0.5)]))
+    assert densified == [(5, 5)]

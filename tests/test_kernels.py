@@ -81,7 +81,8 @@ def test_exact_kernels_on_empty_and_weightless_instances():
 
 def _graph_reference(g, i, delta):
     """Vertex i's incident (neighbour, weight) pairs, heaviest first, lower neighbour first."""
-    inc = [(j, w) for a, b, w in g.edges for (own, j) in ((a, b), (b, a)) if own == i]
+    inc = [(j, w) for a, b, w in zip(g.edge_i.tolist(), g.edge_j.tolist(), g.edge_w.tolist())
+           for (own, j) in ((a, b), (b, a)) if own == i]
     inc.sort(key=lambda e: (-e[1], e[0]))
     return inc[:delta]
 
@@ -94,7 +95,7 @@ def test_graph_prefix_matches_sorted_reference(g, delta):
         head = _graph_reference(g, i, delta)
         # added heaviest first, left to right, as the reference lists them
         assert delta_prefix_weight(g, i, delta) == sum(w for _, w in head)
-        expected = np.array(g.adjacency[i])
+        expected = g.csr[i].toarray()[0]
         expected[[j for j, _ in head]] = 0.0
         assert np.array_equal(At[i], expected)
     if delta >= 1:
@@ -280,8 +281,7 @@ def test_graph_construction_matches_a_per_edge_loop(case, as_iterator):
         assert str(got.value) == str(err)
         return
     g = Graph(n, iter(edges) if as_iterator else edges)
-    assert g.edges == canon
-    assert all(type(i) is int and type(j) is int and type(w) is float for i, j, w in g.edges)
+    assert g.edge_i.dtype == g.edge_j.dtype == np.intp and g.edge_w.dtype == np.float64
     assert g.edge_i.tolist() == [e[0] for e in canon]
     assert g.edge_j.tolist() == [e[1] for e in canon]
     assert g.edge_w.tolist() == [e[2] for e in canon]
@@ -289,7 +289,9 @@ def test_graph_construction_matches_a_per_edge_loop(case, as_iterator):
     assert np.array_equal(g.weighted_degrees, deg)
     assert g.total_weight == float(deg.sum())
     h = load_edge_list(save_edge_list(g))
-    assert h.edges == g.edges and h.n == g.n
+    assert h.n == g.n
+    for a in ("edge_i", "edge_j", "edge_w"):
+        assert np.array_equal(getattr(h, a), getattr(g, a))
     assert np.array_equal(h.weighted_degrees, g.weighted_degrees)
 
 
@@ -301,9 +303,9 @@ def test_edges_must_be_triples():
 
 def test_zero_edge_graph():
     g = Graph(3, [])
-    assert g.edges == [] and g.num_edges == 0 and g.total_weight == 0.0
+    assert g.num_edges == 0 and g.total_weight == 0.0
     assert g.edge_i.dtype == np.intp and g.edge_w.dtype == np.float64
     assert np.array_equal(g.weighted_degrees, np.zeros(3))
     assert g.csr.shape == (3, 3) and g.csr.nnz == 0
-    assert np.array_equal(g.adjacency, np.zeros((3, 3)))
-    assert load_edge_list(save_edge_list(g)).edges == []
+    assert np.array_equal(g.csr.toarray(), np.zeros((3, 3)))
+    assert load_edge_list(save_edge_list(g)).num_edges == 0

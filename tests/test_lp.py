@@ -28,14 +28,15 @@ def _linearize(lp):
     off = n
     for g in lp.groups:
         k = g.coeffs.shape[0]
+        G = g.coeffs.toarray()
         for t in range(k):
             r = np.zeros(dim)
-            r[:n] = g.coeffs[t]
+            r[:n] = G[t]
             r[off + t] = -1.0
             rows.append(r)
             rhs.append(-g.offsets[t])
             r = np.zeros(dim)
-            r[:n] = -g.coeffs[t]
+            r[:n] = -G[t]
             r[off + t] = -1.0
             rows.append(r)
             rhs.append(g.offsets[t])
@@ -287,6 +288,11 @@ def _bytes(v):
     return np.asarray(v, dtype=np.float64).tobytes()
 
 
+def _given_slack(given, x):
+    """Each group's budget slack with its forms evaluated through sp.csr_matrix of the given coeffs."""
+    return tuple(b - float(np.abs(sp.csr_matrix(c) @ x + h).sum()) for c, h, b in given)
+
+
 @settings(max_examples=80)
 @given(data=sparse_lp_data(), fmt=st.sampled_from(["csr", "csc", "coo", "stored zeros"]))
 # one one-form group whose budget cannot be met: |x - 3| <= 0.5 on [-1, 1]
@@ -301,13 +307,13 @@ def _bytes(v):
                 (np.array([[2.0, -0.5, 0.0]]), np.array([-1.0]), 4.0)]), fmt="coo")
 def test_sparse_and_dense_coefficients_give_the_same_lp(data, fmt):
     objective, groups = data
-    dense = AbsSumLp(objective=objective, groups=[LpGroup(c, h, b) for c, h, b in groups])
-    sparse = AbsSumLp(objective=objective,
-                      groups=[LpGroup(_sparse(c, fmt), h, b) for c, h, b in groups])
-    for grp in sparse.groups:
+    given = [(c, h, b) for c, h, b in groups]
+    given_sparse = [(_sparse(c, fmt), h, b) for c, h, b in groups]
+    dense = AbsSumLp(objective=objective, groups=[LpGroup(c, h, b) for c, h, b in given])
+    sparse = AbsSumLp(objective=objective, groups=[LpGroup(c, h, b) for c, h, b in given_sparse])
+    # a group stores CSR whether its coefficients come dense or sparse
+    for grp in dense.groups + sparse.groups:
         assert sp.issparse(grp.coeffs) and grp.coeffs.format == "csr"
-    for grp in dense.groups:
-        assert isinstance(grp.coeffs, np.ndarray)
     a, b = solve(dense), solve(sparse)
     assert a.status == b.status
     assert _bytes(a.x) == _bytes(b.x)
@@ -316,7 +322,14 @@ def test_sparse_and_dense_coefficients_give_the_same_lp(data, fmt):
     points = [np.full(n, 0.5), np.linspace(-1.0, 1.0, n), -np.ones(n)]
     if a.optimal:
         points.append(a.x)
+        # the slack is the value the given coefficients' CSR form computes, bit for bit
+        assert _bytes(a.budget_slack) == _bytes(_given_slack(given, a.x))
+        assert _bytes(b.budget_slack) == _bytes(_given_slack(given_sparse, b.x))
     for x in points:
+        worst = float(np.max(np.abs(x)) - 1.0)
+        for lp, grps in ((dense, given), (sparse, given_sparse)):
+            expected = max([worst] + [-s for s in _given_slack(grps, x)])
+            assert _bytes(check_feasibility(lp, x)) == _bytes(expected)
         assert check_feasibility(dense, x) == check_feasibility(sparse, x)
 
 

@@ -116,9 +116,9 @@ def test_per_edge_cut_probability_matches_sdp_contribution():
     cuts = np.zeros(g.num_edges)
     for s in range(draws):
         x = rt_round(sol, [108, s])
-        for e, (i, j, w) in enumerate(g.edges):
+        for e, (i, j, w) in enumerate(zip(g.edge_i, g.edge_j, g.edge_w)):
             cuts[e] += x.values[i] != x.values[j]
-    for e, (i, j, w) in enumerate(g.edges):
+    for e, (i, j, w) in enumerate(zip(g.edge_i, g.edge_j, g.edge_w)):
         if 0 in (i, j):
             share = (1 - sol.vertex_vectors[i] @ sol.vertex_vectors[j]) / 2
             emp = cuts[e] / draws
@@ -132,7 +132,7 @@ def test_expected_revealed_optimal_weight():
     g = gen_erdos_renyi(10, 0.6, "uniform", seed=109)
     opt, x_star = exact_maxcut(g)
     eps = 0.35
-    cut_edges = [(i, j, w) for (i, j, w) in g.edges
+    cut_edges = [(i, j, w) for i, j, w in zip(g.edge_i, g.edge_j, g.edge_w)
                  if x_star.values[i] != x_star.values[j]]
     draws = 3000
     vals = np.empty(draws)

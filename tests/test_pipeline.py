@@ -1,11 +1,18 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from predcut import sdp
+from predcut.csp import CUT_PREDICATE, CspInstance, classify_literals
+from predcut.errors import DimensionError, ParameterError
 from predcut.exact import exact_maxcut
-from predcut.graph import cut_value, gen_erdos_renyi
+from predcut.graph import (classify, cut_value, delta_prefix_weight, gen_erdos_renyi,
+                           truncated_adjacency)
+from predcut.partial import revealed_edge_set, solve_partial_gw
 from predcut.pipeline import choose_delta, solve_noisy
-from predcut.predictions import sample_noisy
+from predcut.predictions import NoisyPrediction, PartialPrediction, sample_noisy
+from predcut.wide import estimate_imbalance, solve_wide
 
 from conftest import random_graph, regular_graph
 
@@ -13,6 +20,37 @@ from conftest import random_graph, regular_graph
 def test_choose_delta():
     assert choose_delta(0.3, 0.2) == int(np.ceil(1 / 0.06 ** 2))
     assert choose_delta(0.3, 0.2, c_delta=2.0) == int(np.ceil(2 / 0.06 ** 2))
+
+
+@pytest.mark.parametrize("args, name", [((0.0, 0.2), "epsilon"), ((-0.1, 0.2), "epsilon"),
+                                        ((0.3, 0.0), "eps_prime"), ((0.3, -0.2), "eps_prime"),
+                                        ((0.3, 0.2, 0.0), "c_delta"),
+                                        ((0.3, 0.2, -1.0), "c_delta")])
+def test_choose_delta_refuses_non_positive_inputs(args, name):
+    with pytest.raises(ParameterError, match=f"{name} must be positive"):
+        choose_delta(*args)
+
+
+def _wide_graph_and_prediction():
+    g = gen_erdos_renyi(40, 0.0, "planted", seed=3, q_cross=0.6, q_within=0.3)
+    return g, sample_noisy(g.planted, 0.3, seed=1)
+
+
+@pytest.mark.parametrize("delta", [2.0, 2.5, "2", None])
+def test_a_delta_that_is_not_an_integer_is_refused_before_the_prefix_order(delta):
+    g, y = _wide_graph_and_prediction()
+    inst = CspInstance(3, CUT_PREDICATE, [(1.0, (1, 1), (0, 1)), (2.0, (1, 1), (1, 2))])
+    calls = [lambda: classify(g, delta, 0.3), lambda: truncated_adjacency(g, delta),
+             lambda: delta_prefix_weight(g, 0, delta), lambda: estimate_imbalance(g, y, delta, 0.3),
+             lambda: solve_wide(g, y, delta, 0.3, 0.2), lambda: classify_literals(inst, delta, 0.3)]
+    for call in calls:
+        with pytest.raises(ParameterError, match="delta must be an integer"):
+            call()
+    # the cached order was never built
+    assert "prefix_order" not in vars(g) and "prefix_order" not in vars(inst)
+    # numpy integers are integers
+    a, b = classify(g, np.int64(2), 0.3), classify(g, 2, 0.3)
+    assert np.array_equal(a.wide_mask, b.wide_mask) and a.graph_class == b.graph_class
 
 
 def test_dispatch_narrow_on_three_regular():
@@ -89,6 +127,32 @@ def test_narrow_graph_above_the_triangle_limit_fails_before_solving(monkeypatch)
     assert classify(g, choose_delta(y.epsilon, 0.05), 0.05).is_wide == (g.total_weight == 0)
     with pytest.raises(ParameterError, match="triangle SDP"):
         solve_noisy(g, y)
+
+
+@pytest.mark.parametrize("extra", [-3, 2])
+def test_a_prediction_of_the_wrong_length_is_refused_before_any_solve(monkeypatch, extra):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("an SDP ran before the prediction length was checked")
+
+    monkeypatch.setattr(sdp, "_coordinate_ascent", no_solve)
+    monkeypatch.setattr(sdp, "_penalty_continuation", no_solve)
+    g, _ = _wide_graph_and_prediction()
+    m = g.n + extra
+    noisy = NoisyPrediction(y=np.ones(m), epsilon=0.3)
+    partial = PartialPrediction(y=np.where(np.arange(m) % 3 == 0, 1.0, 0.0), epsilon=0.3)
+    # the defaults give delta = 4445 > n, so the graph is narrow there
+    assert not classify(g, choose_delta(0.3, 0.05), 0.05).is_wide
+    assert classify(g, choose_delta(0.3, 0.2, 0.003), 0.3).is_wide
+    calls = {
+        "solve_noisy narrow": lambda: solve_noisy(g, noisy),
+        "solve_noisy wide": lambda: solve_noisy(g, noisy, eta=0.3, eps_prime=0.2, c_delta=0.003),
+        "estimate_imbalance": lambda: estimate_imbalance(g, noisy, 2, 0.3),
+        "solve_partial_gw": lambda: solve_partial_gw(g, partial),
+        "revealed_edge_set": lambda: revealed_edge_set(g, partial),
+    }
+    for name, call in calls.items():
+        with pytest.raises(DimensionError, match=f"prediction length {m} does not match n=40"):
+            call()
 
 
 def test_infeasible_wide_lp_runs_one_plain_solve(monkeypatch):

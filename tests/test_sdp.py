@@ -28,15 +28,25 @@ def k3():
     return Graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
 
 
-def synthetic_solution(vertex_rows, dim=None):
+def synthetic_solution(vertex_rows):
     """SdpSolution from explicit vertex vectors, v_0 = e_1."""
     V = np.asarray(vertex_rows, dtype=np.float64)
-    dim = dim or V.shape[1]
-    v0 = np.zeros(dim)
+    v0 = np.zeros(V.shape[1])
     v0[0] = 1.0
     full = np.vstack([v0, V])
-    return SdpSolution(dim=dim, vectors=full, objective_value=np.nan,
+    return SdpSolution(vectors=full, objective_value=np.nan,
                        feasibility_report={"unit_norm": 0.0})
+
+
+def test_solution_dim_is_read_from_its_vectors():
+    import dataclasses
+    assert "dim" not in {f.name for f in dataclasses.fields(SdpSolution)}
+    assert synthetic_solution(np.eye(4)[:3]).dim == 4
+    sol = solve_sdp(gen_erdos_renyi(12, 0.5, "unit", seed=3))
+    assert sol.dim == sol.vectors.shape[1] == len(sol.v0)
+    # a dim that disagrees with the rows can no longer be given
+    with pytest.raises(TypeError):
+        SdpSolution(dim=5, vectors=np.eye(4, 3), objective_value=0.0, feasibility_report={})
 
 
 def test_single_edge_objective():
@@ -176,7 +186,7 @@ def test_sdp_objective_matches_independent_recomputation():
         # second evaluation path: dense Gram matrix trace form
         Vv = sol.vertex_vectors
         G = Vv @ Vv.T
-        dense = 0.25 * (g.total_weight - float(np.sum(g.adjacency * G)))
+        dense = 0.25 * (g.total_weight - float(np.sum(g.csr.toarray() * G)))
         assert sol.objective_value == pytest.approx(dense, abs=1e-8)
         assert sdp_objective(g, sol) == pytest.approx(sol.objective_value, abs=1e-8)
 
@@ -379,6 +389,28 @@ def test_sdp_module_does_not_reference_the_exact_oracle():
     assert not hasattr(predcut.sdp, "exact_maxcut")
 
 
+def test_graph_keeps_no_dense_view_and_three_bounded_callers_densify():
+    # a Graph holds its edge arrays and CSR only; a dense matrix is built
+    # by toarray() inside the three callers that stop at a typed n limit
+    import ast
+    g = Graph(3, [(0, 1, 1.0)])
+    for name in ("adjacency", "edges"):
+        assert not hasattr(Graph, name) and not hasattr(g, name)
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, ast.FunctionDef):
+            owner = node.name
+        if isinstance(node, ast.Attribute) and node.attr == "toarray":
+            found.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for path in sorted(Path(predcut.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), None)
+    assert sorted(found) == ["_triangle_solve", "exact_maxcut", "sdp_upper_bound"]
+
+
 def test_triangle_sdp_refuses_graphs_above_the_limit():
     from predcut.sdp import TRIANGLE_LIMIT
     g = Graph(TRIANGLE_LIMIT + 1, [(0, 1, 1.0)])
@@ -396,6 +428,10 @@ def test_triangle_config_with_a_subset_is_refused():
         SubsetLadder(g, np.arange(2), cfg)
     with pytest.raises(ParameterError, match="subset"):
         SubsetLadder(g, [], SdpConfig(triangle=True))
+    # the ladder solves the plain relaxation only, so it refuses a triangle
+    # config without a subset too, rather than return the plain solution
+    with pytest.raises(ParameterError, match="triangle"):
+        SubsetLadder(g, None, SdpConfig(triangle=True))
 
 
 @settings(max_examples=30)
@@ -475,7 +511,7 @@ def test_round_by_direction_matches_manual_signs():
 
 def dense_objective(g, V):
     """sum_{i<j} w_ij (1 - <v_i, v_j>)/2 from the dense Gram matrix."""
-    return 0.25 * (g.total_weight - float(np.sum(g.adjacency * (V @ V.T))))
+    return 0.25 * (g.total_weight - float(np.sum(g.csr.toarray() * (V @ V.T))))
 
 
 def random_unit_rows(rng, n, k):
@@ -511,7 +547,7 @@ def test_subset_weights_equal_the_scipy_subset_matrix_on_the_pattern():
         sub = np.flatnonzero(rng.random(m) < 0.5)
         ref = np.zeros((g.n, g.n))
         for e in sub:
-            i, j, w = g.edges[e]
+            i, j, w = g.edge_i[e], g.edge_j[e], g.edge_w[e]
             ref[i, j] = ref[j, i] = w
         assert np.array_equal(subset_matrix(g, sub).toarray(), ref)
         # repeated indices add once per repeat, as scipy sums duplicates
@@ -533,7 +569,7 @@ def test_colour_classes_partition_free_vertices_into_independent_sets():
                 assert v not in colour
                 colour[v] = c
         assert sorted(colour) == free.tolist()
-        for i, j, _ in g.edges:
+        for i, j in zip(g.edge_i.tolist(), g.edge_j.tolist()):
             if i in colour and j in colour:
                 assert colour[i] != colour[j]
 

@@ -54,7 +54,7 @@ def test_build_wide_lp_budget_formula():
         # the group encodes r_hat_i - (Ax)_i
         z = rng.uniform(-1, 1, g.n)
         forms = lp.groups[0].coeffs @ z + lp.groups[0].offsets
-        assert np.allclose(forms, est.r_hat - g.adjacency @ z)
+        assert np.allclose(forms, est.r_hat - g.csr.toarray() @ z)
 
 
 def test_build_wide_lp_empty_graph():
@@ -160,7 +160,7 @@ def test_randomized_round_expectation_preserved():
     rng = np.random.default_rng(64)
     g = random_graph(rng, n=10)
     x_hat = rng.uniform(-1, 1, 10)
-    A = g.adjacency
+    A = g.csr.toarray()
     draws = 4000
     U = np.random.default_rng(65).random((draws, 10))
     X = np.where(U < (1 + x_hat) / 2, 1.0, -1.0)
@@ -217,7 +217,7 @@ def test_pipage_stepwise_monotone():
     x = rng.uniform(-1, 1, 8)
     prev = frac_objective(g, x)
     for i in range(8):
-        x[i] = -1.0 if g.adjacency[i] @ x > 0 else 1.0
+        x[i] = -1.0 if g.csr[i].toarray()[0] @ x > 0 else 1.0
         cur = frac_objective(g, x)
         assert cur >= prev - 1e-9
         prev = cur
@@ -259,6 +259,6 @@ def test_ground_truth_feasible_at_scaled_delta():
     for t in range(draws):
         y = sample_noisy(x_star, eps, seed=[74, t])
         est = estimate_imbalance(g, y, delta, eta)
-        if np.abs(est.r_hat - g.adjacency @ x_star).sum() <= budget:
+        if np.abs(est.r_hat - g.csr.toarray() @ x_star).sum() <= budget:
             ok += 1
     assert ok / draws >= 0.9
