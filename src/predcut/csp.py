@@ -2,16 +2,18 @@
 
 A constraint (w, c, alpha) asks P(c_1 x_{alpha(1)}, c_2 x_{alpha(2)}) = 1
 for a 0/1 predicate P on {-1,+1}^2; val(x) is the weight-normalized
-satisfied mass. P expands exactly as the degree-2 multilinear polynomial
+satisfied mass. A Predicate holds its truth table only; P expands exactly
+as the degree-2 multilinear polynomial
     P(z1, z2) = f0 + f1 z1 + f2 z2 + f12 z1 z2
 with coefficients that are multiples of 1/4.
 
-Every raw constraint is stored in both orientations (anchored at each
-endpoint, full weight, coefficients transposed for the swapped copy), so
-the instance weight W doubles the raw total, per-literal constraint sets
-S_i cover every occurrence, and val is unchanged, including for
-asymmetric predicates. MaxCut encodings then satisfy
-csp_value * W = 2 * cut_value exactly.
+A CspInstance holds each constraint once, as arrays, and derives from
+them the layout the solvers read: every raw constraint in both
+orientations (anchored at each endpoint, full weight, coefficients
+transposed for the swapped copy), so the instance weight W doubles the raw
+total, per-literal constraint sets S_i cover every occurrence, and val is
+unchanged, including for asymmetric predicates. MaxCut encodings then
+satisfy csp_value * W = 2 * cut_value exactly.
 
 The wide LP reads each literal's delta-prefix from the PrefixOrder rank
 that classifies graph vertices, and lays out all its forms with one sort
@@ -20,7 +22,6 @@ of the oriented entries (see `build_csp_lp`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,34 +30,41 @@ import scipy.sparse as sp
 
 from .errors import DimensionError, DomainError, ParameterError, ParseError
 from .graph import (CutAssignment, Graph, PrefixOrder, WideNarrowReport, check_delta,
-                    wide_narrow_report, _file_lines, _records, _typed, _values_of)
+                    wide_narrow_report, _file_lines, _ids, _malformed, _records, _refuse_rows,
+                    _typed, _values_of)
 from .lp import AbsSumLp, LpGroup, solve as lp_solve
 from .predictions import NoisyPrediction, _check_length, scaled_prediction
 from .wide import draw_roundings
 
 # evaluation order of the four truth-table entries in compact forms
 TABLE_ORDER = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+# chi_S(z) for S = {}, {1}, {2}, {1, 2} (columns) at each z in TABLE_ORDER (rows)
+CHARACTERS = np.array([(1, z1, z2, z1 * z2) for z1, z2 in TABLE_ORDER])
 
 
 @dataclass(frozen=True)
 class Predicate:
-    """0/1 predicate on {-1,+1}^2 plus its exact Fourier expansion."""
+    """0/1 predicate on {-1,+1}^2, stored as its truth table: P(z) for z in TABLE_ORDER."""
 
-    table: dict
-    f0: float
-    f1: float
-    f2: float
-    f12: float
+    table: tuple
+
+    def __post_init__(self):
+        table = tuple(int(v) for v in self.table)
+        if len(table) != 4 or not set(table) <= {0, 1}:
+            raise DomainError(f"a truth table is 4 values of 0 or 1, got {self.table!r}")
+        object.__setattr__(self, "table", table)
 
     def value(self, z1: int, z2: int) -> int:
-        return self.table[(int(z1), int(z2))]
+        return self.table[TABLE_ORDER.index((int(z1), int(z2)))]
 
     def value_fourier(self, z1: float, z2: float) -> float:
-        return self.f0 + self.f1 * z1 + self.f2 * z2 + self.f12 * z1 * z2
+        f0, f1, f2, f12 = self.fourier
+        return f0 + f1 * z1 + f2 * z2 + f12 * z1 * z2
 
     @property
     def fourier(self):
-        return (self.f0, self.f1, self.f2, self.f12)
+        """(f0, f1, f2, f12) with f(S) = (1/4) sum_z P(z) chi_S(z), exact multiples of 1/4."""
+        return tuple((np.array(self.table) @ CHARACTERS / 4.0).tolist())
 
 
 def fourier_expand(truth_table) -> Predicate:
@@ -66,21 +74,11 @@ def fourier_expand(truth_table) -> Predicate:
     (+1,+1), (+1,-1), (-1,+1), (-1,-1).
     """
     if isinstance(truth_table, dict):
-        table = {(int(a), int(b)): int(v) for (a, b), v in truth_table.items()}
-    else:
-        vals = list(truth_table)
-        if len(vals) != 4:
-            raise DomainError("truth table needs exactly 4 entries")
-        table = {z: int(v) for z, v in zip(TABLE_ORDER, vals)}
-    if set(table) != set(TABLE_ORDER):
-        raise DomainError("truth table must cover all four +-1 input pairs")
-    if any(v not in (0, 1) for v in table.values()):
-        raise DomainError("predicate values must be 0 or 1")
-    f0 = sum(table[z] for z in TABLE_ORDER) / 4.0
-    f1 = sum(table[z] * z[0] for z in TABLE_ORDER) / 4.0
-    f2 = sum(table[z] * z[1] for z in TABLE_ORDER) / 4.0
-    f12 = sum(table[z] * z[0] * z[1] for z in TABLE_ORDER) / 4.0
-    return Predicate(table=table, f0=f0, f1=f1, f2=f2, f12=f12)
+        table = {(int(a), int(b)): v for (a, b), v in truth_table.items()}
+        if set(table) != set(TABLE_ORDER):
+            raise DomainError("truth table must cover all four +-1 input pairs")
+        truth_table = [table[z] for z in TABLE_ORDER]
+    return Predicate(truth_table)
 
 
 def predicate_from_bits(bits: str) -> Predicate:
@@ -96,11 +94,16 @@ CUT_PREDICATE = fourier_expand([0, 1, 1, 0])
 class CspInstance:
     """Weighted multiset of signed binary constraints over one predicate.
 
-    `constraints` holds the raw (w, (c1, c2), (i, j)) triplets; internally
-    each one is stored twice, anchored at either endpoint, with folded
-    coefficients a = (f0, f1*c1, f2*c2, f12*c1*c2) and the linear slots
-    swapped for the re-anchored copy. A refused constraint raises a
-    DomainError whose `row` is its index.
+    Constraint t is held once, as `weight[t]`, `signs[t]` = (c1, c2) and
+    `scope[t]` = (i, j). The anchored layout derives from them: entry 2t is
+    constraint t anchored at i, entry 2t + 1 at j, each with the full weight
+    and folded coefficients a = (f0, f1*c1, f2*c2, f12*c1*c2), linear slots
+    swapped for the copy anchored at j.
+
+    A row that is not (w, (c1, c2), (i, j)) is refused first; then a
+    non-finite weight, a negative weight, a sign other than +-1 and a
+    variable out of range (both truncated to integers) are tested in that
+    order. The first failing row raises a DomainError whose `row` is its index.
     """
 
     def __init__(self, n, predicate: Predicate, constraints):
@@ -108,39 +111,37 @@ class CspInstance:
             raise ParameterError(f"need at least one variable, got n={n}")
         self.n = int(n)
         self.predicate = predicate
-        raw = []
-        for t, (w, c, alpha) in enumerate(constraints):
-            w = float(w)
-            c1, c2 = int(c[0]), int(c[1])
-            i, j = int(alpha[0]), int(alpha[1])
-            if not math.isfinite(w):
-                raise DomainError.at(t, f"non-finite constraint weight {w}")
-            if w < 0:
-                raise DomainError.at(t, f"negative constraint weight {w}")
-            if c1 not in (-1, 1) or c2 not in (-1, 1):
-                raise DomainError.at(t, f"negation pattern must be +-1 pairs, got {c}")
-            if not (0 <= i < n and 0 <= j < n):
-                raise DomainError.at(t, f"scope out of range: ({i}, {j})")
-            raw.append((w, (c1, c2), (i, j)))
-        self.constraints = raw
+        rows = constraints if isinstance(constraints, (list, tuple)) else list(constraints)
+        m = len(rows)
+        try:
+            cols = zip(*rows, strict=True) if m else ((), np.empty((0, 2)), np.empty((0, 2)))
+            w, signs, scope = (np.array(col, dtype=np.float64) for col in cols)
+        except (TypeError, ValueError):      # ragged or non-numeric rows
+            w = signs = scope = np.empty(0)
+        if (w.shape, signs.shape, scope.shape) != ((m,), (m, 2), (m, 2)):
+            raise _malformed(rows, ((), (2,), (2,)), "constraint is not (w, (c1, c2), (i, j))")
+        signs, scope = np.trunc(signs), np.trunc(scope)
+        _refuse_rows([(~np.isfinite(w), "non-finite constraint weight {w}"),
+                      (w < 0, "negative constraint weight {w}"),
+                      (~(np.abs(signs) == 1).all(axis=1),
+                       "negation pattern must be +-1 pairs, got {c}"),
+                      (~((scope >= 0) & (scope < n)).all(axis=1), "scope out of range: {ids}")],
+                     lambda k: dict(w=float(w[k]), c=rows[k][1], ids=_ids(rows[k][2])))
+        self.weight, self.signs, self.scope = w, signs.astype(np.intp), scope.astype(np.intp)
 
-        # entry 2t is constraint t anchored at i, entry 2t + 1 anchored at j
-        m = len(raw)
-        scope = np.array([alpha for _, _, alpha in raw], dtype=np.intp).reshape(m, 2)
-        signs = np.array([c for _, c, _ in raw], dtype=np.float64).reshape(m, 2)
         f0, f1, f2, f12 = predicate.fourier
-        lin = signs * (f1, f2)     # (a1, a2) of the copy anchored at i
-        self.anchor = scope.ravel()
-        self.other = scope[:, ::-1].ravel()
-        self.weights = np.repeat(np.array([w for w, _, _ in raw], dtype=np.float64), 2)
+        lin = self.signs * (f1, f2)     # (a1, a2) of the copy anchored at i
+        self.anchor = self.scope.ravel()
+        self.other = self.scope[:, ::-1].ravel()
+        self.weights = np.repeat(w, 2)
         # columns a0, a_anchor, a_other, a_pair
         self.coeffs = np.column_stack([np.full(2 * m, f0), lin.ravel(), lin[:, ::-1].ravel(),
-                                       np.repeat(f12 * signs[:, 0] * signs[:, 1], 2)])
+                                       np.repeat(f12 * self.signs[:, 0] * self.signs[:, 1], 2)])
         self.total_weight = float(self.weights.sum())
 
     @property
     def num_constraints(self):
-        return len(self.constraints)
+        return len(self.weight)
 
     @cached_property
     def prefix_order(self):
@@ -173,15 +174,14 @@ def csp_value(inst: CspInstance, x) -> float:
 
 
 def csp_value_table(inst: CspInstance, x) -> float:
-    """Normalized satisfied weight by direct truth-table evaluation."""
+    """Normalized satisfied weight from the constraint arrays and the truth table alone."""
     vals = _values_of(x, inst.n)
-    total = sum(w for (w, _, _) in inst.constraints)
+    total = float(inst.weight.sum())
     if total == 0:
         return 0.0
-    sat = 0.0
-    for (w, (c1, c2), (i, j)) in inst.constraints:
-        sat += w * inst.predicate.value(int(c1 * vals[i]), int(c2 * vals[j]))
-    return sat / total
+    literals = inst.signs * vals[inst.scope]
+    sat = [inst.predicate.value(z1, z2) for z1, z2 in literals.tolist()]
+    return float(inst.weight @ np.array(sat, dtype=np.float64)) / total
 
 
 def maxcut_as_csp(g: Graph) -> CspInstance:
@@ -287,10 +287,9 @@ def solve_csp_wide(inst: CspInstance, y: NoisyPrediction, delta: int, eta: float
 
 def save_csp(inst: CspInstance) -> str:
     """Header "n k 0" (weights as stored), then raw lines "w c1 c2 i j"."""
-    lines = [f"{inst.n} {inst.num_constraints} 0"]
-    for (w, (c1, c2), (i, j)) in inst.constraints:
-        lines.append(f"{w!r} {c1:+d} {c2:+d} {i} {j}")
-    return "\n".join(lines) + "\n"
+    rows = zip(inst.weight.tolist(), inst.signs.tolist(), inst.scope.tolist())
+    return "\n".join([f"{inst.n} {inst.num_constraints} 0"] +
+                     [f"{w!r} {c1:+d} {c2:+d} {i} {j}" for w, (c1, c2), (i, j) in rows]) + "\n"
 
 
 def load_csp(text: str, predicate: Predicate) -> CspInstance:
@@ -306,13 +305,10 @@ def load_csp(text: str, predicate: Predicate) -> CspInstance:
         raise ParseError(f"W_norm_flag must be 0 or 1, got {flag}", line=header)
     if len(rows) != k:
         raise ParseError(f"header promised {k} constraints, found {len(rows)}", line=header)
-    constraints = []
-    for ln, parts in rows:
-        w, c1, c2, i, j = _typed(parts, (float, int, int, int, int), "'w c1 c2 i j'", ln)
-        constraints.append((w, (c1, c2), (i, j)))
-    if flag == 1:
-        total = sum(c[0] for c in constraints)
-        if total > 0:
-            constraints = [(w / total, c, a) for (w, c, a) in constraints]
+    parsed = [_typed(parts, (float, int, int, int, int), "'w c1 c2 i j'", ln) for ln, parts in rows]
+    # flag 1 divides by the raw total added left to right; w / 1.0 is w, bit for bit
+    total = sum(p[0] for p in parsed) if flag == 1 else 0.0
+    scale = total if total > 0 else 1.0
     with _file_lines(header, rows):
-        return CspInstance(n, predicate, constraints)
+        return CspInstance(n, predicate,
+                           [(w / scale, (c1, c2), (i, j)) for w, c1, c2, i, j in parsed])

@@ -34,6 +34,8 @@ from .errors import DimensionError, DomainError, ParameterError, ParseError
 WEIGHT_TOL = 1e-12
 # slack allowed when validating box membership of fractional assignments
 BOX_TOL = 1e-9
+# about this many vertex pairs per row block of gen_erdos_renyi
+BLOCK_PAIRS = 1 << 20
 
 WIDE = "wide"
 NARROW = "narrow"
@@ -93,45 +95,62 @@ class Graph:
 def _canonical_edges(n, edges):
     """(edge_i, edge_j, edge_w) with i < j, sorted by (i, j).
 
-    Ids are truncated to integers and weights read as floats. Edges are
-    checked in input order; for each one a self-loop, an id out of range,
-    a non-finite weight, a negative weight and a repeat of an earlier pair
-    are tested in that order, and the first failing test raises a
-    DomainError whose `row` is the edge's index.
+    Ids are truncated to integers and weights read as floats. A row that is
+    not an (i, j, w) triple is refused first; then a self-loop, an id out of
+    range, a non-finite weight, a negative weight and a repeat of an earlier
+    pair are tested in that order, and the first failing edge raises a
+    DomainError whose `row` is its index.
     """
     if not isinstance(edges, (list, tuple, np.ndarray)):
         edges = list(edges)
-    E = np.array(edges, dtype=np.float64) if len(edges) else np.empty((0, 3))
-    if E.ndim != 2 or E.shape[1] != 3:
-        raise ValueError("edges must be (i, j, w) triples")
-    lo, hi = np.sort(np.trunc(E[:, :2]), axis=1).T
-    w = E[:, 2]
-    loop = lo == hi
-    out_of_range = ~((lo >= 0) & (hi < n))
-    nonfinite = ~np.isfinite(w)
-    negative = w < 0
+    try:
+        E = np.array(edges, dtype=np.float64) if len(edges) else np.empty((0, 3))
+    except (TypeError, ValueError):      # ragged or non-numeric rows
+        E = None
+    if E is None or E.shape[1:] != (3,):
+        raise _malformed(edges, ((), (), ()), "edge is not (i, j, w)")
+    a, b, w = np.trunc(E[:, 0]), np.trunc(E[:, 1]), E[:, 2]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
     order = np.lexsort((hi, lo))      # stable: the first of equal pairs leads
     repeat = np.zeros(len(w), dtype=bool)
     repeat[order[1:]] = (np.diff(lo[order]) == 0) & (np.diff(hi[order]) == 0)
-    bad = loop | out_of_range | nonfinite | negative | repeat
+    _refuse_rows([(lo == hi, "self-loop at vertex {ids[0]}"),
+                  (~((lo >= 0) & (hi < n)), "vertex id out of range: {ids}"),
+                  (~np.isfinite(w), "non-finite weight {w} on edge {ids}"),
+                  (w < 0, "negative weight {w} on edge {ids}"),
+                  (repeat, "duplicate edge {pair}")],
+                 lambda k: dict(ids=_ids(edges[k][:2]), w=float(w[k]), pair=_ids((lo[k], hi[k]))))
+    return lo[order].astype(np.intp), hi[order].astype(np.intp), w[order]
+
+
+def _refuse_rows(checks, fields):
+    """Raise DomainError.at(k, message) for the first row k that fails a (mask, message) check.
+
+    One boolean mask per test, in test order. The message is that of the
+    row's first failing test, formatted with the row's fields(k).
+    """
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
     if bad.any():
         k = int(np.argmax(bad))
-        a, b, wk = edges[k]
-        # a NaN or infinite id is out of range and printed as it is
-        a, b = (int(v) if np.isfinite(float(v)) else float(v) for v in (a, b))
-        wk = float(wk)
-        if loop[k]:
-            message = f"self-loop at vertex {a}"
-        elif out_of_range[k]:
-            message = f"vertex id out of range: ({a}, {b})"
-        elif nonfinite[k]:
-            message = f"non-finite weight {wk} on edge ({a}, {b})"
-        elif negative[k]:
-            message = f"negative weight {wk} on edge ({a}, {b})"
-        else:
-            message = f"duplicate edge ({min(a, b)}, {max(a, b)})"
-        raise DomainError.at(k, message)
-    return lo[order].astype(np.intp), hi[order].astype(np.intp), w[order]
+        message = next(message for mask, message in checks if mask[k])
+        raise DomainError.at(k, message.format(**fields(k)))
+
+
+def _malformed(rows, shapes, form):
+    """DomainError at the first row whose entries are not numbers of `shapes`, e.g. ((), (2,))."""
+    def shapes_of(row):
+        try:
+            return tuple(np.shape(np.asarray(v, dtype=np.float64)) for v in row)
+        except (TypeError, ValueError):
+            return None
+
+    k = next(k for k, row in enumerate(rows) if shapes_of(row) != shapes)
+    return DomainError.at(k, f"{form}, got {rows[k]!r}")
+
+
+def _ids(values):
+    """Ids truncated to ints for messages; a NaN or infinite id is printed as it is."""
+    return tuple(int(v) if np.isfinite(float(v)) else float(v) for v in values)
 
 
 class PrefixOrder:
@@ -338,22 +357,18 @@ def gen_erdos_renyi(n, p, weight_law="unit", seed=0, q_cross=None, q_within=None
     drawn uniformly from (0, 1]. weight_law "planted": ignores p and places
     each cut pair with probability q_cross and each within-side pair with
     probability q_within (unit weights) around a balanced ground truth,
-    which is stored on the returned graph for later comparison.
+    which is stored on the returned graph for later comparison. Presence is
+    drawn pair by pair in np.triu_indices order, in row blocks of about
+    BLOCK_PAIRS pairs (memory O(BLOCK_PAIRS + edges)), and weights after it.
     """
     if n < 1:
         raise ParameterError(f"need at least one vertex, got n={n}")
     rng = np.random.default_rng(seed)
-    iu, ju = np.triu_indices(n, k=1)
+    truth = None
     if weight_law in ("unit", "uniform"):
         if not (0.0 <= p <= 1.0):
             raise ParameterError(f"edge probability must be in [0, 1], got {p}")
-        present = rng.random(len(iu)) < p
-        if weight_law == "unit":
-            w = np.ones(int(present.sum()))
-        else:
-            w = 1.0 - rng.random(int(present.sum()))  # uniform on (0, 1]
-        return Graph(n, np.column_stack((iu[present], ju[present], w)))
-    if weight_law == "planted":
+    elif weight_law == "planted":
         for name, q in (("q_cross", q_cross), ("q_within", q_within)):
             if q is None or not (0.0 <= q <= 1.0):
                 raise ParameterError(f"{name} must be a probability, got {q}")
@@ -364,12 +379,19 @@ def gen_erdos_renyi(n, p, weight_law="unit", seed=0, q_cross=None, q_within=None
             truth = _values_of(ground_truth, n)
             if not np.all(np.abs(truth) == 1.0):
                 raise DomainError("ground truth must be a +-1 assignment")
-        cross = truth[iu] != truth[ju]
-        prob = np.where(cross, q_cross, q_within)
-        present = rng.random(len(iu)) < prob
-        return Graph(n, np.column_stack((iu[present], ju[present], np.ones(int(present.sum())))),
-                     planted=truth)
-    raise ParameterError(f"unknown weight law {weight_law!r}")
+    else:
+        raise ParameterError(f"unknown weight law {weight_law!r}")
+    step = max(1, BLOCK_PAIRS // n)
+    kept = []
+    for r in range(0, n, step):
+        i, j = np.nonzero(np.triu(np.ones((min(step, n - r), n), dtype=bool), k=r + 1))
+        i += r
+        prob = p if truth is None else np.where(truth[i] != truth[j], q_cross, q_within)
+        present = rng.random(len(i)) < prob
+        kept.append((i[present], j[present]))
+    i, j = (np.concatenate(side) for side in zip(*kept))
+    w = 1.0 - rng.random(len(i)) if weight_law == "uniform" else np.ones(len(i))
+    return Graph(n, np.column_stack((i, j, w)), planted=truth)
 
 
 def load_edge_list(text: str) -> Graph:

@@ -20,11 +20,16 @@ from .wide import REPEAT, wide_lp_cut
 
 
 def choose_delta(epsilon: float, eps_prime: float, c_delta: float = 1.0) -> int:
-    """delta = ceil(c_delta / (eps * eps')^2) for positive inputs; c_delta tunes the constant."""
+    """delta = ceil(c_delta / (eps * eps')^2); c_delta tunes the constant. All must be finite."""
     for name, value in (("epsilon", epsilon), ("eps_prime", eps_prime), ("c_delta", c_delta)):
         if not value > 0:
             raise ParameterError(f"{name} must be positive, got {value}")
-    return max(1, math.ceil(c_delta / (epsilon * eps_prime) ** 2))
+        if value == math.inf:
+            raise ParameterError(f"{name} must be finite, got {value}")
+    try:
+        return max(1, math.ceil(c_delta / (epsilon * eps_prime) ** 2))
+    except (ZeroDivisionError, OverflowError):
+        raise ParameterError("c_delta / (epsilon * eps_prime)^2 is out of float range") from None
 
 
 def solve_noisy(g: Graph, y: NoisyPrediction, eta: float = 0.05, eps_prime: float = 0.05,

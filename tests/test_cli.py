@@ -140,6 +140,21 @@ def test_a_zero_eps_prime_is_a_typed_error(workdir, capsys, algo):
     assert out == "" and err == "error: eps_prime must be positive, got 0.0\n"
 
 
+def test_an_eps_prime_whose_delta_leaves_the_float_range_is_a_typed_error(workdir, capsys):
+    d, run = workdir
+    run("gen-graph", "--n", 8, "--p", 0.9, "--seed", 6, "--out", d / "g.txt")
+    (d / "truth.txt").write_text("\n".join(["+1", "-1"] * 4))
+    run("gen-predictions", "--truth", d / "truth.txt", "--model", "noisy",
+        "--eps", 0.45, "--seed", 7, "--out", d / "p.txt")
+    capsys.readouterr()
+    argv = ("solve", "--graph", d / "g.txt", "--algo", "auto", "--pred", d / "p.txt",
+            "--eps-prime", "1e-200")
+    assert main([str(a) for a in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert "out of float range" in err
+
+
 EXP_CONFIG = """
 [experiment]
 master_seed = 5

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from predcut.csp import (CspInstance, CUT_PREDICATE, build_csp_lp,
+from predcut.csp import (CspInstance, CUT_PREDICATE, Predicate, build_csp_lp,
                          classify_literals, csp_value, csp_value_table,
                          fourier_expand, load_csp, maxcut_as_csp,
                          predicate_from_bits, save_csp, solve_csp_wide)
@@ -54,11 +54,28 @@ def test_all_sixteen_predicates_reconstruct_exactly():
         assert sum(f * f for f in pred.fourier) <= 1.0 + 1e-12
 
 
+def test_a_predicate_holds_its_truth_table_only():
+    # the coefficients derive from the table, so a table and coefficients
+    # that disagree cannot be built
+    with pytest.raises(TypeError):
+        Predicate(table=CUT_PREDICATE.table, f0=1.0, f1=0.0, f2=0.0, f12=0.0)
+    for bits in itertools.product((0, 1), repeat=4):
+        pred = fourier_expand(list(bits))
+        assert pred.table == bits and not hasattr(pred, "f0")
+        assert fourier_expand(dict(zip(ALL_INPUT_PAIRS, bits))) == pred
+        f = [sum(p * z1 for p, (z1, _) in zip(bits, ALL_INPUT_PAIRS)),
+             sum(p * z2 for p, (_, z2) in zip(bits, ALL_INPUT_PAIRS)),
+             sum(p * z1 * z2 for p, (z1, z2) in zip(bits, ALL_INPUT_PAIRS))]
+        assert pred.fourier == (sum(bits) / 4.0, f[0] / 4.0, f[1] / 4.0, f[2] / 4.0)
+
+
 def test_predicate_validation():
     with pytest.raises(DomainError):
         predicate_from_bits("012")
     with pytest.raises(DomainError):
         fourier_expand([0, 1, 2, 0])
+    with pytest.raises(DomainError):
+        Predicate((0, 1, 1))
 
 
 def test_csp_value_k3_encoding():
@@ -84,7 +101,7 @@ def test_two_evaluation_paths_agree():
 def test_two_paths_agree_for_asymmetric_predicate():
     # implication-like predicate has asymmetric linear coefficients
     pred = fourier_expand([1, 0, 1, 1])
-    assert pred.f1 != pred.f2
+    assert pred.fourier[1] != pred.fourier[2]
     rng = np.random.default_rng(122)
     cons = [(1.0, (1, -1), (0, 1)), (0.5, (-1, 1), (1, 2)), (2.0, (1, 1), (2, 0))]
     inst = CspInstance(3, pred, cons)
@@ -254,7 +271,8 @@ def test_csp_file_round_trip():
     inst = random_instance(rng, n=6, m=9, pred_bits="0111")
     loaded = load_csp(save_csp(inst), inst.predicate)
     assert loaded.n == inst.n
-    assert loaded.constraints == inst.constraints
+    for a in ("weight", "signs", "scope"):
+        assert np.array_equal(getattr(loaded, a), getattr(inst, a))
     rng2 = np.random.default_rng(133)
     for _ in range(5):
         x = random_cut(rng2, 6)
@@ -264,8 +282,7 @@ def test_csp_file_round_trip():
 def test_csp_file_normalization_flag():
     text = "2 2 1\n2.0 +1 +1 0 1\n6.0 +1 -1 1 0\n"
     inst = load_csp(text, CUT_PREDICATE)
-    assert sum(w for (w, _, _) in inst.constraints) == pytest.approx(1.0)
-    assert inst.constraints[0][0] == pytest.approx(0.25)
+    assert inst.weight.tolist() == [2.0 / 8.0, 6.0 / 8.0]
 
 
 def test_csp_file_errors_name_the_file_line():
@@ -274,6 +291,6 @@ def test_csp_file_errors_name_the_file_line():
     with pytest.raises(ParseError, match="line 7: bad field types") as e:
         load_csp(text, CUT_PREDICATE)
     assert e.value.line == 7
-    assert len(load_csp(text.replace(" x ", " -1 "), CUT_PREDICATE).constraints) == 2
+    assert load_csp(text.replace(" x ", " -1 "), CUT_PREDICATE).num_constraints == 2
     with pytest.raises(ParseError, match="line 4: W_norm_flag"):
         load_csp(text.replace("2 2 0", "2 2 5"), CUT_PREDICATE)

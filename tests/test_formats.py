@@ -137,7 +137,9 @@ def csps(draw):
 def test_csp_round_trip(inst, data):
     for text in (save_csp(inst), _with_noise(data, save_csp(inst))):
         loaded = load_csp(text, inst.predicate)
-        assert loaded.n == inst.n and loaded.constraints == inst.constraints
+        assert loaded.n == inst.n
+        for a in ("weight", "signs", "scope"):
+            assert np.array_equal(getattr(loaded, a), getattr(inst, a))
 
 
 @st.composite

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from predcut import graph
 from predcut.errors import DimensionError, DomainError, ParameterError, ParseError
 from predcut.graph import (CutAssignment, Graph, classify, cut_value,
                            delta_prefix_weight, frac_objective, gen_erdos_renyi,
@@ -219,6 +222,38 @@ def test_gen_planted_stores_given_ground_truth():
                         ground_truth=truth)
     assert np.array_equal(g.planted, truth)
     assert np.all(truth[g.edge_i] != truth[g.edge_j])
+
+
+def _one_draw_erdos_renyi(n, p, weight_law, seed, q_cross, q_within):
+    """The generator as one uniform draw over all n(n-1)/2 pairs: (i, j, w, planted truth)."""
+    rng = np.random.default_rng(seed)
+    iu, ju = np.triu_indices(n, k=1)
+    if weight_law == "planted":
+        truth = np.ones(n)
+        truth[rng.permutation(n)[: n // 2]] = -1.0
+        present = rng.random(len(iu)) < np.where(truth[iu] != truth[ju], q_cross, q_within)
+        return iu[present], ju[present], np.ones(int(present.sum())), truth
+    present = rng.random(len(iu)) < p
+    k = int(present.sum())
+    w = np.ones(k) if weight_law == "unit" else 1.0 - rng.random(k)
+    return iu[present], ju[present], w, None
+
+
+PROBABILITIES = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=60)
+@given(n=st.integers(1, 300), law=st.sampled_from(["unit", "uniform", "planted"]),
+       p=PROBABILITIES, q_cross=PROBABILITIES, q_within=PROBABILITIES,
+       seed=st.integers(0, 2 ** 32 - 1), block=st.sampled_from([1, 7, 100, 5000]))
+def test_gen_in_row_blocks_matches_one_draw(n, law, p, q_cross, q_within, seed, block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "BLOCK_PAIRS", block)
+        g = gen_erdos_renyi(n, p, law, seed=seed, q_cross=q_cross, q_within=q_within)
+    i, j, w, truth = _one_draw_erdos_renyi(n, p, law, seed, q_cross, q_within)
+    assert g.edge_i.tolist() == i.tolist() and g.edge_j.tolist() == j.tolist()
+    assert g.edge_w.tolist() == w.tolist()
+    assert (g.planted is None) if truth is None else g.planted.tolist() == truth.tolist()
 
 
 def test_gen_invalid_probability():

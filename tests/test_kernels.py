@@ -2,12 +2,13 @@
 
 The exhaustive search is checked against itertools.product, the delta-prefix
 order against a per-owner sort, the CSP wide LP against a per-literal
-loop, best_cut against a first-wins scan, and Graph construction against
-a per-edge loop.
+loop, best_cut against a first-wins scan, and Graph and CspInstance
+construction against a per-row loop.
 """
 
 import itertools
 import math
+import numbers
 
 import numpy as np
 import pytest
@@ -210,23 +211,39 @@ def test_best_cut_is_the_earliest_maximum(g, picks):
     assert best_cut(g, iter(cuts)) is best
 
 
+def _fits(row, widths):
+    """Whether row holds one number per width 0 and a tuple of k numbers per width k."""
+    def numbers_of(v, k):
+        if k == 0:
+            return isinstance(v, numbers.Real)
+        return isinstance(v, tuple) and len(v) == k and all(numbers_of(u, 0) for u in v)
+    return isinstance(row, tuple) and len(row) == len(widths) and all(
+        numbers_of(v, k) for v, k in zip(row, widths))
+
+
 def _reference_graph(n, edges):
-    """The per-edge construction loop: (sorted canonical triples, degrees), or the first error."""
+    """The per-edge construction loop: (sorted canonical triples, degrees), or the first error.
+
+    Every row's shape is checked before any row's values.
+    """
+    for k, row in enumerate(edges):
+        if not _fits(row, (0, 0, 0)):
+            raise DomainError.at(k, f"edge is not (i, j, w), got {row!r}")
     canon, seen = [], set()
-    for (i, j, w) in edges:
+    for k, (i, j, w) in enumerate(edges):
         i, j, w = int(i), int(j), float(w)
         if i == j:
-            raise DomainError(f"self-loop at vertex {i}")
+            raise DomainError.at(k, f"self-loop at vertex {i}")
         if not (0 <= i < n and 0 <= j < n):
-            raise DomainError(f"vertex id out of range: ({i}, {j})")
+            raise DomainError.at(k, f"vertex id out of range: ({i}, {j})")
         if not math.isfinite(w):
-            raise DomainError(f"non-finite weight {w} on edge ({i}, {j})")
+            raise DomainError.at(k, f"non-finite weight {w} on edge ({i}, {j})")
         if w < 0:
-            raise DomainError(f"negative weight {w} on edge ({i}, {j})")
+            raise DomainError.at(k, f"negative weight {w} on edge ({i}, {j})")
         if i > j:
             i, j = j, i
         if (i, j) in seen:
-            raise DomainError(f"duplicate edge ({i}, {j})")
+            raise DomainError.at(k, f"duplicate edge ({i}, {j})")
         seen.add((i, j))
         canon.append((i, j, w))
     canon.sort()
@@ -251,7 +268,7 @@ def edge_lists(draw):
              else (i, j, draw(ROUNDING_WEIGHTS)) for i, j in chosen]
     for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
         kind = draw(st.sampled_from(["loop", "range", "nonfinite", "negative", "repeat",
-                                     "flipped"]))
+                                     "flipped", "malformed"]))
         at = draw(st.integers(0, len(edges)))
         v = draw(st.integers(0, n - 1))
         if kind == "loop":
@@ -260,6 +277,8 @@ def edge_lists(draw):
             bad = draw(st.sampled_from([(v, n, 1.0), (-1, v, 1.0), (n + 2, -3, 0.5)]))
         elif kind == "nonfinite":
             bad = (v, (v + 1) % max(n, 2), draw(st.sampled_from([math.nan, math.inf, -math.inf])))
+        elif kind == "malformed":
+            bad = draw(st.sampled_from([(v, v + 1), (v, v + 1, 1.0, 2.0), (v, (v + 1, 0), 1.0)]))
         elif kind == "negative" or not edges:
             bad = (v, (v + 1) % max(n, 2), -0.3)
         else:
@@ -278,7 +297,7 @@ def test_graph_construction_matches_a_per_edge_loop(case, as_iterator):
     except DomainError as err:
         with pytest.raises(DomainError) as got:
             Graph(n, iter(edges) if as_iterator else edges)
-        assert str(got.value) == str(err)
+        assert (got.value.row, str(got.value)) == (err.row, str(err))
         return
     g = Graph(n, iter(edges) if as_iterator else edges)
     assert g.edge_i.dtype == g.edge_j.dtype == np.intp and g.edge_w.dtype == np.float64
@@ -296,9 +315,86 @@ def test_graph_construction_matches_a_per_edge_loop(case, as_iterator):
 
 
 def test_edges_must_be_triples():
-    for edges in ([(0, 1)], [(0, 1, 1.0, 2.0)], [(0, 1, 1.0), (1, 2)]):
-        with pytest.raises(ValueError):
+    for edges, row in (([(0, 1)], 0), ([(0, 1, 1.0, 2.0)], 0), ([(0, 1, 1.0), (1, 2)], 1),
+                       ([(0, 0, 1.0), (1, 2)], 1), ([(0, (1, 2), 1.0)], 0), ([(0, 1, "x")], 0)):
+        with pytest.raises(DomainError, match=r"^edge is not \(i, j, w\), got ") as e:
             Graph(3, edges)
+        assert e.value.row == row
+
+
+def _reference_csp(n, constraints):
+    """The per-constraint construction loop: (weights, signs, scopes) as lists, or the first error.
+
+    Every row's shape is checked before any row's values; a NaN or infinite
+    sign or variable is refused and printed as it is.
+    """
+    for t, row in enumerate(constraints):
+        if not _fits(row, (0, 2, 2)):
+            raise DomainError.at(t, f"constraint is not (w, (c1, c2), (i, j)), got {row!r}")
+    weights, signs, scopes = [], [], []
+    for t, (w, c, alpha) in enumerate(constraints):
+        w = float(w)
+        c1, c2 = (int(v) if math.isfinite(v) else v for v in c)
+        i, j = (int(v) if math.isfinite(v) else float(v) for v in alpha)
+        if not math.isfinite(w):
+            raise DomainError.at(t, f"non-finite constraint weight {w}")
+        if w < 0:
+            raise DomainError.at(t, f"negative constraint weight {w}")
+        if c1 not in (-1, 1) or c2 not in (-1, 1):
+            raise DomainError.at(t, f"negation pattern must be +-1 pairs, got {c}")
+        if not (0 <= i < n and 0 <= j < n):
+            raise DomainError.at(t, f"scope out of range: ({i}, {j})")
+        weights.append(w)
+        signs.append([c1, c2])
+        scopes.append([i, j])
+    return weights, signs, scopes
+
+
+@st.composite
+def constraint_lists(draw):
+    """(n, constraints): valid constraints with one fault of a drawn kind at a drawn row, or none.
+
+    A "truncated" row is no fault: its signs and variables truncate to valid ones.
+    """
+    n = draw(st.integers(1, 6))
+    var, sign = st.integers(0, n - 1), st.sampled_from([-1, 1])
+    cons = draw(st.lists(st.tuples(WEIGHTS, st.tuples(sign, sign), st.tuples(var, var)),
+                         max_size=10))
+    kind = draw(st.sampled_from([None, "truncated", "nonfinite", "negative", "sign", "range",
+                                 "malformed"]))
+    v = draw(var)
+    faults = {
+        "truncated": st.just((1.0, (1.5, -1.9), (v + 0.5, -0.5))),
+        "nonfinite": st.sampled_from([(w, (1, 1), (v, v)) for w in (math.nan, math.inf, -math.inf)]),
+        "negative": st.just((-0.25, (1, -1), (v, v))),
+        "sign": st.sampled_from([(1.0, c, (v, v)) for c in ((0, 1), (1, 2), (-1, math.nan))]),
+        "range": st.sampled_from([(1.0, (1, 1), a) for a in ((v, n), (-1, v), (math.nan, v),
+                                                              (v, math.inf))]),
+        "malformed": st.sampled_from([(1.0, (1, 1, 5), (v, v)), (1.0, (1, 1), (v, v, 2)),
+                                      (1.0, (1, 1)), (1.0, (1, 1), (v, v), 3), (1.0, 1, (v, v)),
+                                      ((1.0, 2.0), (1, 1), (v, v)), (1.0, (1, 1), (v, "x"))]),
+    }
+    if kind is not None:
+        cons.insert(draw(st.integers(0, len(cons))), draw(faults[kind]))
+    return n, cons
+
+
+@settings(max_examples=300)
+@given(case=constraint_lists(), as_iterator=st.booleans())
+def test_csp_construction_matches_a_per_constraint_loop(case, as_iterator):
+    n, cons = case
+    pred = predicate_from_bits("1011")
+    try:
+        weights, signs, scopes = _reference_csp(n, cons)
+    except DomainError as err:
+        with pytest.raises(DomainError) as got:
+            CspInstance(n, pred, iter(cons) if as_iterator else cons)
+        assert (got.value.row, str(got.value)) == (err.row, str(err))
+        return
+    inst = CspInstance(n, pred, iter(cons) if as_iterator else cons)
+    assert inst.weight.dtype == np.float64 and inst.signs.dtype == inst.scope.dtype == np.intp
+    assert inst.weight.tolist() == weights and inst.num_constraints == len(cons)
+    assert inst.signs.tolist() == signs and inst.scope.tolist() == scopes
 
 
 def test_zero_edge_graph():

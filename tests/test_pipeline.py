@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,16 @@ def test_choose_delta():
                                         ((0.3, 0.2, -1.0), "c_delta")])
 def test_choose_delta_refuses_non_positive_inputs(args, name):
     with pytest.raises(ParameterError, match=f"{name} must be positive"):
+        choose_delta(*args)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((math.nan, 0.2), "epsilon must be positive"), ((math.inf, 0.2), "epsilon must be finite"),
+    ((0.3, math.inf), "eps_prime must be finite"), ((0.3, 0.2, math.inf), "c_delta must be finite"),
+    ((0.3, 1e-200), "out of float range"), ((0.3, 1e-160), "out of float range"),
+    ((1e80, 1e80), "out of float range")])
+def test_choose_delta_refuses_non_finite_inputs_and_quotients(args, message):
+    with pytest.raises(ParameterError, match=message):
         choose_delta(*args)
 
 
