@@ -41,7 +41,10 @@ Three optional constraint families:
     TRIANGLE_LIMIT vertices. One penalty run starts from a perturbed
     embedding of a floor cut, the best of 20 one-opt hyperplane roundings
     of the plain solution, and without pins the result never falls below
-    that cut.
+    that cut. Without pins and with integer weights, a rounding whose cut
+    reaches the floor of the Poljak-Rendl bound (sdp_upper_bound's
+    arithmetic, at the plain solution) is a maximum cut: the stage then
+    returns its embedding with no penalty round, reported `certified`.
     Each penalty round is one L-BFGS-B minimization (scipy.optimize) of
     the negated penalized objective over the free rows, written as
     V_i = U_i / ||U_i||; pinned rows are not variables. One kernel returns
@@ -360,7 +363,10 @@ def _penalty_continuation(A, V, free_mask, scale):
     V_i = U_i / ||U_i|| for an unconstrained U_i (the Burer-Monteiro
     factorization); pinned rows stay out of the variable vector. A round
     starts where the previous one ended. At least one round runs, unless no
-    row is free, and at most 50. Returns (worst violation, rounds run).
+    row is free, and at most 50. A round's worst violation is the one the
+    objective's last evaluation returned when L-BFGS-B ends on that point,
+    byte for byte, and a fresh kernel pass otherwise. Returns (worst
+    violation, rounds run).
     """
     n, k = V.shape
     free = np.flatnonzero(free_mask)
@@ -368,27 +374,30 @@ def _penalty_continuation(A, V, free_mask, scale):
         return _triangle_terms(V)[1], 0
     rho = max(1.0, scale / max(n, 1))
     worst, rounds = np.inf, 0
+    last = [None, None]          # the latest evaluation's x bytes and worst violation
     while worst > TRIANGLE_TOL and rounds < 50:
-        res = minimize(_negated_penalized, V[free].ravel(), args=(A, V, free, rho, scale),
+        res = minimize(_negated_penalized, V[free].ravel(), args=(A, V, free, rho, scale, last),
                        jac=True, method="L-BFGS-B", options=_PENALTY_OPTIONS)
         U = res.x.reshape(-1, k)
         V[free] = U / _row_norms(U, keepdims=True)
-        worst = _triangle_terms(V)[1]
+        worst = last[1] if res.x.tobytes() == last[0] else _triangle_terms(V)[1]
         rho *= 2.0
         rounds += 1
     return worst, rounds
 
 
-def _negated_penalized(x, A, V, free, rho, scale):
+def _negated_penalized(x, A, V, free, rho, scale, last):
     """-(objective - rho * penalty) / scale and its gradient in x, the free rows' U.
 
-    Writes the free rows V_i = U_i / ||U_i|| into V. The objective's affine
-    part is dropped.
+    Writes the free rows V_i = U_i / ||U_i|| into V, and x's bytes and the
+    worst violation there into last. The objective's affine part is
+    dropped.
     """
     U = x.reshape(len(free), -1)
     nrm = _row_norms(U, keepdims=True)
     V[free] = Vf = U / nrm
-    pen, _, dG = _triangle_terms(V)
+    pen, last[1], dG = _triangle_terms(V)
+    last[0] = x.tobytes()
     AV = A @ V
     dV = (AV + rho * ((dG + dG.T) @ V))[free]
     dV -=np.einsum("ik,ik->i", dV, Vf)[:, None] * Vf    # through V_i = U_i / ||U_i||
@@ -447,6 +456,14 @@ def _triangle_solve(g: Graph, cfg: SdpConfig) -> SdpSolution:
     its own ladder. Without pins the result never falls below that cut: the
     floor cut's own embedding is returned when the penalty run ends under it
     or misses the tolerance.
+
+    With no pins and integer weights summing to at most 2^53, every cut
+    value is an exact integer, so a cut that reaches goal = floor(B + 1e-9),
+    B the Poljak-Rendl bound at rung 0's rows, is a maximum cut (the
+    pruning rule of Rendl, Rinaldi and Wiegele, 2010). The roundings then
+    stop at the first that reaches goal, which no cut exceeds, so it is the
+    cut best_cut would pick from all 20, and its embedding is returned with
+    no penalty round and `certified` True.
     """
     n = g.n
     if n > TRIANGLE_LIMIT:
@@ -454,20 +471,31 @@ def _triangle_solve(g: Graph, cfg: SdpConfig) -> SdpSolution:
     # validates the pins; rung 0 is the plain solve
     plain = SubsetLadder(g, None, replace(cfg, triangle=False))
     pins, v0, k = plain.pins, plain.v0, plain.k
-    # the penalty rounds work on the dense Gram matrix, so they take dense weights
+    # the bound and the penalty rounds work on dense weights
     D = g.csr.toarray()
     P, _, run = plain._rung(0)
+    w = g.edge_w
+    integral = not pins and g.total_weight <= 2.0 ** 53 and bool(np.all(w == np.floor(w)))
+    goal = math.floor(_poljak_rendl(g, P, D) + 1e-9) if integral else math.inf
 
-    def rounding(r):
-        proj = P @ np.random.default_rng(derive(cfg.seed, 90, r)).standard_normal(k)
-        return CutAssignment(values=_one_opt(D, np.where(proj > 0, 1.0, -1.0)))
+    def roundings():
+        for r in range(20):
+            proj = P @ np.random.default_rng(derive(cfg.seed, 90, r)).standard_normal(k)
+            cut = CutAssignment(values=_one_opt(D, np.where(proj > 0, 1.0, -1.0)))
+            yield cut
+            if integral and cut_value(g, cut) >= goal:
+                return
 
-    floor_cut = best_cut(g, (rounding(r) for r in range(20)))
+    floor_cut = best_cut(g, roundings())
     floor_val = cut_value(g, floor_cut)
+    # the floor cut's embedding: integral, so it violates no triangle inequality
+    V_f = floor_cut.values[:, None] * v0[None, :]
+    if floor_val >= goal:
+        return _solution(g, v0, V_f, [run], pins, {"triangle": 0.0, "penalty_rounds": 0,
+                                                   "fallback": False, "certified": True})
     # a barely-perturbed embedding of the floor cut starts near-feasible at
     # the floor objective
     blend = 0.02
-    V_f = floor_cut.values[:, None] * v0[None, :]
     noise = np.random.default_rng(derive(cfg.seed, 91)).standard_normal((n, k))
     V = (1 - blend) * V_f + blend * noise
     V /= np.linalg.norm(V, axis=1, keepdims=True)
@@ -478,10 +506,9 @@ def _triangle_solve(g: Graph, cfg: SdpConfig) -> SdpSolution:
     fallback = not pins and (worst > TRIANGLE_TOL
                              or (obj < floor_val and _edge_contribution(g, V_f) >= obj))
     if fallback:
-        V = V_f
-        worst = _triangle_terms(V)[1]
+        V, worst = V_f, 0.0
     return _solution(g, v0, V, [run], pins, {"triangle": float(worst), "penalty_rounds": rounds,
-                                             "fallback": fallback})
+                                             "fallback": fallback, "certified": False})
 
 
 # multipliers of the ladder's rungs: l = 0, 1, 2, 4, ..., 2^20
@@ -685,8 +712,8 @@ def sdp_upper_bound(g: Graph, sol: SdpSolution) -> float:
     u_i = (C V V^T)_ii from the solution's vertex rows V, the dual
     certificate of the Mixing method; it holds for any u, so pinned, subset
     and triangle solutions give valid, only looser, bounds on the
-    unconstrained relaxation. The bound is computed on each call; no solver
-    calls it.
+    unconstrained relaxation. The bound is computed on each call; the
+    triangle stage shares its arithmetic (_poljak_rendl) for its exit.
 
     lambda_max of M = C - Diag(u) comes from a dense eigvalsh up to n =
     DENSE_EIG_LIMIT, raised by 8 n eps ||M||_F to cover LAPACK's backward
@@ -698,14 +725,28 @@ def sdp_upper_bound(g: Graph, sol: SdpSolution) -> float:
     """
     if sol.vectors.shape[0] != g.n + 1:
         raise DimensionError("solution size does not match the graph")
-    n, V = g.n, sol.vertex_vectors
+    D = g.csr.toarray() if g.n <= DENSE_EIG_LIMIT else None
+    return _poljak_rendl(g, sol.vertex_vectors, D)
+
+
+def _poljak_rendl(g: Graph, V, D) -> float:
+    """sdp_upper_bound's W/4 + sum(u) + n * lambda_max(C - Diag(u)) at the vertex rows V.
+
+    D is g's dense adjacency, which is read only: with it, lambda_max is
+    the dense eigvalsh plus 8 n eps ||M||_F, and with D None it is the
+    Lanczos Ritz value plus its residual norm.
+    """
+    n = g.n
     u = -0.25 * np.einsum("ik,ik->i", g.csr @ V, V)
-    M = sp.diags(-u) - 0.25 * g.csr
-    if n <= DENSE_EIG_LIMIT:
-        D = M.toarray()
-        lam = float(np.linalg.eigvalsh(D)[-1])
-        lam += 8.0 * n * np.finfo(float).eps * float(np.linalg.norm(D))
+    if D is not None:
+        # +0.0 where M is zero, as in a sparse difference: LAPACK's reflectors
+        # take the sign of a zero, so a -0.0 would move the eigenvalue's bits
+        M = 0.0 - 0.25 * D
+        M.flat[::n + 1] -= u
+        lam = float(np.linalg.eigvalsh(M)[-1])
+        lam += 8.0 * n * np.finfo(float).eps * float(np.linalg.norm(M))
     else:
+        M = sp.diags(-u) - 0.25 * g.csr
         x0 = np.random.default_rng(0).standard_normal(n)
         _, X = eigsh(M, k=1, which="LA", tol=1e-10, v0=x0)
         x = X[:, 0] / np.linalg.norm(X[:, 0])

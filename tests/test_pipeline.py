@@ -191,28 +191,67 @@ def test_infeasible_wide_lp_runs_one_plain_solve(monkeypatch):
     assert len(configs) == 1 and not configs[0].triangle and not configs[0].fixed_labels
 
 
+def oracle_case(n, p, data):
+    """(rng, graph): zero-weight edges, isolated vertices, and no edges when p = 0."""
+    from predcut.graph import Graph
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31 - 1)))
+    weights = [0.0, 1.0, float(rng.uniform(0, 1))]
+    isolated = rng.random(n) < 0.2
+    edges = [(i, j, weights[int(rng.integers(3))]) for i in range(n) for j in range(i + 1, n)
+             if not (isolated[i] or isolated[j]) and rng.random() < p]
+    return rng, Graph(n, edges)
+
+
+def plain_bound(g, seed):
+    """sdp_upper_bound at a plain solve, with the slack 1e-9 max(W, 1)."""
+    from predcut.sdp import SdpConfig, sdp_upper_bound, solve_sdp
+    return (sdp_upper_bound(g, solve_sdp(g, SdpConfig(seed=seed)))
+            + 1e-9 * max(g.total_weight, 1.0))
+
+
 @settings(max_examples=40)
 @given(n=st.integers(2, 14), p=st.sampled_from([0.0, 0.3, 0.7, 1.0]), data=st.data())
 def test_narrow_portfolio_against_the_exact_oracle(n, p, data):
     # unpinned graphs with zero-weight edges, isolated vertices or no edges:
     # the triangle relaxation is at least OPT, and the default portfolio,
     # narrow on every such graph with weight, finds at most OPT, the same
-    # cut on each call
-    from predcut.graph import Graph, classify
+    # cut on each call; any unit vectors are feasible for the plain
+    # relaxation, so the triangle objective and the cut are at most its
+    # certified bound
+    from predcut.graph import classify
     from predcut.sdp import SdpConfig, solve_sdp
-    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31 - 1)))
-    weights = [0.0, 1.0, float(rng.uniform(0, 1))]
-    isolated = rng.random(n) < 0.2
-    edges = [(i, j, weights[int(rng.integers(3))]) for i in range(n) for j in range(i + 1, n)
-             if not (isolated[i] or isolated[j]) and rng.random() < p]
-    g = Graph(n, edges)
+    rng, g = oracle_case(n, p, data)
     opt, x_star = exact_maxcut(g)
     seed = int(rng.integers(1000))
+    bound = plain_bound(g, seed)
     sol = solve_sdp(g, SdpConfig(triangle=True, seed=seed))
     assert sol.objective_value >= opt - 1e-12 * max(g.total_weight, 1.0)
+    assert sol.objective_value <= bound
     y = sample_noisy(x_star, 0.45, seed=seed)
     assert classify(g, choose_delta(y.epsilon, 0.05), 0.05).is_wide == (g.total_weight == 0)
     cut, tag = solve_noisy(g, y, seed=seed)
     assert cut_value(g, cut) <= opt + 1e-9
+    assert cut_value(g, cut) <= bound
     again, tag_again = solve_noisy(g, y, seed=seed)
     assert (again.values.tobytes(), tag_again) == (cut.values.tobytes(), tag)
+
+
+@settings(max_examples=30)
+@given(n=st.integers(2, 12), p=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+       reveal=st.sampled_from([0.2, 0.5, 1.0]), data=st.data())
+def test_partial_solvers_against_the_exact_oracle(n, p, reveal, data):
+    # the same graphs with a share of an optimal cut revealed (all of it
+    # leaves every SDP vector at +-v_0): each partial solver finds at most
+    # OPT and at most the plain bound, the same cut on each call
+    from predcut.partial import solve_partial_rt
+    rng, g = oracle_case(n, p, data)
+    opt, x_star = exact_maxcut(g)
+    seed = int(rng.integers(1000))
+    bound = plain_bound(g, seed)
+    shown = rng.random(n) < reveal if reveal < 1.0 else np.ones(n, dtype=bool)
+    y = PartialPrediction(y=np.where(shown, x_star.values, 0.0), epsilon=reveal)
+    for solve in (solve_partial_gw, solve_partial_rt):
+        cut = solve(g, y, seed=seed)
+        assert cut_value(g, cut) <= opt + 1e-9
+        assert cut_value(g, cut) <= bound
+        assert solve(g, y, seed=seed).values.tobytes() == cut.values.tobytes()

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 from scipy.stats import norm
 
 import predcut
@@ -15,11 +17,12 @@ from predcut.errors import DimensionError, ParameterError, ParseError
 from predcut.exact import exact_maxcut
 from predcut.graph import Graph, cut_value, gen_erdos_renyi
 from predcut.sdp import (SUBSET_TOL_FRAC, TRIANGLE_TOL, SdpConfig, SdpSolution, SubsetLadder,
-                         _ClassRows, _colour_classes, _coordinate_ascent, _csr_product,
-                         _penalty_continuation, _row_norms, _rt_thresholds, _subset_weights,
-                         _triangle_terms, hyperplane_round, load_solution,
-                         round_by_direction, rt_round, save_solution, sdp_objective,
-                         sdp_upper_bound, solve_sdp)
+                         _PENALTY_OPTIONS, _ClassRows, _colour_classes, _coordinate_ascent,
+                         _csr_product, _negated_penalized, _one_opt, _penalty_continuation,
+                         _row_norms, _rt_thresholds, _subset_weights, _triangle_terms,
+                         hyperplane_round, load_solution, round_by_direction, rt_round,
+                         save_solution, sdp_objective, sdp_upper_bound, solve_sdp)
+from predcut.seeds import derive
 
 from conftest import random_graph, three_sigma
 
@@ -224,7 +227,9 @@ def test_triangle_constraints_enforced():
 
 
 def test_report_counts_penalty_rounds():
-    c5 = Graph(5, [(i, (i + 1) % 5, 1.0) for i in range(5)])
+    # every weight 1.5 keeps C5 out of the certified exit, which takes
+    # integer weights only
+    c5 = Graph(5, [(i, (i + 1) % 5, 1.5) for i in range(5)])
     report = solve_sdp(c5, SdpConfig(triangle=True)).feasibility_report
     # the floor cut's perturbed embedding violates the triangle family; one
     # run of <= 50 rounds
@@ -232,14 +237,28 @@ def test_report_counts_penalty_rounds():
     assert "penalty_rounds" not in solve_sdp(c5).feasibility_report
 
 
+def test_a_unit_weight_odd_cycle_exits_certified():
+    # C5's bound, 4.52, floors to its maximum cut, 4, which a floor
+    # rounding reaches: the stage returns that cut with no penalty round
+    c5 = Graph(5, [(i, (i + 1) % 5, 1.0) for i in range(5)])
+    assert math.floor(sdp_upper_bound(c5, solve_sdp(c5))) == 4
+    sol = solve_sdp(c5, SdpConfig(triangle=True))
+    report = sol.feasibility_report
+    assert report["certified"] is True and report["penalty_rounds"] == 0
+    assert report["fallback"] is False and report["triangle"] == 0.0
+    assert sol.objective_value == exact_maxcut(c5)[0]
+    assert "certified" not in solve_sdp(c5).feasibility_report
+
+
 def test_report_names_the_fallback():
     g = gen_erdos_renyi(12, 0.6, "uniform", seed=0)
     report = solve_sdp(g, SdpConfig(triangle=True)).feasibility_report
     assert report["fallback"] is False and "start" not in report
-    # C5 plus the chord (0, 2): the perturbed floor embedding already meets
-    # the tolerance, yet the run still takes its rounds and climbs above the
-    # maximum cut (to about 5.00035) instead of falling back to the floor
-    g5 = Graph(5, [(i, (i + 1) % 5, 1.0) for i in range(5)] + [(0, 2, 1.0)])
+    # C5 plus the chord (0, 2), every weight 1.5 to stay out of the
+    # certified exit: the perturbed floor embedding already meets the
+    # tolerance, yet the run still takes its rounds and climbs above the
+    # maximum cut (to about 7.5005) instead of falling back to the floor
+    g5 = Graph(5, [(i, (i + 1) % 5, 1.5) for i in range(5)] + [(0, 2, 1.5)])
     opt, _ = exact_maxcut(g5)
     for seed in range(4):
         sol = solve_sdp(g5, SdpConfig(triangle=True, seed=seed))
@@ -248,6 +267,70 @@ def test_report_names_the_fallback():
         assert report["triangle"] <= TRIANGLE_TOL
         assert sol.objective_value > opt + 1e-4
     assert "fallback" not in solve_sdp(g5).feasibility_report
+
+
+def integer_weight_graph(rng, n, p):
+    """A graph with weights in {0, 1, 2, 3}, isolated vertices, and no edges when p = 0."""
+    isolated = rng.random(n) < 0.2
+    return Graph(n, [(i, j, float(rng.integers(4))) for i in range(n) for j in range(i + 1, n)
+                     if not (isolated[i] or isolated[j]) and rng.random() < p])
+
+
+def floor_rounding(g, seed):
+    """(earliest best cut, its value) of the triangle stage's 20 one-opt roundings, all drawn.
+
+    The roundings project the plain solve at the same seed, which is the
+    stage's rung 0, on the streams derive(seed, 90, r).
+    """
+    P = solve_sdp(g, SdpConfig(seed=seed)).vertex_vectors
+    D = g.csr.toarray()
+    best, best_val = None, -np.inf
+    for r in range(20):
+        proj = P @ np.random.default_rng(derive(seed, 90, r)).standard_normal(P.shape[1])
+        x = _one_opt(D, np.where(proj > 0, 1.0, -1.0))
+        if cut_value(g, x) > best_val:
+            best, best_val = x, cut_value(g, x)
+    return best, best_val
+
+
+@settings(max_examples=60)
+@given(n=st.integers(1, 14), p=st.sampled_from([0.0, 0.3, 0.7, 1.0]), data=st.data())
+def test_the_certified_exit_returns_the_earliest_best_rounding_at_the_optimum(n, p, data):
+    # unpinned integer weights: the stage exits exactly when its best
+    # rounding reaches floor(bound + 1e-9), and then that rounding's
+    # embedding, an optimal cut, is what it returns
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31 - 1)))
+    g = integer_weight_graph(rng, n, p)
+    seed = int(rng.integers(1000))
+    sol = solve_sdp(g, SdpConfig(triangle=True, seed=seed))
+    report = sol.feasibility_report
+    best, best_val = floor_rounding(g, seed)
+    goal = math.floor(sdp_upper_bound(g, solve_sdp(g, SdpConfig(seed=seed))) + 1e-9)
+    assert report["certified"] is (best_val >= goal)
+    if report["certified"]:
+        assert sol.objective_value == exact_maxcut(g)[0] == best_val
+        assert report["penalty_rounds"] == 0 and report["triangle"] == 0.0
+        assert report["fallback"] is False
+        assert sol.vertex_vectors.tobytes() == (best[:, None] * sol.v0[None, :]).tobytes()
+
+
+@settings(max_examples=30)
+@given(n=st.integers(1, 14), p=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+       change=st.sampled_from(["pin", "half"]), data=st.data())
+def test_pins_and_non_integer_weights_never_exit(n, p, change, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31 - 1)))
+    g, pins = integer_weight_graph(rng, n, p), {}
+    if change == "pin":
+        pins = {int(rng.integers(n)): float(rng.choice([-1.0, 1.0]))}
+    else:
+        w = g.edge_w.copy()
+        if len(w):
+            w[int(rng.integers(len(w)))] += 0.5
+            g = Graph(n, np.column_stack([g.edge_i, g.edge_j, w]))
+        else:
+            g = Graph(max(n, 2), [(0, 1, 0.5)])
+    report = solve_sdp(g, SdpConfig(triangle=True, fixed_labels=pins)).feasibility_report
+    assert report["certified"] is False
 
 
 def test_triangle_sdp_on_an_odd_cycle_with_chords():
@@ -357,6 +440,52 @@ def test_penalty_rounds_keep_pins_and_unit_rows(n, pinned_share, blend, seed):
     assert 1 <= rounds <= 50 if free.any() else rounds == 0
     assert worst == _triangle_terms(V)[1]
     assert worst == pytest.approx(max_triangle_violation(synthetic_solution(V)), rel=0, abs=1e-12)
+
+
+def eager_penalty_continuation(A, V, free_mask, scale):
+    """_penalty_continuation with a fresh kernel pass for each round's worst violation."""
+    n, k = V.shape
+    free = np.flatnonzero(free_mask)
+    if not free.size:
+        return _triangle_terms(V)[1], 0
+    rho = max(1.0, scale / max(n, 1))
+    worst, rounds = np.inf, 0
+    while worst > TRIANGLE_TOL and rounds < 50:
+        res = minimize(_negated_penalized, V[free].ravel(),
+                       args=(A, V, free, rho, scale, [None, None]),
+                       jac=True, method="L-BFGS-B", options=_PENALTY_OPTIONS)
+        U = res.x.reshape(-1, k)
+        V[free] = U / _row_norms(U, keepdims=True)
+        worst = _triangle_terms(V)[1]
+        rho *= 2.0
+        rounds += 1
+    return worst, rounds
+
+
+@settings(max_examples=30)
+@given(n=st.integers(3, 30), pinned_share=st.sampled_from([0.0, 0.2, 0.5]),
+       blend=st.sampled_from([0.02, 0.3, 1.0]), seed=st.integers(0, 2 ** 31 - 1))
+def test_penalty_rounds_reuse_the_last_evaluated_worst_violation(n, pinned_share, blend, seed):
+    # reading the worst violation from the objective's last evaluation
+    # returns what a fresh kernel pass returns, and leaves the same rows
+    A, V, free, scale = continuation_case(np.random.default_rng(seed), n, pinned_share, blend)
+    W = V.copy()
+    assert _penalty_continuation(A, V, free, scale) == eager_penalty_continuation(A, W, free, scale)
+    assert V.tobytes() == W.tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 8, 17, 30])
+@pytest.mark.parametrize("pinned", [False, True])
+def test_triangle_solves_match_the_eager_worst_violation_read(monkeypatch, n, pinned):
+    # uniform weights keep the unpinned solves out of the certified exit
+    g = gen_erdos_renyi(n, 0.6, "uniform", seed=n)
+    cfg = SdpConfig(triangle=True, seed=n, fixed_labels={0: 1, n - 1: -1} if pinned else {})
+    lazy = solve_sdp(g, cfg)
+    monkeypatch.setattr(predcut.sdp, "_penalty_continuation", eager_penalty_continuation)
+    eager = solve_sdp(g, cfg)
+    assert lazy.feasibility_report["penalty_rounds"] >= 1
+    assert lazy.feasibility_report == eager.feasibility_report
+    assert lazy.vectors.tobytes() == eager.vectors.tobytes()
 
 
 def test_rounded_floor_and_pinned_triangle_solves_still_run_the_plain_ascent():
