@@ -6,6 +6,12 @@ marginal-preserving variant additionally guesses, over a grid of
 thresholds tau, how much objective the edges touching revealed vertices
 must contribute, constrains the SDP accordingly, threshold-rounds, and
 keeps the best cut over the whole grid.
+
+Every revealed edge has a pinned end, so the revealed edges' contribution
+is separable in x_j = <v_0, v_j> over the free vertices j, and its exact
+maximum over the pinned relaxation has a closed form
+(revealed_edge_maximum). The sweep solves no tau above that maximum plus
+the feasibility tolerance: no multiplier can reach it.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from .sdp import SUBSET_TOL_FRAC, SdpConfig, SubsetLadder, rt_round, solve_gw
 from .seeds import derive
 
 DEFAULT_TAU_STEP = 0.05
+ROUNDING_FRAC = 1e-9      # bounds the rounding of a computed contribution, times max(W, 1)
 
 
 @dataclass(frozen=True)
@@ -50,6 +57,28 @@ def revealed_edge_set(g: Graph, y: PartialPrediction) -> np.ndarray:
     return np.nonzero(rev[g.edge_i] | rev[g.edge_j])[0]
 
 
+def revealed_edge_maximum(g: Graph, y: PartialPrediction) -> float:
+    """The revealed edges' largest contribution sum w (1 - <v_i, v_j>)/2 with v_i = y_i v_0 at pins.
+
+    An edge between two pins contributes w [y_i != y_j] whatever the other
+    vectors are. An edge from a free j to a pin i contributes
+    w (1 - y_i x_j)/2, x_j = <v_0, v_j> in [-1, 1], so j's edges to pins
+    contribute (W_j+ + W_j-)/2 - x_j (W_j+ - W_j-)/2, W_j+- being j's weight
+    to pins labelled +-1. That is at most max(W_j+, W_j-), reached at
+    x_j = -1 or +1, so the maximum is also the best pin-consistent cut's
+    value on the revealed edges.
+    """
+    sub = revealed_edge_set(g, y)
+    i, j, w = g.edge_i[sub], g.edge_j[sub], g.edge_w[sub]
+    yi, yj = y.y[i], y.y[j]
+    one = yi * yj == 0                      # one pinned end
+    end = np.where(yi == 0, i, j)[one]
+    label = (yi + yj)[one]
+    to_plus = np.bincount(end, w[one] * (label > 0), minlength=g.n)
+    to_minus = np.bincount(end, w[one] * (label < 0), minlength=g.n)
+    return float(np.sum(w[yi * yj < 0])) + float(np.sum(np.maximum(to_plus, to_minus)))
+
+
 def _pins_of(y: PartialPrediction) -> dict:
     return {int(i): float(y.y[i]) for i in y.revealed_set}
 
@@ -70,15 +99,18 @@ def solve_partial_rt(g: Graph, y: PartialPrediction, tau_grid: TauGrid = None,
     multiplier ladder (see SubsetLadder): each rung is solved once for the
     whole grid. Feasibility is monotone in tau, so once a tau is found
     infeasible, every tau at or above it is skipped without a solve. A tau
-    above the subset's own weight, plus solve_sdp's feasibility tolerance,
-    is skipped without a solve as well, since the subset contributes at
-    most its weight.
+    above revealed_edge_maximum, plus solve_sdp's feasibility tolerance
+    1e-4 * max(W, 1) and ROUNDING_FRAC * max(W, 1) for the rounding of the
+    computed contribution, is skipped without a solve as well: no solve can
+    meet it, so skipping it leaves the cut as it is. A direct solve_sdp or
+    SubsetLadder.solve call at such a tau still climbs every rung.
     """
     if roundings < 1:
         raise ParameterError(f"roundings must be >= 1, got {roundings}")
     grid = tau_grid or TauGrid.for_graph(g)
     subset = revealed_edge_set(g, y)
-    reach = float(np.sum(g.edge_w[subset])) + SUBSET_TOL_FRAC * max(g.total_weight, 1.0)
+    reach = (revealed_edge_maximum(g, y)
+             + (SUBSET_TOL_FRAC + ROUNDING_FRAC) * max(g.total_weight, 1.0))
     ladder = SubsetLadder(g, subset, SdpConfig(fixed_labels=_pins_of(y), seed=derive(seed, 0)))
 
     def grid_roundings():

@@ -196,13 +196,13 @@ class _ClassRows:
     class, then the pinned rows. indptr, indices and data hold the free
     rows of M in that order, taken with one row slice of A, so they keep
     A's sparsity pattern and stored order, with their column indices
-    remapped to the layout. Class c is rows cuts[c] to cuts[c + 1]: its
-    product with V[perm] is M[c] @ V bit for bit, and its rows are one
-    slice. set_multiplier(l) rewrites data in place with a + l * s, s being
-    A_sub's weight on A's entries (_subset_weights): entry by entry the
-    value scipy's A + l * A_sub holds. That sum drops stored zeros and
-    these keep them, but a stored zero adds a +-0 product to a sum that
-    starts at +0, leaving the sum's bits as they are.
+    remapped to the layout. Class c is rows r0 to r1, one slice, kept as
+    blocks[c] = (r0, r1, indptr[r0:r1 + 1]): its product with V[perm] is
+    M[c] @ V bit for bit. set_multiplier(l) rewrites data in place with
+    a + l * s, s being A_sub's weight on A's entries (_subset_weights):
+    entry by entry the value scipy's A + l * A_sub holds. That sum drops
+    stored zeros and these keep them, but a stored zero adds a +-0 product
+    to a sum that starts at +0, leaving the sum's bits as they are.
     """
 
     def __init__(self, A, classes, s=None):
@@ -211,12 +211,13 @@ class _ClassRows:
         order = np.concatenate(classes) if classes else np.empty(0, dtype=np.intp)
         self.free = len(order)
         self.perm = np.concatenate([order, np.setdiff1d(np.arange(n), order)])
-        self.cuts = np.cumsum([0] + [len(c) for c in classes]).tolist()
+        cuts = np.cumsum([0] + [len(c) for c in classes]).tolist()
         # positions in A.data of the free rows' entries, class by class
         P = sp.csr_matrix((np.arange(A.nnz), A.indices, A.indptr), shape=A.shape)[order]
         layout = np.empty(n, dtype=P.indices.dtype)
         layout[self.perm] = np.arange(n)
         self.indptr, self.indices = P.indptr, layout[P.indices]
+        self.blocks = [(r0, r1, self.indptr[r0:r1 + 1]) for r0, r1 in zip(cuts[:-1], cuts[1:])]
         self.a = A.data[P.data]
         self.s = None if s is None else s[P.data]
         self.data = self.a.copy()
@@ -231,22 +232,23 @@ class _ClassRows:
         u_i = (M V)_i, becomes ||u_i|| under the update v_i = -u_i/||u_i||,
         and the classes are independent sets, so the pass gains
         sum_i ||u_i|| (1 - <v_i new, v_i old>). A row whose u has norm
-        <= 1e-300 (no weighted neighbour) keeps its value.
+        <= 1e-300 (no weighted neighbour) keeps its value. The class
+        products go into one buffer, zeroed once per pass.
         """
         free = slice(0, self.free)
         old = V[free].copy()
+        U = np.zeros((self.free, V.shape[1]))
         norms = np.empty(self.free)
-        indptr, indices, data = self.indptr, self.indices, self.data
-        for r0, r1 in zip(self.cuts[:-1], self.cuts[1:]):
-            U = _csr_product(indptr[r0:r1 + 1], indices, data, V)
-            rows = slice(r0, r1)
-            norms[rows] = nrm = _row_norms(U)
+        indices, data = self.indices, self.data
+        for r0, r1, indptr in self.blocks:
+            U_c = _csr_product(indptr, indices, data, V, U[r0:r1])
+            norms[r0:r1] = nrm = _row_norms(U_c)
             if nrm[nrm.argmin()] > 1e-300:     # argmin finds a NaN as well
-                U /= nrm[:, None]
-                V[rows] = np.negative(U, out=U)    # -(u/n), the bits of (-u)/n
+                U_c /= nrm[:, None]
+                np.negative(U_c, out=V[r0:r1])    # -(u/n), the bits of (-u)/n
             else:
                 ok = nrm > 1e-300
-                V[rows][ok] = -U[ok] / nrm[ok, None]
+                V[r0:r1][ok] = -U_c[ok] / nrm[ok, None]
         return float(norms @ (1.0 - np.einsum("ik,ik->i", V[free], old)))
 
 
@@ -259,8 +261,8 @@ def _row_norms(U, keepdims=False):
     return np.sqrt(np.add.reduce(U * U, axis=1, keepdims=keepdims))
 
 
-def _csr_product(indptr, indices, data, V):
-    """The CSR matrix (indptr, indices, data) times the dense V, bit for bit as scipy's B @ V.
+def _csr_product(indptr, indices, data, V, out):
+    """The CSR matrix (indptr, indices, data) times the dense V into out, bit for bit as scipy's B @ V.
 
     csr_matvecs is the kernel B @ V calls for a dense V of two or more
     columns: it adds each row's stored products, in stored order, into a
@@ -269,10 +271,10 @@ def _csr_product(indptr, indices, data, V):
     may be a slice of a larger matrix's, its offsets reading that matrix's
     whole indices and data. indptr and indices share one integer type, as
     in a scipy CSR matrix, and V is a float64 array with as many rows as
-    the matrix has columns.
+    the matrix has columns. out is a zeroed C-contiguous float64 array of
+    the product's shape, written in place and returned.
     """
     m, k = len(indptr) - 1, V.shape[1]
-    out = np.zeros((m, k))
     csr_matvecs(m, V.shape[0], k, indptr, indices, data, V, out)
     return out
 

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import predcut.sdp
 from predcut.errors import ParameterError
 from predcut.exact import exact_maxcut
 from predcut.graph import Graph, cut_value, gen_erdos_renyi
-from predcut.partial import (TauGrid, revealed_edge_set, solve_partial_gw,
-                             solve_partial_rt)
+from predcut.partial import (ROUNDING_FRAC, TauGrid, revealed_edge_maximum, revealed_edge_set,
+                             solve_partial_gw, solve_partial_rt)
 from predcut.predictions import PartialPrediction, sample_partial
-from predcut.sdp import SdpConfig, SubsetLadder, rt_round, solve_sdp
+from predcut.sdp import SUBSET_TOL_FRAC, SdpConfig, SubsetLadder, rt_round, solve_sdp
 
 from conftest import random_graph
 
@@ -197,19 +199,29 @@ def counted_solves(monkeypatch):
     return calls
 
 
+def reach_of(g, y):
+    """The largest tau solve_partial_rt solves: the revealed edges' maximum plus its margin."""
+    return (revealed_edge_maximum(g, y)
+            + (SUBSET_TOL_FRAC + ROUNDING_FRAC) * max(g.total_weight, 1.0))
+
+
 def test_rt_pruned_sweep_matches_unpruned_loop(monkeypatch):
+    # the first unmet tau lies below the subset's weight but above the
+    # revealed edges' maximum, so it is skipped without a solve
     g = gen_erdos_renyi(14, 0.5, "uniform", seed=113)
     _, x_star = exact_maxcut(g)
     y = sample_partial(x_star, 0.3, seed=114)
     grid = TauGrid.for_graph(g, 0.1)
     ref, feasible = unpruned_rt(g, y, grid, 5, 4)
     infeasible = feasible.count(False)
+    first_unmet = min(tau for tau, ok in zip(grid.values, feasible) if not ok)
     assert infeasible >= 2
+    assert reach_of(g, y) < first_unmet < float(np.sum(g.edge_w[revealed_edge_set(g, y)]))
 
     calls = counted_solves(monkeypatch)
     out = solve_partial_rt(g, y, grid, seed=5, roundings=4)
     assert np.array_equal(out.values, ref.values)
-    assert len(calls) == len(grid.values) - infeasible + 1
+    assert len(calls) == len(grid.values) - infeasible
 
 
 def test_rt_skips_taus_above_the_subset_weight_without_a_solve(monkeypatch):
@@ -232,12 +244,13 @@ def test_rt_skips_taus_above_the_subset_weight_without_a_solve(monkeypatch):
 def test_rt_solves_each_rung_once(monkeypatch):
     # a sweep's ascent runs are the distinct ladder rungs its taus read plus
     # each tau's bisection runs: a single-tau solve's runs less its rungs.
-    # The taus come unsorted and reach the subset's weight.
+    # The taus come unsorted and reach the largest tau the sweep solves,
+    # which no rung meets, so one tau reads all 22 rungs.
     g = gen_erdos_renyi(14, 0.5, "uniform", seed=113)
     _, x_star = exact_maxcut(g)
     y = sample_partial(x_star, 0.3, seed=114)
     subset = revealed_edge_set(g, y)
-    taus = np.linspace(0.0, float(np.sum(g.edge_w[subset])), 13)
+    taus = np.linspace(0.0, reach_of(g, y), 13)
     grid = TauGrid(step=1 / 12, values=np.random.default_rng(115).permutation(taus))
     runs, solved = [], []
     ascent, solve = predcut.sdp._coordinate_ascent, SubsetLadder.solve
@@ -265,5 +278,64 @@ def test_rt_solves_each_rung_once(monkeypatch):
                                        seed=[5, 0]))
         assert alone.feasibility_report == sol.feasibility_report
         bisections += len(runs) - alone.feasibility_report["rungs"]
+    assert len(solved) == len(taus)
     assert rungs == 22 and bisections > 0
     assert sweep_runs == rungs + bisections
+
+
+def test_rt_solves_a_tau_at_its_reach_and_skips_one_just_above(monkeypatch):
+    # reach is the revealed edges' maximum plus 1e-4 and 1e-9 times
+    # max(W, 1). The top rung meets the maximum to rounding, so the tau at
+    # reach is solved and found unmet: the tau just above reach is skipped
+    # by the maximum, the repeat of reach by that unmet solve
+    g = gen_erdos_renyi(14, 0.5, "uniform", seed=113)
+    _, x_star = exact_maxcut(g)
+    y = sample_partial(x_star, 0.3, seed=114)
+    reach = reach_of(g, y)
+    assert reach < g.total_weight
+    grid = TauGrid(step=1.0, values=np.array([reach, np.nextafter(reach, np.inf), 0.0, reach]))
+    ref, feasible = unpruned_rt(g, y, grid, 5, 4)
+    assert feasible == [False, False, True, False]
+
+    calls = counted_solves(monkeypatch)
+    out = solve_partial_rt(g, y, grid, seed=5, roundings=4)
+    assert out.values.tobytes() == ref.values.tobytes()
+    assert calls == [reach, 0.0]
+
+
+def brute_force_revealed_maximum(g, y):
+    """The best pin-consistent +-1 assignment's weight of cut revealed edges."""
+    free = np.flatnonzero(~y.revealed)
+    X = np.tile(y.y, (2 ** len(free), 1))
+    X[:, free] = 1 - 2 * ((np.arange(2 ** len(free))[:, None] >> np.arange(len(free))) & 1)
+    sub = revealed_edge_set(g, y)
+    cut = X[:, g.edge_i[sub]] != X[:, g.edge_j[sub]]
+    return float(np.max(cut @ g.edge_w[sub])) if len(sub) else 0.0
+
+
+@settings(max_examples=30)
+@given(n=st.integers(2, 12), reveal=st.sampled_from(["all", "none", "one", "some"]),
+       data=st.data())
+def test_revealed_edge_maximum_bounds_every_rung_and_prunes_nothing_reachable(n, reveal, data):
+    # zero weights, an isolated vertex (the last) and all, none or one
+    # vertex revealed
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31 - 1)))
+    weights = [0.0, 1.0, 2.5, float(rng.uniform(0, 1))]
+    edges = [(i, j, weights[int(rng.integers(4))]) for i in range(n - 1) for j in range(i + 1, n - 1)
+             if rng.random() < 0.5]
+    g = Graph(n, edges)
+    shown = {"all": np.ones(n, dtype=bool), "none": np.zeros(n, dtype=bool),
+             "one": np.arange(n) == int(rng.integers(n)), "some": rng.random(n) < 0.4}[reveal]
+    y = PartialPrediction(y=np.where(shown, rng.choice([-1.0, 1.0], n), 0.0), epsilon=0.5)
+    top = revealed_edge_maximum(g, y)
+    assert top == pytest.approx(brute_force_revealed_maximum(g, y), rel=0, abs=1e-12 * max(g.total_weight, 1.0))
+
+    pins = {int(i): float(y.y[i]) for i in y.revealed_set}
+    ladder = SubsetLadder(g, revealed_edge_set(g, y), SdpConfig(fixed_labels=pins, seed=[6, 0]))
+    values = [ladder._rung(m)[1] for m in range(ladder.top + 1)]
+    assert len(values) == (22 if ladder.top else 1)
+    assert max(values) <= top + ROUNDING_FRAC * max(g.total_weight, 1.0)
+
+    grid = TauGrid.for_graph(g, 0.25)
+    ref, _ = unpruned_rt(g, y, grid, 6, 3)
+    assert solve_partial_rt(g, y, grid, seed=6, roundings=3).values.tobytes() == ref.values.tobytes()

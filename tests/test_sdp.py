@@ -883,7 +883,7 @@ def test_class_rows_equal_scipy_sums_bit_for_bit(n, data):
     classes = _colour_classes(g.csr, np.flatnonzero(rng.random(n) < 0.8))
     rows = _ClassRows(g.csr, classes, _subset_weights(g, sub))
     assert not any(sp.issparse(v) for v in vars(rows).values())
-    cuts = list(zip(rows.cuts[:-1], rows.cuts[1:]))
+    cuts = [(r0, r1) for r0, r1, _ in rows.blocks]
     V = random_unit_rows(rng, n, 4)
     W = V[rows.perm]
     assert [W[r0:r1].tobytes() for r0, r1 in cuts] == [V[c].tobytes() for c in classes]
@@ -911,10 +911,14 @@ def test_direct_class_products_equal_scipy_bit_for_bit(n, k, data):
     for l in (0.0, 1.0, 0.5 * (2.0 + 4.0), float(rng.uniform(0, 2 ** 20))):
         rows.set_multiplier(l)
         M = sp.csr_matrix((rows.data, rows.indices, rows.indptr), shape=(rows.free, n))
-        for r0, r1 in zip(rows.cuts[:-1], rows.cuts[1:]):
-            # a class's indptr slice reads the whole indices and data
-            U = _csr_product(rows.indptr[r0:r1 + 1], rows.indices, rows.data, V)
+        # the sweep's call: a class's indptr slice reads the whole indices
+        # and data, into its rows of one zeroed buffer
+        out = np.zeros((rows.free, k))
+        for r0, r1, indptr in rows.blocks:
+            assert indptr.tobytes() == rows.indptr[r0:r1 + 1].tobytes()
+            U = _csr_product(indptr, rows.indices, rows.data, V, out[r0:r1])
             assert U.tobytes() == (M[r0:r1] @ V).tobytes()
+        assert out.tobytes() == (M @ V).tobytes()
 
 
 @settings(max_examples=60)
