@@ -24,8 +24,8 @@ from .graph import (CutAssignment, _records, cut_value, gen_erdos_renyi, load_ed
 from .narrow import solve_narrow
 from .partial import TauGrid, solve_partial_gw, solve_partial_rt
 from .pipeline import choose_delta, solve_noisy
-from .predictions import (NoisyPrediction, PartialPrediction, _labels, load_prediction,
-                          sample_noisy, sample_partial, save_prediction)
+from .predictions import (MUTUAL, PAIRWISE, NoisyPrediction, PartialPrediction, _labels,
+                          load_prediction, sample_noisy, sample_partial, save_prediction)
 from .sdp import SdpConfig, sdp_upper_bound, solve_gw, solve_sdp
 from .seeds import derive, seed_to_int
 from .wide import solve_wide
@@ -258,10 +258,13 @@ def run_experiment(config_path, master_seed=None, timing=False):
         if a not in ALGOS:
             raise ParameterError(f"unknown algorithm {a!r} in config")
     model = _cfg_get(cfg, "prediction", "model")
+    if model is not None and model not in _SAMPLERS:
+        raise ParameterError(f"unknown prediction model {model!r}")
     eps = _cfg_get(cfg, "prediction", "eps", cast=float) if model else None
     if model and eps is None:
         raise ParameterError("config [prediction] needs eps")
-    independence = _cfg_get(cfg, "prediction", "independence", "mutual") if model else None
+    independence = (_cfg_get(cfg, "prediction", "independence", MUTUAL, (MUTUAL, PAIRWISE))
+                    if model else None)
     params = _experiment_params(cfg)
     out_path = _cfg_get(cfg, "output", "path", "results.csv")
 
@@ -278,8 +281,9 @@ def run_experiment(config_path, master_seed=None, timing=False):
             truth = g.planted
             reference = cut_value(g, truth)
             ref_kind = "planted"
+        elif model is not None:
+            raise ParameterError(f"{model} predictions need an oracle or planted ground truth")
         else:
-            truth = None
             sol = solve_sdp(g, SdpConfig(seed=derive(master_seed, trial, 1)))
             reference = sdp_upper_bound(g, sol)
             ref_kind = "bound"
@@ -287,10 +291,6 @@ def run_experiment(config_path, master_seed=None, timing=False):
 
         pred = None
         if model is not None:
-            if model not in _SAMPLERS:
-                raise ParameterError(f"unknown prediction model {model!r}")
-            if truth is None:
-                raise ParameterError(f"{model} predictions need an oracle or planted ground truth")
             pred = _SAMPLERS[model](truth, eps, derive(master_seed, trial, 2), independence)
 
         for algo in sorted(algos):

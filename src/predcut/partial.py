@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ParameterError
 from .graph import CutAssignment, Graph, best_cut
 from .predictions import PartialPrediction, _check_length
-from .sdp import SUBSET_TOL_FRAC, SdpConfig, SubsetLadder, rt_round, solve_gw
+from .sdp import SUBSET_TOL_FRAC, SubsetLadder, rt_round, solve_gw
 from .seeds import derive
 
 DEFAULT_TAU_STEP = 0.05
@@ -39,8 +39,9 @@ class TauGrid:
 
     @classmethod
     def for_graph(cls, g: Graph, step: float = DEFAULT_TAU_STEP):
-        if not (0.0 < step <= 1.0):
-            raise ParameterError(f"tau step must lie in (0, 1], got {step}")
+        # closer points lie inside solve_sdp's feasibility tolerance, 1e-4 * max(W, 1)
+        if not (SUBSET_TOL_FRAC <= step <= 1.0):
+            raise ParameterError(f"tau step must lie in [{SUBSET_TOL_FRAC}, 1], got {step}")
         W = g.total_weight
         ks = int(np.floor(1.0 / step + 1e-12))
         vals = np.array([k * step * W for k in range(ks + 1)])
@@ -111,7 +112,7 @@ def solve_partial_rt(g: Graph, y: PartialPrediction, tau_grid: TauGrid = None,
     subset = revealed_edge_set(g, y)
     reach = (revealed_edge_maximum(g, y)
              + (SUBSET_TOL_FRAC + ROUNDING_FRAC) * max(g.total_weight, 1.0))
-    ladder = SubsetLadder(g, subset, SdpConfig(fixed_labels=_pins_of(y), seed=derive(seed, 0)))
+    ladder = SubsetLadder(g, subset, _pins_of(y), derive(seed, 0))
 
     def grid_roundings():
         unreachable = np.inf

@@ -23,7 +23,8 @@ an upper bound on the relaxation, and on MaxCut itself, from any
 solution's vectors. Above n = 200 the cap shortens every sweep, at about
 the same sweep count.
 
-Three optional constraint families:
+Three optional constraint families. Fixed labels and a subset constraint
+combine; the triangle inequalities take neither:
   * fixed labels pin v_i = +-v_0 structurally (v_0 = e_1, never updated),
   * a lower bound tau on the weight-contribution of an edge subset,
     enforced by a Lagrange multiplier added to those edges: a ladder of
@@ -40,24 +41,24 @@ Three optional constraint families:
     works on the dense O(n^3) triangle family, so it is refused above
     TRIANGLE_LIMIT vertices. One penalty run starts from a perturbed
     embedding of a floor cut, the best of 20 one-opt hyperplane roundings
-    of the plain solution, and without pins the result never falls below
-    that cut. Without pins and with integer weights, a rounding whose cut
-    reaches the floor of the Poljak-Rendl bound (sdp_upper_bound's
-    arithmetic, at the plain solution) is a maximum cut: the stage then
-    returns its embedding with no penalty round, reported `certified`.
-    Each penalty round is one L-BFGS-B minimization (scipy.optimize) of
-    the negated penalized objective over the free rows, written as
-    V_i = U_i / ||U_i||; pinned rows are not variables. One kernel returns
-    the penalty, the worst violation and the gradient from a single pass
-    over each chunk of about TRIANGLE_CHUNK hinge elements. It takes one
-    hinge per ordered triple (the two signs are never both violated) and a
-    gradient that uses the (i, j) mirror symmetry of each triple.
+    of the plain solution, and the result never falls below that cut.
+    With integer weights, a rounding whose cut reaches the floor of the
+    Poljak-Rendl bound (sdp_upper_bound's arithmetic, at the plain
+    solution) is a maximum cut: the stage then returns its embedding with
+    no penalty round, reported `certified`. Each penalty round is one
+    L-BFGS-B minimization (scipy.optimize) of the negated penalized
+    objective over every row, written as V_i = U_i / ||U_i||. One kernel
+    returns the penalty, the worst violation and the gradient from a
+    single pass over each chunk of about TRIANGLE_CHUNK hinge elements. It
+    takes one hinge per ordered triple (the two signs are never both
+    violated) and a gradient that uses the (i, j) mirror symmetry of each
+    triple.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -90,7 +91,7 @@ class SdpConfig:
 
     fixed_labels: dict = field(default_factory=dict)   # vertex -> +-1
     subset_constraint: tuple = None                     # (edge index array, tau)
-    triangle: bool = False      # odd-cycle inequalities; takes no subset_constraint
+    triangle: bool = False      # odd-cycle inequalities; takes no subset_constraint and no pins
     seed: int = 0               # deterministic initialization
 
 
@@ -357,52 +358,43 @@ def _one_opt(A, x):
     return x
 
 
-def _penalty_continuation(A, V, free_mask, scale):
+def _penalty_continuation(A, V, scale):
     """Doubling penalty rounds on V, in place, until the worst violation is at most TRIANGLE_TOL.
 
     Round r minimizes -(objective - rho * penalty) / scale, rho = max(1,
-    scale / n) * 2^r, by L-BFGS-B over the free rows only, each written as
+    scale / n) * 2^r, by L-BFGS-B over every row, each written as
     V_i = U_i / ||U_i|| for an unconstrained U_i (the Burer-Monteiro
-    factorization); pinned rows stay out of the variable vector. A round
-    starts where the previous one ended. At least one round runs, unless no
-    row is free, and at most 50. A round's worst violation is the one the
-    objective's last evaluation returned when L-BFGS-B ends on that point,
-    byte for byte, and a fresh kernel pass otherwise. Returns (worst
-    violation, rounds run).
+    factorization). A round starts where the previous one ended. At least
+    one round runs, and at most 50. Returns (worst violation, rounds run).
     """
     n, k = V.shape
-    free = np.flatnonzero(free_mask)
-    if not free.size:
-        return _triangle_terms(V)[1], 0
     rho = max(1.0, scale / max(n, 1))
     worst, rounds = np.inf, 0
-    last = [None, None]          # the latest evaluation's x bytes and worst violation
     while worst > TRIANGLE_TOL and rounds < 50:
-        res = minimize(_negated_penalized, V[free].ravel(), args=(A, V, free, rho, scale, last),
+        # a copy: the objective writes V
+        res = minimize(_negated_penalized, V.flatten(), args=(A, V, rho, scale),
                        jac=True, method="L-BFGS-B", options=_PENALTY_OPTIONS)
         U = res.x.reshape(-1, k)
-        V[free] = U / _row_norms(U, keepdims=True)
-        worst = last[1] if res.x.tobytes() == last[0] else _triangle_terms(V)[1]
+        V[:] = U / _row_norms(U, keepdims=True)
+        worst = _triangle_terms(V)[1]
         rho *= 2.0
         rounds += 1
     return worst, rounds
 
 
-def _negated_penalized(x, A, V, free, rho, scale, last):
-    """-(objective - rho * penalty) / scale and its gradient in x, the free rows' U.
+def _negated_penalized(x, A, V, rho, scale):
+    """-(objective - rho * penalty) / scale and its gradient in x, the rows' U.
 
-    Writes the free rows V_i = U_i / ||U_i|| into V, and x's bytes and the
-    worst violation there into last. The objective's affine part is
-    dropped.
+    Writes the rows V_i = U_i / ||U_i|| into V. The objective's affine part
+    is dropped.
     """
-    U = x.reshape(len(free), -1)
+    U = x.reshape(V.shape)
     nrm = _row_norms(U, keepdims=True)
-    V[free] = Vf = U / nrm
-    pen, last[1], dG = _triangle_terms(V)
-    last[0] = x.tobytes()
+    V[:] = U / nrm
+    pen, _, dG = _triangle_terms(V)
     AV = A @ V
-    dV = (AV + rho * ((dG + dG.T) @ V))[free]
-    dV -=np.einsum("ik,ik->i", dV, Vf)[:, None] * Vf    # through V_i = U_i / ||U_i||
+    dV = AV + rho * ((dG + dG.T) @ V)
+    dV -= np.einsum("ik,ik->i", dV, V)[:, None] * V    # through V_i = U_i / ||U_i||
     dV /= nrm
     return (0.5 * float(np.vdot(V, AV)) + rho * pen) / scale, dV.ravel() / scale
 
@@ -410,22 +402,23 @@ def _negated_penalized(x, A, V, free, rho, scale, last):
 def solve_sdp(g: Graph, cfg: SdpConfig = None) -> SdpSolution:
     """Solve the (optionally constrained) MaxCut relaxation for g.
 
-    A triangle config goes to the triangle stage and takes no subset
-    constraint (ParameterError); any other config is one SubsetLadder solve.
+    The only reader of SdpConfig. A triangle config goes to the triangle
+    stage and takes no subset constraint and no pins (ParameterError); any
+    other config is one SubsetLadder solve.
     """
     cfg = cfg or SdpConfig()
     subset, tau = cfg.subset_constraint or (None, 0.0)
     if cfg.triangle:
-        if subset is not None:
-            raise ParameterError("the triangle SDP takes no subset constraint")
-        return _triangle_solve(g, cfg)
-    return SubsetLadder(g, subset, cfg).solve(tau)
+        if subset is not None or cfg.fixed_labels:
+            raise ParameterError("the triangle SDP takes no subset constraint and no pins")
+        return _triangle_solve(g, cfg.seed)
+    return SubsetLadder(g, subset, cfg.fixed_labels, cfg.seed).solve(tau)
 
 
-def _validated_pins(g: Graph, cfg: SdpConfig):
-    """cfg's fixed labels as {vertex: +-1.0}."""
+def _validated_pins(g: Graph, labels):
+    """The fixed labels {vertex: +-1} as {vertex: +-1.0}."""
     pins = {}
-    for v, s in cfg.fixed_labels.items():
+    for v, s in labels.items():
         v = int(v)
         if not (0 <= v < g.n):
             raise ParameterError(f"pinned vertex {v} out of range")
@@ -449,40 +442,39 @@ def _solution(g: Graph, v0, V, runs, pins, extra, feasible_at_tau=True) -> SdpSo
                        feasibility_report=report, feasible_at_tau=feasible_at_tau)
 
 
-def _triangle_solve(g: Graph, cfg: SdpConfig) -> SdpSolution:
+def _triangle_solve(g: Graph, seed) -> SdpSolution:
     """solve_sdp with the triangle inequalities: one penalty run from a floor cut.
 
     Any integral cut embeds as an exactly feasible point of this relaxation,
     so the stage starts near a good cut: the best of 20 one-opt hyperplane
     roundings (streams derive(seed, 90, r)) of the plain solution, rung 0 of
-    its own ladder. Without pins the result never falls below that cut: the
-    floor cut's own embedding is returned when the penalty run ends under it
-    or misses the tolerance.
+    its own ladder. The result never falls below that cut: the floor cut's
+    own embedding is returned when the penalty run ends under it or misses
+    the tolerance.
 
-    With no pins and integer weights summing to at most 2^53, every cut
-    value is an exact integer, so a cut that reaches goal = floor(B + 1e-9),
-    B the Poljak-Rendl bound at rung 0's rows, is a maximum cut (the
-    pruning rule of Rendl, Rinaldi and Wiegele, 2010). The roundings then
-    stop at the first that reaches goal, which no cut exceeds, so it is the
-    cut best_cut would pick from all 20, and its embedding is returned with
-    no penalty round and `certified` True.
+    With integer weights summing to at most 2^53, every cut value is an
+    exact integer, so a cut that reaches goal = floor(B + 1e-9), B the
+    Poljak-Rendl bound at rung 0's rows, is a maximum cut (the pruning rule
+    of Rendl, Rinaldi and Wiegele, 2010). The roundings then stop at the
+    first that reaches goal, which no cut exceeds, so it is the cut
+    best_cut would pick from all 20, and its embedding is returned with no
+    penalty round and `certified` True.
     """
     n = g.n
     if n > TRIANGLE_LIMIT:
         raise ParameterError(f"the triangle SDP is limited to n <= {TRIANGLE_LIMIT}, got n={n}")
-    # validates the pins; rung 0 is the plain solve
-    plain = SubsetLadder(g, None, replace(cfg, triangle=False))
-    pins, v0, k = plain.pins, plain.v0, plain.k
+    plain = SubsetLadder(g, seed=seed)
+    v0, k = plain.v0, plain.k
     # the bound and the penalty rounds work on dense weights
     D = g.csr.toarray()
     P, _, run = plain._rung(0)
     w = g.edge_w
-    integral = not pins and g.total_weight <= 2.0 ** 53 and bool(np.all(w == np.floor(w)))
+    integral = g.total_weight <= 2.0 ** 53 and bool(np.all(w == np.floor(w)))
     goal = math.floor(_poljak_rendl(g, P, D) + 1e-9) if integral else math.inf
 
     def roundings():
         for r in range(20):
-            proj = P @ np.random.default_rng(derive(cfg.seed, 90, r)).standard_normal(k)
+            proj = P @ np.random.default_rng(derive(seed, 90, r)).standard_normal(k)
             cut = CutAssignment(values=_one_opt(D, np.where(proj > 0, 1.0, -1.0)))
             yield cut
             if integral and cut_value(g, cut) >= goal:
@@ -493,24 +485,21 @@ def _triangle_solve(g: Graph, cfg: SdpConfig) -> SdpSolution:
     # the floor cut's embedding: integral, so it violates no triangle inequality
     V_f = floor_cut.values[:, None] * v0[None, :]
     if floor_val >= goal:
-        return _solution(g, v0, V_f, [run], pins, {"triangle": 0.0, "penalty_rounds": 0,
-                                                   "fallback": False, "certified": True})
+        return _solution(g, v0, V_f, [run], {}, {"triangle": 0.0, "penalty_rounds": 0,
+                                                 "fallback": False, "certified": True})
     # a barely-perturbed embedding of the floor cut starts near-feasible at
     # the floor objective
     blend = 0.02
-    noise = np.random.default_rng(derive(cfg.seed, 91)).standard_normal((n, k))
+    noise = np.random.default_rng(derive(seed, 91)).standard_normal((n, k))
     V = (1 - blend) * V_f + blend * noise
     V /= np.linalg.norm(V, axis=1, keepdims=True)
-    for v, s in pins.items():
-        V[v] = s * v0
-    worst, rounds = _penalty_continuation(D, V, plain.free_mask, plain.scale)
+    worst, rounds = _penalty_continuation(D, V, plain.scale)
     obj = _edge_contribution(g, V)
-    fallback = not pins and (worst > TRIANGLE_TOL
-                             or (obj < floor_val and _edge_contribution(g, V_f) >= obj))
+    fallback = worst > TRIANGLE_TOL or (obj < floor_val and _edge_contribution(g, V_f) >= obj)
     if fallback:
         V, worst = V_f, 0.0
-    return _solution(g, v0, V, [run], pins, {"triangle": float(worst), "penalty_rounds": rounds,
-                                             "fallback": fallback, "certified": False})
+    return _solution(g, v0, V, [run], {}, {"triangle": float(worst), "penalty_rounds": rounds,
+                                           "fallback": fallback, "certified": False})
 
 
 # multipliers of the ladder's rungs: l = 0, 1, 2, 4, ..., 2^20
@@ -518,7 +507,7 @@ _MULTIPLIERS = (0.0,) + tuple(2.0 ** e for e in range(21))
 
 
 class SubsetLadder:
-    """The multiplier ladder of one graph, subset and SdpConfig, climbed once for every tau.
+    """The multiplier ladder of one graph, subset, pin set and seed, climbed once for every tau.
 
     A subset constraint sum_{e in subset} w_e (1 - <v_i, v_j>)/2 >= tau is
     enforced by running the ascent on A + l * A_sub at the rungs l = 0, 1,
@@ -532,25 +521,22 @@ class SubsetLadder:
     the top rung's multiplier. A tau no rung meets is unmet for every
     larger tau as well.
 
-    With no subset or an empty one, the ladder is rung 0 alone, the plain
-    solve with cfg's pins and seed, since no multiplier moves anything.
-    With a subset, solve(tau) equals solve_sdp with subset_constraint=
-    (subset, tau), byte for byte, in any order of taus. cfg's own
-    subset_constraint is not read, and a triangle config is refused.
+    pins maps vertex -> +-1 (SdpConfig.fixed_labels). With no subset or an
+    empty one, the ladder is rung 0 alone, the plain solve with the pins
+    and seed, since no multiplier moves anything. With a subset, solve(tau)
+    equals solve_sdp with subset_constraint=(subset, tau), byte for byte,
+    in any order of taus.
     """
 
-    def __init__(self, g: Graph, subset=None, cfg: SdpConfig = None):
-        cfg = cfg or SdpConfig()
-        if cfg.triangle:
-            raise ParameterError("the subset ladder takes no triangle config; solve_sdp runs it")
+    def __init__(self, g: Graph, subset=None, pins=None, seed=0):
         n = g.n
         self.g = g
-        self.pins = pins = _validated_pins(g, cfg)
+        self.pins = pins = _validated_pins(g, pins or {})
         self.subset = None if subset is None else np.asarray(subset, dtype=np.intp)
         self.scale = max(g.total_weight, 1.0)
 
         self.k = k = min(math.ceil(math.sqrt(2 * n)) + 1, MAX_RANK)
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(seed)
         V = rng.standard_normal((n, k))
         V /= np.linalg.norm(V, axis=1, keepdims=True)
         self.v0 = np.zeros(k)
@@ -559,11 +545,11 @@ class SubsetLadder:
             V[v] = s * self.v0
         self.V = V                  # where the next rung starts
 
-        self.free_mask = np.ones(n, dtype=bool)
-        self.free_mask[list(pins)] = False
+        free_mask = np.ones(n, dtype=bool)
+        free_mask[list(pins)] = False
         self.top = 0 if self.subset is None or len(self.subset) == 0 else len(_MULTIPLIERS) - 1
         s = _subset_weights(g, self.subset) if self.top else None
-        self.rows = _ClassRows(g.csr, _colour_classes(g.csr, np.flatnonzero(self.free_mask)), s)
+        self.rows = _ClassRows(g.csr, _colour_classes(g.csr, np.flatnonzero(free_mask)), s)
         self.rungs = []             # (V after the rung, subset value, (sweeps, converged))
 
     def _run(self, l, V):

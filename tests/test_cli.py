@@ -327,6 +327,28 @@ def test_bad_config_values_are_named_errors(tmp_path, capsys, old, new, message)
     assert rc == 1 and err == message + "\n"
 
 
+@pytest.mark.parametrize("config, old, new, message", [
+    (EXP_CONFIG, "model = noisy", "model = bogus", "error: unknown prediction model 'bogus'"),
+    (EXP_CONFIG, "independence = mutual", "independence = pairwise",
+     "error: config [prediction] independence: expected mutual|pairwise_only, got 'pairwise'"),
+    (SDP_REFERENCE_CONFIG, "[output]", "[prediction]\nmodel = partial\neps = 0.2\n\n[output]",
+     "error: partial predictions need an oracle or planted ground truth"),
+], ids=["model", "independence", "ground-truth"])
+def test_prediction_config_errors_come_before_the_reference_solve(monkeypatch, tmp_path, capsys,
+                                                                  config, old, new, message):
+    import predcut.cli
+
+    def no_reference(*args, **kwargs):
+        raise AssertionError("a reference was solved before the config was checked")
+
+    monkeypatch.setattr(predcut.cli, "exact_maxcut", no_reference)
+    monkeypatch.setattr(predcut.cli, "solve_sdp", no_reference)
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(config.format(out=tmp_path / "r.csv").replace(old, new))
+    rc, err = _error(capsys, "experiment", "--config", cfg)
+    assert rc == 1 and err == message + "\n"
+
+
 def test_missing_config_is_refused(tmp_path, capsys):
     rc, err = _error(capsys, "experiment", "--config", tmp_path / "absent.ini")
     assert rc == 1 and err.startswith(f"error: cannot read {tmp_path / 'absent.ini'}")

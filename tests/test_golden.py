@@ -109,13 +109,12 @@ path = {out}
 """,
 }
 
-# triangle-SDP vectors: unpinned solves at n = 12 and n = 22 and a pinned
-# solve, each from its rounded floor (the file names predate the one floor
-# rule, when n <= 20 took the exact cut); name -> (gen_erdos_renyi arguments, pins)
+# triangle-SDP vectors: solves at n = 12 and n = 22, each from its rounded
+# floor (the file names predate the one floor rule, when n <= 20 took the
+# exact cut); name -> gen_erdos_renyi arguments
 TRIANGLE = {
-    "triangle_exact": ((12, 0.6, "uniform", 0), {}),
-    "triangle_rounded": ((22, 0.5, "planted", 0), {}),
-    "triangle_pinned": ((10, 0.6, "uniform", 0), {0: 1, 3: -1}),
+    "triangle_exact": (12, 0.6, "uniform", 0),
+    "triangle_rounded": (22, 0.5, "planted", 0),
 }
 
 
@@ -154,9 +153,9 @@ def test_experiment_csv_is_pinned(name, tmp_path):
 
 
 def _triangle_vectors(name):
-    (n, p, law, seed), pins = TRIANGLE[name]
+    n, p, law, seed = TRIANGLE[name]
     g = gen_erdos_renyi(n, p, law, seed=seed, q_cross=0.6, q_within=0.3)
-    sol = solve_sdp(g, SdpConfig(triangle=True, fixed_labels=pins, seed=seed))
+    sol = solve_sdp(g, SdpConfig(triangle=True, seed=seed))
     return save_solution(sol).encode()
 
 

@@ -39,6 +39,11 @@ def test_tau_grid_values():
     assert np.all((0 <= grid.values) & (grid.values <= W + 1e-12))
     with pytest.raises(ParameterError):
         TauGrid.for_graph(g, 0.0)
+    # a step finer than the feasibility tolerance is refused before its
+    # 10^9 points are built
+    with pytest.raises(ParameterError, match=r"\[0.0001, 1\]"):
+        TauGrid.for_graph(g, 1e-9)
+    assert len(TauGrid.for_graph(g, SUBSET_TOL_FRAC).values) == 10001
 
 
 def test_tau_grid_appends_the_total_weight_when_the_step_misses_it():
@@ -331,7 +336,7 @@ def test_revealed_edge_maximum_bounds_every_rung_and_prunes_nothing_reachable(n,
     assert top == pytest.approx(brute_force_revealed_maximum(g, y), rel=0, abs=1e-12 * max(g.total_weight, 1.0))
 
     pins = {int(i): float(y.y[i]) for i in y.revealed_set}
-    ladder = SubsetLadder(g, revealed_edge_set(g, y), SdpConfig(fixed_labels=pins, seed=[6, 0]))
+    ladder = SubsetLadder(g, revealed_edge_set(g, y), pins, [6, 0])
     values = [ladder._rung(m)[1] for m in range(ladder.top + 1)]
     assert len(values) == (22 if ladder.top else 1)
     assert max(values) <= top + ROUNDING_FRAC * max(g.total_weight, 1.0)

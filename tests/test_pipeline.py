@@ -209,17 +209,34 @@ def plain_bound(g, seed):
             + 1e-9 * max(g.total_weight, 1.0))
 
 
+# the prediction's bias and solve_noisy's keyword arguments per drawn
+# setting: the defaults take the narrow branch on every graph with weight;
+# delta = 1 with eta 0.45 takes the wide branch on graphs with spread-out
+# degrees, and an assumed bias of 0.01 with eps' 0.01 can leave their LP
+# infeasible, as in the auto-fallback golden run
+PORTFOLIO_SETTINGS = {
+    "defaults": (0.45, dict(eta=0.05, eps_prime=0.05, c_delta=1.0)),
+    "wide": (0.45, dict(eta=0.45, eps_prime=0.2, c_delta=1e-3)),
+    "wide LP infeasible": (0.01, dict(eta=0.45, eps_prime=0.01, c_delta=1e-9)),
+}
+
+
 @settings(max_examples=40)
 @given(n=st.integers(2, 14), p=st.sampled_from([0.0, 0.3, 0.7, 1.0]), data=st.data())
 def test_narrow_portfolio_against_the_exact_oracle(n, p, data):
     # unpinned graphs with zero-weight edges, isolated vertices or no edges:
-    # the triangle relaxation is at least OPT, and the default portfolio,
-    # narrow on every such graph with weight, finds at most OPT, the same
-    # cut on each call; any unit vectors are feasible for the plain
-    # relaxation, so the triangle objective and the cut are at most its
-    # certified bound
-    from predcut.graph import classify
-    from predcut.sdp import SdpConfig, solve_sdp
+    # the triangle relaxation is at least OPT, and the portfolio finds at
+    # most OPT, the same cut on each call; any unit vectors are feasible for
+    # the plain relaxation, so the triangle objective and the cut are at
+    # most its certified bound. The cut is at least every candidate, each
+    # rebuilt from public calls on solve_noisy's seed layout, and the tag
+    # names a candidate of the cut's value: never wide when the LP is
+    # infeasible, since no wide candidate exists then
+    from predcut.graph import CutAssignment, classify
+    from predcut.narrow import solve_narrow
+    from predcut.sdp import SdpConfig, solve_gw, solve_sdp
+    from predcut.seeds import derive
+    from predcut.wide import wide_lp_cut
     rng, g = oracle_case(n, p, data)
     opt, x_star = exact_maxcut(g)
     seed = int(rng.integers(1000))
@@ -229,11 +246,27 @@ def test_narrow_portfolio_against_the_exact_oracle(n, p, data):
     assert sol.objective_value <= bound
     y = sample_noisy(x_star, 0.45, seed=seed)
     assert classify(g, choose_delta(y.epsilon, 0.05), 0.05).is_wide == (g.total_weight == 0)
-    cut, tag = solve_noisy(g, y, seed=seed)
+    eps, kwargs = PORTFOLIO_SETTINGS[data.draw(st.sampled_from(sorted(PORTFOLIO_SETTINGS)))]
+    y = NoisyPrediction(y=y.y, epsilon=eps)
+    cut, tag = solve_noisy(g, y, seed=seed, **kwargs)
     assert cut_value(g, cut) <= opt + 1e-9
     assert cut_value(g, cut) <= bound
-    again, tag_again = solve_noisy(g, y, seed=seed)
+    again, tag_again = solve_noisy(g, y, seed=seed, **kwargs)
     assert (again.values.tobytes(), tag_again) == (cut.values.tobytes(), tag)
+
+    eta, eps_prime = kwargs["eta"], kwargs["eps_prime"]
+    delta = choose_delta(eps, eps_prime, kwargs["c_delta"])
+    candidates = {"gw": solve_gw(g, derive(seed, 2), derive(seed, 3), 20),
+                  "prediction": CutAssignment(values=y.y)}
+    if classify(g, delta, eta).is_wide:
+        wide = wide_lp_cut(g, y, delta, eta, eps_prime, seed=derive(seed, 0))
+        if wide is not None:
+            candidates["wide"] = wide
+    else:
+        candidates["narrow"] = solve_narrow(g, delta, eta, seed=derive(seed, 1))
+    values = {name: cut_value(g, c) for name, c in candidates.items()}
+    assert tag in values and values[tag] == cut_value(g, cut)
+    assert all(cut_value(g, cut) >= v for v in values.values())
 
 
 @settings(max_examples=30)

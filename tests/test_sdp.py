@@ -9,7 +9,6 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import minimize
 from scipy.stats import norm
 
 import predcut
@@ -17,11 +16,10 @@ from predcut.errors import DimensionError, ParameterError, ParseError
 from predcut.exact import exact_maxcut
 from predcut.graph import Graph, cut_value, gen_erdos_renyi
 from predcut.sdp import (SUBSET_TOL_FRAC, TRIANGLE_TOL, SdpConfig, SdpSolution, SubsetLadder,
-                         _PENALTY_OPTIONS, _ClassRows, _colour_classes, _coordinate_ascent,
-                         _csr_product, _negated_penalized, _one_opt, _penalty_continuation,
-                         _row_norms, _rt_thresholds, _subset_weights, _triangle_terms,
-                         hyperplane_round, load_solution, round_by_direction, rt_round,
-                         save_solution, sdp_objective, sdp_upper_bound, solve_sdp)
+                         _ClassRows, _colour_classes, _coordinate_ascent, _csr_product, _one_opt,
+                         _penalty_continuation, _row_norms, _rt_thresholds, _subset_weights,
+                         _triangle_terms, hyperplane_round, load_solution, round_by_direction,
+                         rt_round, save_solution, sdp_objective, sdp_upper_bound, solve_sdp)
 from predcut.seeds import derive
 
 from conftest import random_graph, three_sigma
@@ -315,21 +313,17 @@ def test_the_certified_exit_returns_the_earliest_best_rounding_at_the_optimum(n,
 
 
 @settings(max_examples=30)
-@given(n=st.integers(1, 14), p=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
-       change=st.sampled_from(["pin", "half"]), data=st.data())
-def test_pins_and_non_integer_weights_never_exit(n, p, change, data):
+@given(n=st.integers(1, 14), p=st.sampled_from([0.0, 0.3, 0.7, 1.0]), data=st.data())
+def test_non_integer_weights_never_exit(n, p, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31 - 1)))
-    g, pins = integer_weight_graph(rng, n, p), {}
-    if change == "pin":
-        pins = {int(rng.integers(n)): float(rng.choice([-1.0, 1.0]))}
+    g = integer_weight_graph(rng, n, p)
+    w = g.edge_w.copy()
+    if len(w):
+        w[int(rng.integers(len(w)))] += 0.5
+        g = Graph(n, np.column_stack([g.edge_i, g.edge_j, w]))
     else:
-        w = g.edge_w.copy()
-        if len(w):
-            w[int(rng.integers(len(w)))] += 0.5
-            g = Graph(n, np.column_stack([g.edge_i, g.edge_j, w]))
-        else:
-            g = Graph(max(n, 2), [(0, 1, 0.5)])
-    report = solve_sdp(g, SdpConfig(triangle=True, fixed_labels=pins)).feasibility_report
+        g = Graph(max(n, 2), [(0, 1, 0.5)])
+    report = solve_sdp(g, SdpConfig(triangle=True)).feasibility_report
     assert report["certified"] is False
 
 
@@ -405,9 +399,9 @@ def test_triangle_terms_match_a_per_triple_loop(n, chunk_elems):
     assert np.max(np.abs(dG - ref_dG)) <= 1e-12 * max(1.0, np.max(np.abs(ref_dG)))
 
 
-def continuation_case(rng, n, pinned_share, blend, k=None):
-    """Dense multiplier-adjusted weights (zero weights, isolated vertices), a free
-    mask and a start V blended from a random cut embedding as solve_sdp blends it."""
+def continuation_case(rng, n, blend, k=None):
+    """Dense multiplier-adjusted weights (zero weights, isolated vertices) and a
+    start V blended from a random cut embedding as solve_sdp blends it."""
     weights = [0.0, 1.0, 2.0, float(rng.uniform(0, 1))]
     g = Graph(n, [(i, j, weights[int(rng.integers(4))]) for i in range(n - 1)
                   for j in range(i + 1, n - 1) if rng.random() < 0.5])   # n - 1 isolated
@@ -419,95 +413,31 @@ def continuation_case(rng, n, pinned_share, blend, k=None):
     x = rng.choice([-1.0, 1.0], n)
     V = (1 - blend) * x[:, None] * v0[None, :] + blend * rng.standard_normal((n, k))
     V /= np.linalg.norm(V, axis=1, keepdims=True)
-    free = rng.random(n) >= pinned_share
-    V[~free] = x[~free, None] * v0[None, :]
-    return A, V, free, max(g.total_weight, 1.0)
+    return A, V, max(g.total_weight, 1.0)
 
 
 @settings(max_examples=30)
-@given(n=st.integers(3, 30), pinned_share=st.sampled_from([0.0, 0.2, 0.5]),
-       blend=st.sampled_from([0.02, 0.3, 1.0]), seed=st.integers(0, 2 ** 31 - 1))
-def test_penalty_rounds_keep_pins_and_unit_rows(n, pinned_share, blend, seed):
-    # pinned rows are not variables, so they keep their bits at +-v_0; the
-    # returned worst violation is the exhaustive one at the returned rows
-    A, V, free, scale = continuation_case(np.random.default_rng(seed), n, pinned_share, blend)
-    pinned_before = V[~free].copy()
-    worst, rounds = _penalty_continuation(A, V, free, scale)
-    assert V[~free].tobytes() == pinned_before.tobytes()
-    assert np.all(np.abs(V[~free, 0]) == 1.0) and not V[~free, 1:].any()
+@given(n=st.integers(3, 30), blend=st.sampled_from([0.02, 0.3, 1.0]),
+       seed=st.integers(0, 2 ** 31 - 1))
+def test_penalty_rounds_keep_unit_rows(n, blend, seed):
+    # the returned worst violation is the exhaustive one at the returned rows
+    A, V, scale = continuation_case(np.random.default_rng(seed), n, blend)
+    worst, rounds = _penalty_continuation(A, V, scale)
     assert np.max(np.abs(np.linalg.norm(V, axis=1) - 1.0)) <= 1e-12
     assert worst <= TRIANGLE_TOL or rounds == 50
-    assert 1 <= rounds <= 50 if free.any() else rounds == 0
+    assert 1 <= rounds <= 50
     assert worst == _triangle_terms(V)[1]
     assert worst == pytest.approx(max_triangle_violation(synthetic_solution(V)), rel=0, abs=1e-12)
 
 
-def eager_penalty_continuation(A, V, free_mask, scale):
-    """_penalty_continuation with a fresh kernel pass for each round's worst violation."""
-    n, k = V.shape
-    free = np.flatnonzero(free_mask)
-    if not free.size:
-        return _triangle_terms(V)[1], 0
-    rho = max(1.0, scale / max(n, 1))
-    worst, rounds = np.inf, 0
-    while worst > TRIANGLE_TOL and rounds < 50:
-        res = minimize(_negated_penalized, V[free].ravel(),
-                       args=(A, V, free, rho, scale, [None, None]),
-                       jac=True, method="L-BFGS-B", options=_PENALTY_OPTIONS)
-        U = res.x.reshape(-1, k)
-        V[free] = U / _row_norms(U, keepdims=True)
-        worst = _triangle_terms(V)[1]
-        rho *= 2.0
-        rounds += 1
-    return worst, rounds
-
-
-@settings(max_examples=30)
-@given(n=st.integers(3, 30), pinned_share=st.sampled_from([0.0, 0.2, 0.5]),
-       blend=st.sampled_from([0.02, 0.3, 1.0]), seed=st.integers(0, 2 ** 31 - 1))
-def test_penalty_rounds_reuse_the_last_evaluated_worst_violation(n, pinned_share, blend, seed):
-    # reading the worst violation from the objective's last evaluation
-    # returns what a fresh kernel pass returns, and leaves the same rows
-    A, V, free, scale = continuation_case(np.random.default_rng(seed), n, pinned_share, blend)
-    W = V.copy()
-    assert _penalty_continuation(A, V, free, scale) == eager_penalty_continuation(A, W, free, scale)
-    assert V.tobytes() == W.tobytes()
-
-
-@pytest.mark.parametrize("n", [3, 8, 17, 30])
-@pytest.mark.parametrize("pinned", [False, True])
-def test_triangle_solves_match_the_eager_worst_violation_read(monkeypatch, n, pinned):
-    # uniform weights keep the unpinned solves out of the certified exit
-    g = gen_erdos_renyi(n, 0.6, "uniform", seed=n)
-    cfg = SdpConfig(triangle=True, seed=n, fixed_labels={0: 1, n - 1: -1} if pinned else {})
-    lazy = solve_sdp(g, cfg)
-    monkeypatch.setattr(predcut.sdp, "_penalty_continuation", eager_penalty_continuation)
-    eager = solve_sdp(g, cfg)
-    assert lazy.feasibility_report["penalty_rounds"] >= 1
-    assert lazy.feasibility_report == eager.feasibility_report
-    assert lazy.vectors.tobytes() == eager.vectors.tobytes()
-
-
-def test_rounded_floor_and_pinned_triangle_solves_still_run_the_plain_ascent():
-    # every floor rounds the plain vectors, so every triangle solve with a
-    # free vertex runs the plain ascent, whatever n
+def test_rounded_floor_triangle_solves_still_run_the_plain_ascent():
+    # every floor rounds the plain vectors, so every triangle solve runs the
+    # plain ascent, whatever n
     g22 = gen_erdos_renyi(22, 0.5, "planted", seed=0, q_cross=0.6, q_within=0.3)
     g12 = gen_erdos_renyi(12, 0.6, "uniform", seed=0)
-    for g, pins in ((g22, {}), (g12, {}), (g12, {0: 1}), (Graph(3, []), {})):
-        report = solve_sdp(g, SdpConfig(triangle=True, fixed_labels=pins)).feasibility_report
+    for g in (g22, g12, Graph(3, [])):
+        report = solve_sdp(g, SdpConfig(triangle=True)).feasibility_report
         assert report["sweeps"] >= 1 and report["converged"]
-
-
-def test_fully_pinned_triangle_solve_runs_no_penalty_round():
-    # no row is free, so no round runs and every row stays at its pin
-    g = gen_erdos_renyi(9, 0.6, "uniform", seed=4)
-    pins = {v: (1 if v % 3 else -1) for v in range(g.n)}
-    sol = solve_sdp(g, SdpConfig(triangle=True, fixed_labels=pins))
-    report = sol.feasibility_report
-    assert report["penalty_rounds"] == 0 and report["fallback"] is False
-    for v, s in pins.items():
-        assert np.array_equal(sol.vertex_vectors[v], s * sol.v0)
-    assert report["triangle"] == max_triangle_violation(sol) == 0.0
 
 
 def test_sdp_module_does_not_reference_the_exact_oracle():
@@ -550,17 +480,41 @@ def test_triangle_sdp_refuses_graphs_above_the_limit():
 
 def test_triangle_config_with_a_subset_is_refused():
     g = gen_erdos_renyi(8, 0.6, "unit", seed=0)
-    cfg = SdpConfig(triangle=True, subset_constraint=(np.arange(2), 1.0))
     with pytest.raises(ParameterError, match="subset"):
-        solve_sdp(g, cfg)
+        solve_sdp(g, SdpConfig(triangle=True, subset_constraint=(np.arange(2), 1.0)))
     with pytest.raises(ParameterError, match="subset"):
-        SubsetLadder(g, np.arange(2), cfg)
-    with pytest.raises(ParameterError, match="subset"):
-        SubsetLadder(g, [], SdpConfig(triangle=True))
-    # the ladder solves the plain relaxation only, so it refuses a triangle
-    # config without a subset too, rather than return the plain solution
-    with pytest.raises(ParameterError, match="triangle"):
-        SubsetLadder(g, None, SdpConfig(triangle=True))
+        solve_sdp(g, SdpConfig(triangle=True, subset_constraint=([], 0.0)))
+
+
+def test_triangle_config_with_pins_is_refused_before_any_sweep(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a triangle config with pins ran an ascent sweep")
+
+    monkeypatch.setattr(predcut.sdp, "_coordinate_ascent", no_solve)
+    g = gen_erdos_renyi(8, 0.6, "unit", seed=0)
+    with pytest.raises(ParameterError, match="no pins"):
+        solve_sdp(g, SdpConfig(triangle=True, fixed_labels={0: 1}))
+
+
+def test_only_solve_sdp_reads_the_config_options():
+    # SdpConfig's constraint fields are read in one place; the ladder and the
+    # triangle stage take the pins and the seed as arguments
+    import ast
+    readers = []
+
+    def visit(node, owner):
+        if isinstance(node, ast.FunctionDef):
+            owner = node.name
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and node.attr in ("fixed_labels", "subset_constraint", "triangle")):
+            readers.append((owner, node.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for path in sorted(Path(predcut.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), None)
+    assert {owner for owner, _ in readers} == {"solve_sdp"}
+    assert {attr for _, attr in readers} == {"fixed_labels", "subset_constraint", "triangle"}
 
 
 @settings(max_examples=30)
@@ -798,7 +752,7 @@ def test_relaxation_dominates_exact_with_unit_vectors(n, p, law, seed):
 
 @settings(max_examples=80)
 @given(n=st.integers(1, 12), p=st.sampled_from([0.0, 0.4, 0.9]),
-       kind=st.sampled_from(["plain", "pinned", "subset", "triangle", "pinned triangle"]),
+       kind=st.sampled_from(["plain", "pinned", "subset", "triangle"]),
        data=st.data())
 def test_upper_bound_dominates_the_exact_cut_and_the_objective(n, p, kind, data):
     # no edges, zero-weight edges and isolated vertices; the bound holds for
@@ -810,7 +764,7 @@ def test_upper_bound_dominates_the_exact_cut_and_the_objective(n, p, kind, data)
              if not (isolated[i] or isolated[j]) and rng.random() < p]
     g = Graph(n, edges)
     pins = {}
-    if "pinned" in kind:
+    if kind == "pinned":
         pins = {int(v): float(rng.choice([-1.0, 1.0]))
                 for v in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)}
     subset = None
@@ -818,7 +772,7 @@ def test_upper_bound_dominates_the_exact_cut_and_the_objective(n, p, kind, data)
         idx = np.flatnonzero(rng.random(len(edges)) < 0.5)
         subset = (idx, float(rng.uniform(0, 1)) * float(g.edge_w[idx].sum()))
     sol = solve_sdp(g, SdpConfig(fixed_labels=pins, subset_constraint=subset,
-                                 triangle="triangle" in kind, seed=int(rng.integers(1000))))
+                                 triangle=kind == "triangle", seed=int(rng.integers(1000))))
     bound = sdp_upper_bound(g, sol)
     opt, _ = exact_maxcut(g)
     assert bound >= opt
@@ -1002,8 +956,11 @@ def test_library_does_not_import_scipy_stats():
 def per_tau_reference(g, pins, subset, tau, seed):
     """The multiplier search of one tau, as solve_sdp ran it before the ladder was shared.
 
-    Every run forms scipy's A + l * A_sub and slices its colour-class rows.
-    Returns (vertex rows, sweeps, converged, feasible at tau, multiplier).
+    Every run forms scipy's A + l * A_sub and slices its colour-class rows,
+    and stops by the README's rule: two sweeps in a row, not counting the
+    first, whose gain sum_i ||u_i|| (1 - <v_i new, v_i old>) is below the
+    tolerance. Returns (vertex rows, sweeps, converged, feasible at tau,
+    multiplier).
     """
     n = g.n
     k = int(np.ceil(np.sqrt(2 * n))) + 1
@@ -1028,22 +985,23 @@ def per_tau_reference(g, pins, subset, tau, seed):
             runs.append((0, True))
             return value()
         M = A + l * subset_matrix(g, subset)
-        blocks, prev, quiet = [M[c] for c in classes], None, 0
+        blocks, quiet = [M[c] for c in classes], 0
         for sweep in range(1, 1501):
+            norms, dots = [], []
             for c, B in zip(classes, blocks):
+                old = V[c]
                 U = B @ V
                 nrm = np.linalg.norm(U, axis=1)
                 ok = nrm > 1e-300
                 V[c[ok]] = -U[ok] / nrm[ok, None]
-            obj = -0.5 * float(np.einsum("ik,ik->", V, M @ V))
-            if prev is not None and obj - prev < tol_abs:
-                quiet += 1
-                if quiet >= 2:
-                    runs.append((sweep, True))
-                    return value()
-            else:
-                quiet = 0
-            prev = obj
+                norms.append(nrm)
+                dots.append(np.einsum("ik,ik->i", V[c], old))
+            # the gain of the README's stopping rule, read from the row updates
+            gain = float(np.concatenate(norms) @ (1.0 - np.concatenate(dots)))
+            quiet = quiet + 1 if gain < tol_abs and sweep > 1 else 0
+            if quiet >= 2:
+                runs.append((sweep, True))
+                return value()
         runs.append((1500, False))
         return value()
 
@@ -1090,17 +1048,16 @@ def test_shared_ladder_equals_a_single_tau_solve_per_tau(n, data):
         revealed = rng.random(n) < 0.3          # a subset that is not the pins' edges
     subset = np.flatnonzero(revealed[g.edge_i] | revealed[g.edge_j])
     seed = int(rng.integers(0, 1000))
-    cfg = SdpConfig(fixed_labels=pins, seed=seed)
     # taus between consecutive rung values of a probe ladder bisect at the
     # later rung; the subset's weight is met late or by no rung
     reach = min(float(np.sum(g.edge_w[subset])), g.total_weight)
-    probe = SubsetLadder(g, subset, cfg)
+    probe = SubsetLadder(g, subset, pins, seed)
     probe.solve(reach)
     values = [r[1] for r in probe.rungs]
     taus = [0.0, reach] + [min(f * reach, g.total_weight) for f in rng.uniform(0.0, 1.1, 2)]
     taus += [0.5 * (a + b) for a, b in zip(values, values[1:]) if b > a + 1e-3][:3]
     rng.shuffle(taus)
-    ladder = SubsetLadder(g, subset, cfg)
+    ladder = SubsetLadder(g, subset, pins, seed)
     for tau in taus:
         shared = ladder.solve(tau)
         alone = solve_sdp(g, SdpConfig(fixed_labels=pins, seed=seed,
@@ -1121,8 +1078,8 @@ def test_ladder_reports_rungs_and_multiplier():
     # 3.75 bisects between rungs and 4.0 is met by no rung
     g = gen_erdos_renyi(12, 0.6, "uniform", seed=0)
     subset = np.flatnonzero(np.isin(g.edge_i, [0, 3]) | np.isin(g.edge_j, [0, 3]))
-    cfg = SdpConfig(fixed_labels={0: 1, 3: -1})
-    ladder = SubsetLadder(g, subset, cfg)
+    pins = {0: 1, 3: -1}
+    ladder = SubsetLadder(g, subset, pins)
     reports = {tau: ladder.solve(tau).feasibility_report for tau in (4.0, 0.0, 3.75, 2.0)}
     assert (reports[2.0]["rungs"], reports[2.0]["multiplier"]) == (1, 0.0)
     assert reports[0.0] == reports[2.0] | {"subset": 0.0}
@@ -1132,12 +1089,11 @@ def test_ladder_reports_rungs_and_multiplier():
     assert (reports[4.0]["rungs"], reports[4.0]["multiplier"]) == (22, 2.0 ** 20)
     assert len(ladder.rungs) == 22
     for tau, report in reports.items():
-        alone = solve_sdp(g, SdpConfig(fixed_labels={0: 1, 3: -1},
-                                       subset_constraint=(subset, tau)))
+        alone = solve_sdp(g, SdpConfig(fixed_labels=pins, subset_constraint=(subset, tau)))
         assert alone.feasibility_report == report
     # a plain solve reports neither key; an empty subset has rung 0 alone
-    assert "rungs" not in solve_sdp(g, cfg).feasibility_report
-    empty = SubsetLadder(g, [], cfg)
+    assert "rungs" not in solve_sdp(g, SdpConfig(fixed_labels=pins)).feasibility_report
+    empty = SubsetLadder(g, [], pins)
     assert empty.solve(0.0).feasibility_report["rungs"] == 1
     assert not empty.solve(1.0).feasible_at_tau
     assert (empty.solve(1.0).feasibility_report["multiplier"], len(empty.rungs)) == (0.0, 1)
