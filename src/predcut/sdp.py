@@ -42,11 +42,14 @@ combine; the triangle inequalities take neither:
     TRIANGLE_LIMIT vertices. One penalty run starts from a perturbed
     embedding of a floor cut, the best of 20 one-opt hyperplane roundings
     of the plain solution, and the result never falls below that cut.
-    With integer weights, a rounding whose cut reaches the floor of the
-    Poljak-Rendl bound (sdp_upper_bound's arithmetic, at the plain
-    solution) is a maximum cut: the stage then returns its embedding with
-    no penalty round, reported `certified`. Each penalty round is one
-    L-BFGS-B minimization (scipy.optimize) of the negated penalized
+    The floor cut's room is (B - cut) / max(W, 1), B the Poljak-Rendl
+    bound (sdp_upper_bound's arithmetic, at the plain solution). When the
+    room is at most CERTIFIED_ROOM, or when the weights are integers and
+    the cut reaches floor(B + 1e-9), which makes it a maximum cut, the
+    stage returns the cut's embedding with no penalty round, reported
+    `certified`. Otherwise the first penalty weight is max(1, W/n) times
+    max(1, room / TRIANGLE_TOL) (see _triangle_solve). Each penalty round
+    is one L-BFGS-B minimization (scipy.optimize) of the negated penalized
     objective over every row, written as V_i = U_i / ||U_i||. One kernel
     returns the penalty, the worst violation and the gradient from a
     single pass over each chunk of about TRIANGLE_CHUNK hinge elements. It
@@ -74,6 +77,7 @@ from .seeds import derive
 
 TRIANGLE_LIMIT = 200
 TRIANGLE_TOL = 1e-3
+CERTIFIED_ROOM = 1e-6        # a floor cut within this share of max(W, 1) of the bound is returned
 SUBSET_TOL_FRAC = 1e-4
 TRIANGLE_CHUNK = 1 << 18     # hinge elements per pass of _triangle_terms
 ZERO_PERP_TOL = 1e-9
@@ -358,17 +362,16 @@ def _one_opt(A, x):
     return x
 
 
-def _penalty_continuation(A, V, scale):
+def _penalty_continuation(A, V, scale, rho):
     """Doubling penalty rounds on V, in place, until the worst violation is at most TRIANGLE_TOL.
 
-    Round r minimizes -(objective - rho * penalty) / scale, rho = max(1,
-    scale / n) * 2^r, by L-BFGS-B over every row, each written as
-    V_i = U_i / ||U_i|| for an unconstrained U_i (the Burer-Monteiro
+    Round r minimizes -(objective - rho_r * penalty) / scale, rho_r = rho *
+    2^r for the start weight rho, by L-BFGS-B over every row, each written
+    as V_i = U_i / ||U_i|| for an unconstrained U_i (the Burer-Monteiro
     factorization). A round starts where the previous one ended. At least
     one round runs, and at most 50. Returns (worst violation, rounds run).
     """
-    n, k = V.shape
-    rho = max(1.0, scale / max(n, 1))
+    k = V.shape[1]
     worst, rounds = np.inf, 0
     while worst > TRIANGLE_TOL and rounds < 50:
         # a copy: the objective writes V
@@ -452,13 +455,25 @@ def _triangle_solve(g: Graph, seed) -> SdpSolution:
     own embedding is returned when the penalty run ends under it or misses
     the tolerance.
 
+    B, the Poljak-Rendl bound at rung 0's rows, bounds every cut, so the
+    floor cut's room = (B - floor cut) / max(W, 1) bounds its shortfall
+    (the pruning rule of Rendl, Rinaldi and Wiegele, 2010). Its embedding
+    is returned with no penalty round and `certified` True in two cases.
+    With any weights, when room <= CERTIFIED_ROOM: the cut is then within
+    1e-6 max(W, 1) of OPT, the tolerance acceptance criterion 1 allows.
     With integer weights summing to at most 2^53, every cut value is an
-    exact integer, so a cut that reaches goal = floor(B + 1e-9), B the
-    Poljak-Rendl bound at rung 0's rows, is a maximum cut (the pruning rule
-    of Rendl, Rinaldi and Wiegele, 2010). The roundings then stop at the
-    first that reaches goal, which no cut exceeds, so it is the cut
-    best_cut would pick from all 20, and its embedding is returned with no
-    penalty round and `certified` True.
+    exact integer, so a cut that reaches goal = floor(B + 1e-9) is a
+    maximum cut. The roundings then stop at the first that reaches goal,
+    which no cut exceeds, so it is the cut best_cut would pick from all 20.
+
+    Otherwise the first penalty weight is max(1, W/n) * max(1, room /
+    TRIANGLE_TOL), which is max(1, W/n) when room <= TRIANGLE_TOL. The
+    floor cut's embedding is a stationary point of the penalized objective
+    at every weight: the objective's gain away from it is second order in
+    the displacement and the tight triangles' squared hinge fourth order.
+    A round at a low weight therefore climbs out to a violation of about
+    room / rho, which the doublings then have to walk back; scaled by the
+    room, the first round ends near the tolerance.
     """
     n = g.n
     if n > TRIANGLE_LIMIT:
@@ -470,7 +485,8 @@ def _triangle_solve(g: Graph, seed) -> SdpSolution:
     P, _, run = plain._rung(0)
     w = g.edge_w
     integral = g.total_weight <= 2.0 ** 53 and bool(np.all(w == np.floor(w)))
-    goal = math.floor(_poljak_rendl(g, P, D) + 1e-9) if integral else math.inf
+    bound = _poljak_rendl(g, P, D)
+    goal = math.floor(bound + 1e-9) if integral else math.inf
 
     def roundings():
         for r in range(20):
@@ -482,9 +498,10 @@ def _triangle_solve(g: Graph, seed) -> SdpSolution:
 
     floor_cut = best_cut(g, roundings())
     floor_val = cut_value(g, floor_cut)
+    room = (bound - floor_val) / plain.scale
     # the floor cut's embedding: integral, so it violates no triangle inequality
     V_f = floor_cut.values[:, None] * v0[None, :]
-    if floor_val >= goal:
+    if floor_val >= goal or room <= CERTIFIED_ROOM:
         return _solution(g, v0, V_f, [run], {}, {"triangle": 0.0, "penalty_rounds": 0,
                                                  "fallback": False, "certified": True})
     # a barely-perturbed embedding of the floor cut starts near-feasible at
@@ -493,7 +510,8 @@ def _triangle_solve(g: Graph, seed) -> SdpSolution:
     noise = np.random.default_rng(derive(seed, 91)).standard_normal((n, k))
     V = (1 - blend) * V_f + blend * noise
     V /= np.linalg.norm(V, axis=1, keepdims=True)
-    worst, rounds = _penalty_continuation(D, V, plain.scale)
+    rho = max(1.0, plain.scale / n) * max(1.0, room / TRIANGLE_TOL)
+    worst, rounds = _penalty_continuation(D, V, plain.scale, rho)
     obj = _edge_contribution(g, V)
     fallback = worst > TRIANGLE_TOL or (obj < floor_val and _edge_contribution(g, V_f) >= obj)
     if fallback:
@@ -756,6 +774,8 @@ def load_solution(text: str) -> SdpSolution:
     """Parse save_solution's format, skipping blank and '#' lines; errors name the file line."""
     (header, head), *lines = _records(text)
     k, n = _typed(head, (int, int), "header 'k n'", header)
+    if k < 1 or n < 0:
+        raise ParseError(f"header needs k >= 1 and n >= 0, got k={k}, n={n}", line=header)
     if len(lines) != n + 1:
         raise ParseError(f"expected {n + 1} vector rows", line=header)
     rows = []

@@ -15,11 +15,12 @@ import predcut
 from predcut.errors import DimensionError, ParameterError, ParseError
 from predcut.exact import exact_maxcut
 from predcut.graph import Graph, cut_value, gen_erdos_renyi
-from predcut.sdp import (SUBSET_TOL_FRAC, TRIANGLE_TOL, SdpConfig, SdpSolution, SubsetLadder,
-                         _ClassRows, _colour_classes, _coordinate_ascent, _csr_product, _one_opt,
-                         _penalty_continuation, _row_norms, _rt_thresholds, _subset_weights,
-                         _triangle_terms, hyperplane_round, load_solution, round_by_direction,
-                         rt_round, save_solution, sdp_objective, sdp_upper_bound, solve_sdp)
+from predcut.sdp import (CERTIFIED_ROOM, SUBSET_TOL_FRAC, TRIANGLE_TOL, SdpConfig, SdpSolution,
+                         SubsetLadder, _ClassRows, _colour_classes, _coordinate_ascent,
+                         _csr_product, _one_opt, _penalty_continuation, _row_norms,
+                         _rt_thresholds, _subset_weights, _triangle_terms, hyperplane_round,
+                         load_solution, round_by_direction, rt_round, save_solution,
+                         sdp_objective, sdp_upper_bound, solve_sdp)
 from predcut.seeds import derive
 
 from conftest import random_graph, three_sigma
@@ -225,8 +226,8 @@ def test_triangle_constraints_enforced():
 
 
 def test_report_counts_penalty_rounds():
-    # every weight 1.5 keeps C5 out of the certified exit, which takes
-    # integer weights only
+    # every weight 1.5 keeps C5 out of the certified exit: its cut values
+    # are not integers, and its best cut, 6, lies 0.78 under the bound
     c5 = Graph(5, [(i, (i + 1) % 5, 1.5) for i in range(5)])
     report = solve_sdp(c5, SdpConfig(triangle=True)).feasibility_report
     # the floor cut's perturbed embedding violates the triangle family; one
@@ -314,7 +315,10 @@ def test_the_certified_exit_returns_the_earliest_best_rounding_at_the_optimum(n,
 
 @settings(max_examples=30)
 @given(n=st.integers(1, 14), p=st.sampled_from([0.0, 0.3, 0.7, 1.0]), data=st.data())
-def test_non_integer_weights_never_exit(n, p, data):
+def test_non_integer_weights_exit_only_within_the_certified_room(n, p, data):
+    # with a non-integer weight the stage exits exactly when its best
+    # rounding lies within CERTIFIED_ROOM * max(W, 1) of the bound, and then
+    # returns that rounding's embedding, at the floor cut's value
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31 - 1)))
     g = integer_weight_graph(rng, n, p)
     w = g.edge_w.copy()
@@ -323,8 +327,29 @@ def test_non_integer_weights_never_exit(n, p, data):
         g = Graph(n, np.column_stack([g.edge_i, g.edge_j, w]))
     else:
         g = Graph(max(n, 2), [(0, 1, 0.5)])
-    report = solve_sdp(g, SdpConfig(triangle=True)).feasibility_report
-    assert report["certified"] is False
+    seed = int(rng.integers(1000))
+    sol = solve_sdp(g, SdpConfig(triangle=True, seed=seed))
+    report = sol.feasibility_report
+    best, best_val = floor_rounding(g, seed)
+    bound = sdp_upper_bound(g, solve_sdp(g, SdpConfig(seed=seed)))
+    room = (bound - best_val) / max(g.total_weight, 1.0)
+    assert report["certified"] is bool(room <= CERTIFIED_ROOM)
+    if report["certified"]:
+        assert sol.objective_value == pytest.approx(best_val, rel=1e-12, abs=0)
+        assert report["penalty_rounds"] == 0 and report["triangle"] == 0.0
+        assert sol.vertex_vectors.tobytes() == (best[:, None] * sol.v0[None, :]).tobytes()
+
+
+def test_a_sparse_uniform_graph_meets_the_tolerance_in_one_round():
+    # the start weight scaled by the floor cut's room lets the first round
+    # end within the tolerance; the weight max(1, W/n) alone took two
+    g = gen_erdos_renyi(60, 10 / 60, "uniform", seed=60000)
+    _, floor_val = floor_rounding(g, 0)
+    sol = solve_sdp(g, SdpConfig(triangle=True))
+    report = sol.feasibility_report
+    assert report["certified"] is False and report["penalty_rounds"] == 1
+    assert report["triangle"] <= TRIANGLE_TOL
+    assert sol.objective_value >= floor_val
 
 
 def test_triangle_sdp_on_an_odd_cycle_with_chords():
@@ -418,11 +443,12 @@ def continuation_case(rng, n, blend, k=None):
 
 @settings(max_examples=30)
 @given(n=st.integers(3, 30), blend=st.sampled_from([0.02, 0.3, 1.0]),
-       seed=st.integers(0, 2 ** 31 - 1))
-def test_penalty_rounds_keep_unit_rows(n, blend, seed):
-    # the returned worst violation is the exhaustive one at the returned rows
+       rho=st.sampled_from([1.0, 7.5, 300.0, 1e5]), seed=st.integers(0, 2 ** 31 - 1))
+def test_penalty_rounds_keep_unit_rows(n, blend, rho, seed):
+    # the returned worst violation is the exhaustive one at the returned
+    # rows, whatever the start weight
     A, V, scale = continuation_case(np.random.default_rng(seed), n, blend)
-    worst, rounds = _penalty_continuation(A, V, scale)
+    worst, rounds = _penalty_continuation(A, V, scale, rho)
     assert np.max(np.abs(np.linalg.norm(V, axis=1) - 1.0)) <= 1e-12
     assert worst <= TRIANGLE_TOL or rounds == 50
     assert 1 <= rounds <= 50
@@ -581,6 +607,11 @@ def test_solution_file_errors_name_the_file_line():
         load_solution(text.replace("0.0 x", "0.0 1.0 0.0"))
     with pytest.raises(ParseError, match="line 2: expected 3 vector rows"):
         load_solution(text.replace("0.0 x\n", ""))
+    for header in ("3 -1", "0 2", "-1 0"):
+        with pytest.raises(ParseError, match="line 2: header needs k >= 1 and n >= 0"):
+            load_solution(text.replace("2 2", header))
+    with pytest.raises(ParseError, match="line 1: header needs k >= 1 and n >= 0"):
+        load_solution("3 -1\n")
     assert load_solution(text.replace("0.0 x", "1.0 0.0")).vectors.shape == (3, 2)
 
 
