@@ -260,7 +260,25 @@ def _file_lines(header, rows):
 
 def best_cut(g: Graph, cuts) -> CutAssignment:
     """The earliest of the cuts with the largest cut_value."""
-    return max(cuts, key=lambda c: cut_value(g, c))
+    return _best_until(g, cuts, float("inf"))
+
+
+def _best_until(g: Graph, cuts, goal) -> CutAssignment:
+    """best_cut of the cuts drawn up to the first whose value reaches goal.
+
+    With goal at least every cut's value, that first cut is a maximum, so
+    it is also the earliest best of all the cuts, and no later one is drawn.
+    """
+    best, best_val = None, -float("inf")
+    for cut in cuts:
+        val = cut_value(g, cut)
+        if val > best_val:
+            best, best_val = cut, val
+        if val >= goal:
+            break
+    if best is None:
+        raise ValueError("best_cut needs at least one cut")
+    return best
 
 
 def cut_value(g: Graph, x) -> float:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, ParameterError
-from .graph import CutAssignment, Graph, best_cut, cut_value, _values_of
-from .sdp import SdpConfig, SdpSolution, solve_sdp
+from .graph import CutAssignment, Graph, _best_until, _values_of, cut_value
+from .sdp import SdpConfig, SdpSolution, _cut_goal, solve_sdp
 from .seeds import derive
 
 
@@ -98,13 +98,22 @@ def solve_narrow(g: Graph, delta: float, eta: float, seed=0, restarts: int = 20)
 
     A restart projects the vectors on its direction once and takes the
     rounding and flip_step's flips from that projection, with no contract
-    check; with no vertex in the band it keeps the rounding as it is.
+    check; with no vertex in the band it keeps the rounding as it is. The
+    restarts stop at the first cut that reaches the goal of the triangle
+    solve's `bound` (integer weights only, sdp._cut_goal): that cut is a
+    maximum cut, so it is also the earliest best of all the restarts.
     """
+    return _narrow_cut(g, delta, eta, seed, restarts)[0]
+
+
+def _narrow_cut(g: Graph, delta, eta, seed, restarts):
+    """solve_narrow's cut and the goal it was held to; a cut at the goal is a maximum cut."""
     if restarts < 1:
         raise ParameterError(f"restarts must be >= 1, got {restarts}")
     band = fkl_band_width(delta, eta)
     sol = solve_sdp(g, SdpConfig(triangle=True, seed=derive(seed, 0)))
     V = sol.vertex_vectors
+    goal = _cut_goal(g, sol.feasibility_report.get("bound", math.inf))
 
     def restart(r):
         proj = V @ np.random.default_rng(derive(seed, 1, r)).standard_normal(sol.dim)
@@ -114,4 +123,4 @@ def solve_narrow(g: Graph, delta: float, eta: float, seed=0, restarts: int = 20)
             x = _band_flips(g, x, in_band)[0]
         return CutAssignment(values=x)
 
-    return best_cut(g, (restart(r) for r in range(restarts)))
+    return _best_until(g, (restart(r) for r in range(restarts)), goal), goal

@@ -1,9 +1,11 @@
 """Dispatching solver for noisy predictions.
 
 Classifies the graph at delta = ceil(c_delta / (eps eps')^2), runs the
-wide or narrow specialist accordingly, always also runs plain GW rounding
-and the raw prediction as candidate cuts, and returns the best. The
-result can only improve on any of its candidates.
+wide or narrow specialist accordingly, adds plain GW rounding and the raw
+prediction as candidate cuts, and returns the best. GW is skipped only
+when the narrow cut reaches its goal, which proves it a maximum cut that
+GW could at best tie. The result can only improve on any of its
+candidates.
 """
 
 from __future__ import annotations
@@ -11,8 +13,8 @@ from __future__ import annotations
 import math
 
 from .errors import ParameterError
-from .graph import CutAssignment, Graph, best_cut, classify
-from .narrow import solve_narrow
+from .graph import CutAssignment, Graph, best_cut, classify, cut_value
+from .narrow import _narrow_cut
 from .predictions import NoisyPrediction, _check_length
 from .sdp import solve_gw
 from .seeds import derive
@@ -40,22 +42,29 @@ def solve_noisy(g: Graph, y: NoisyPrediction, eta: float = 0.05, eps_prime: floa
     Returns (cut, tag) where tag names the winning branch; ties resolve by
     the fixed priority wide > narrow > gw > prediction. A wide graph whose
     LP comes back infeasible adds no wide candidate, since GW and the
-    prediction are candidates already. A narrow graph above
-    sdp.TRIANGLE_LIMIT vertices raises ParameterError, and a prediction of
-    the wrong length DimensionError, before any solve.
+    prediction are candidates already. A narrow cut that reaches the goal
+    of its triangle solve's bound is a maximum cut, which GW's can at best
+    tie, so no GW candidate is built then. A narrow_restarts or
+    gw_roundings below 1, a narrow graph above sdp.TRIANGLE_LIMIT vertices
+    (ParameterError) and a prediction of the wrong length (DimensionError)
+    are refused before any solve.
     """
+    for name, count in (("narrow_restarts", narrow_restarts), ("gw_roundings", gw_roundings)):
+        if count < 1:
+            raise ParameterError(f"{name} must be >= 1, got {count}")
     _check_length(y, g.n)
     delta = choose_delta(y.epsilon, eps_prime, c_delta)
     report = classify(g, delta, eta)
-    candidates = {}
+    candidates, proven = {}, False
     if report.is_wide:
         wide = wide_lp_cut(g, y, delta, eta, eps_prime, rounding=rounding, seed=derive(seed, 0))
         if wide is not None:
             candidates["wide"] = wide
     else:
-        candidates["narrow"] = solve_narrow(g, delta, eta, seed=derive(seed, 1),
-                                            restarts=narrow_restarts)
-    candidates["gw"] = solve_gw(g, derive(seed, 2), derive(seed, 3), gw_roundings)
+        narrow, goal = _narrow_cut(g, delta, eta, derive(seed, 1), narrow_restarts)
+        candidates["narrow"], proven = narrow, cut_value(g, narrow) >= goal
+    if not proven:
+        candidates["gw"] = solve_gw(g, derive(seed, 2), derive(seed, 3), gw_roundings)
     candidates["prediction"] = CutAssignment(values=y.y.copy())
     # insertion order is the tie priority
     best = best_cut(g, candidates.values())

@@ -45,9 +45,14 @@ combine; the triangle inequalities take neither:
     The floor cut's room is (B - cut) / max(W, 1), B the Poljak-Rendl
     bound (sdp_upper_bound's arithmetic, at the plain solution). When the
     room is at most CERTIFIED_ROOM, or when the weights are integers and
-    the cut reaches floor(B + 1e-9), which makes it a maximum cut, the
-    stage returns the cut's embedding with no penalty round, reported
-    `certified`. Otherwise the first penalty weight is max(1, W/n) times
+    the cut reaches floor(B + 1e-9) (_cut_goal), which makes it a maximum
+    cut, the stage returns the cut's embedding with no penalty round,
+    reported `certified`. With integer weights the plain ascent checks
+    that rule as it runs, after sweeps 2, 4, 8, ..., on one rounding of
+    its current rows, and the first check that certifies ends the stage.
+    The report holds B as `bound`; solve_narrow and solve_noisy hold their
+    cuts to its _cut_goal to stop their restarts and to skip the GW
+    candidate. Otherwise the first penalty weight is max(1, W/n) times
     max(1, room / TRIANGLE_TOL) (see _triangle_solve). Each penalty round
     is one L-BFGS-B minimization (scipy.optimize) of the negated penalized
     objective over every row, written as V_i = U_i / ||U_i||. One kernel
@@ -72,7 +77,7 @@ from scipy.sparse.linalg import eigsh
 from scipy.special import ndtri
 
 from .errors import DimensionError, ParameterError, ParseError
-from .graph import CutAssignment, Graph, _records, _typed, best_cut, cut_value
+from .graph import CutAssignment, Graph, _best_until, _records, _typed, best_cut, cut_value
 from .seeds import derive
 
 TRIANGLE_LIMIT = 200
@@ -199,8 +204,8 @@ class _ClassRows:
 
     A sweep works on V in the run's layout, perm: the free rows class by
     class, then the pinned rows. indptr, indices and data hold the free
-    rows of M in that order, taken with one row slice of A, so they keep
-    A's sparsity pattern and stored order, with their column indices
+    rows of M in that order, gathered run by run from A's stored rows, so
+    they keep A's sparsity pattern and stored order, with their column indices
     remapped to the layout. Class c is rows r0 to r1, one slice, kept as
     blocks[c] = (r0, r1, indptr[r0:r1 + 1]): its product with V[perm] is
     M[c] @ V bit for bit. set_multiplier(l) rewrites data in place with
@@ -215,16 +220,23 @@ class _ClassRows:
         n = A.shape[0]
         order = np.concatenate(classes) if classes else np.empty(0, dtype=np.intp)
         self.free = len(order)
-        self.perm = np.concatenate([order, np.setdiff1d(np.arange(n), order)])
+        pinned = np.ones(n, dtype=bool)
+        pinned[order] = False
+        self.perm = np.concatenate([order, np.flatnonzero(pinned)])
         cuts = np.cumsum([0] + [len(c) for c in classes]).tolist()
-        # positions in A.data of the free rows' entries, class by class
-        P = sp.csr_matrix((np.arange(A.nnz), A.indices, A.indptr), shape=A.shape)[order]
-        layout = np.empty(n, dtype=P.indices.dtype)
+        # positions in A.data of the free rows' entries, class by class: row
+        # r's stored run starts at A.indptr[order[r]] and lands at indptr[r]
+        starts = A.indptr[order]
+        counts = A.indptr[order + 1] - starts
+        self.indptr = np.zeros(self.free + 1, dtype=A.indices.dtype)
+        np.cumsum(counts, out=self.indptr[1:])
+        pos = np.repeat(starts - self.indptr[:-1], counts) + np.arange(self.indptr[-1])
+        layout = np.empty(n, dtype=A.indices.dtype)
         layout[self.perm] = np.arange(n)
-        self.indptr, self.indices = P.indptr, layout[P.indices]
+        self.indices = layout[A.indices[pos]]
         self.blocks = [(r0, r1, self.indptr[r0:r1 + 1]) for r0, r1 in zip(cuts[:-1], cuts[1:])]
-        self.a = A.data[P.data]
-        self.s = None if s is None else s[P.data]
+        self.a = A.data[pos]
+        self.s = None if s is None else s[pos]
         self.data = self.a.copy()
 
     def set_multiplier(self, l):
@@ -284,7 +296,7 @@ def _csr_product(indptr, indices, data, V, out):
     return out
 
 
-def _coordinate_ascent(rows, V, tol_abs, max_sweeps):
+def _coordinate_ascent(rows, V, tol_abs, max_sweeps, stop=None):
     """Block-coordinate ascent on the factorized relaxation, in place.
 
     `rows` is the _ClassRows of the (possibly multiplier-adjusted) weight
@@ -293,7 +305,12 @@ def _coordinate_ascent(rows, V, tol_abs, max_sweeps):
     updates the colour classes in turn (_ClassRows.sweep) and reports its
     gain from those updates, so no full product is formed. The ascent stops
     after two consecutive sweeps, not counting the first, each gaining less
-    than tol_abs. Returns (sweeps run, whether the tolerance was met).
+    than tol_abs. An optional stop(vertex rows) is asked after sweeps 2, 4,
+    8, ... that do not meet the tolerance, on a copy of the rows in vertex
+    order, and ends the run when it returns True; a run of S sweeps asks at
+    most log2(S) times, and a run that stop never ends is the run without
+    it. Returns (sweeps run, whether the tolerance was met or stop ended
+    the run).
     """
     if not rows.classes:
         return 0, True
@@ -302,11 +319,19 @@ def _coordinate_ascent(rows, V, tol_abs, max_sweeps):
     for sweep in range(1, max_sweeps + 1):
         # two consecutive low-gain sweeps guard the geometric tail of the gap
         quiet = quiet + 1 if rows.sweep(W) < tol_abs and sweep > 1 else 0
-        if quiet >= 2:
+        if quiet >= 2 or (stop is not None and sweep > 1 and sweep & (sweep - 1) == 0
+                          and stop(_unpermuted(W, rows.perm))):
             result = sweep, True
             break
     V[rows.perm] = W
     return result
+
+
+def _unpermuted(W, perm):
+    """The rows W, held in the layout perm, in vertex order."""
+    V = np.empty_like(W)
+    V[perm] = W
+    return V
 
 
 def _triangle_terms(V, chunk_elems=TRIANGLE_CHUNK):
@@ -461,10 +486,19 @@ def _triangle_solve(g: Graph, seed) -> SdpSolution:
     is returned with no penalty round and `certified` True in two cases.
     With any weights, when room <= CERTIFIED_ROOM: the cut is then within
     1e-6 max(W, 1) of OPT, the tolerance acceptance criterion 1 allows.
-    With integer weights summing to at most 2^53, every cut value is an
-    exact integer, so a cut that reaches goal = floor(B + 1e-9) is a
-    maximum cut. The roundings then stop at the first that reaches goal,
-    which no cut exceeds, so it is the cut best_cut would pick from all 20.
+    With integer weights, when the cut reaches _cut_goal(g, B), which makes
+    it a maximum cut. The roundings then stop at the first that reaches
+    the goal, which no cut exceeds, so it is the cut best_cut would pick
+    from all 20.
+
+    With integer weights the plain ascent also checks the certificate as it
+    runs (_coordinate_ascent's stop, after sweeps 2, 4, 8, ...): each check
+    takes B at the current rows and one one-opt rounding of them on stream
+    derive(seed, 90, 0), which updates an incumbent cut. The first check
+    whose incumbent reaches the goal of its B ends the ascent, and the
+    incumbent's embedding is returned as above, with that B. When no check
+    certifies, the ascent runs to its tolerance and the stage goes on from
+    there as it would with no check: checks only read the rows.
 
     Otherwise the first penalty weight is max(1, W/n) * max(1, room /
     TRIANGLE_TOL), which is max(1, W/n) when room <= TRIANGLE_TOL. The
@@ -479,31 +513,40 @@ def _triangle_solve(g: Graph, seed) -> SdpSolution:
     if n > TRIANGLE_LIMIT:
         raise ParameterError(f"the triangle SDP is limited to n <= {TRIANGLE_LIMIT}, got n={n}")
     plain = SubsetLadder(g, seed=seed)
-    v0, k = plain.v0, plain.k
-    # the bound and the penalty rounds work on dense weights
+    v0, k, P = plain.v0, plain.k, plain.V
+    # the bound, the roundings and the penalty rounds work on dense weights
     D = g.csr.toarray()
-    P, _, run = plain._rung(0)
-    w = g.edge_w
-    integral = g.total_weight <= 2.0 ** 53 and bool(np.all(w == np.floor(w)))
-    bound = _poljak_rendl(g, P, D)
-    goal = math.floor(bound + 1e-9) if integral else math.inf
 
-    def roundings():
-        for r in range(20):
-            proj = P @ np.random.default_rng(derive(seed, 90, r)).standard_normal(k)
-            cut = CutAssignment(values=_one_opt(D, np.where(proj > 0, 1.0, -1.0)))
-            yield cut
-            if integral and cut_value(g, cut) >= goal:
-                return
+    def rounding(V, r):
+        proj = V @ np.random.default_rng(derive(seed, 90, r)).standard_normal(k)
+        return CutAssignment(values=_one_opt(D, np.where(proj > 0, 1.0, -1.0)))
 
-    floor_cut = best_cut(g, roundings())
+    incumbent, top, certified_at = None, -math.inf, None
+
+    def check(V):
+        nonlocal incumbent, top, certified_at
+        bound, cut = _poljak_rendl(g, V, D), rounding(V, 0)
+        val = cut_value(g, cut)
+        if val > top:
+            incumbent, top = cut, val
+        if top >= _cut_goal(g, bound):
+            certified_at = bound
+        return certified_at is not None
+
+    run = plain._run(0.0, P, check if _integral(g) else None)
+    if certified_at is None:
+        bound = _poljak_rendl(g, P, D)
+        floor_cut = _best_until(g, (rounding(P, r) for r in range(20)), _cut_goal(g, bound))
+    else:
+        bound, floor_cut = certified_at, incumbent
     floor_val = cut_value(g, floor_cut)
     room = (bound - floor_val) / plain.scale
     # the floor cut's embedding: integral, so it violates no triangle inequality
     V_f = floor_cut.values[:, None] * v0[None, :]
-    if floor_val >= goal or room <= CERTIFIED_ROOM:
+    if floor_val >= _cut_goal(g, bound) or room <= CERTIFIED_ROOM:
         return _solution(g, v0, V_f, [run], {}, {"triangle": 0.0, "penalty_rounds": 0,
-                                                 "fallback": False, "certified": True})
+                                                 "fallback": False, "certified": True,
+                                                 "bound": bound})
     # a barely-perturbed embedding of the floor cut starts near-feasible at
     # the floor objective
     blend = 0.02
@@ -517,7 +560,30 @@ def _triangle_solve(g: Graph, seed) -> SdpSolution:
     if fallback:
         V, worst = V_f, 0.0
     return _solution(g, v0, V, [run], {}, {"triangle": float(worst), "penalty_rounds": rounds,
-                                           "fallback": fallback, "certified": False})
+                                           "fallback": fallback, "certified": False,
+                                           "bound": bound})
+
+
+def _integral(g: Graph) -> bool:
+    """Whether g's weights are integers with a degree sum of at most 2^53.
+
+    Every cut value is then an exact integer in float arithmetic.
+    """
+    w = g.edge_w
+    return g.total_weight <= 2.0 ** 53 and bool(np.all(w == np.floor(w)))
+
+
+def _cut_goal(g: Graph, bound) -> float:
+    """The value from which a cut of g is proven maximum by an upper bound on its maximum cut.
+
+    floor(bound + 1e-9) when g's weights are integral (_integral): no cut
+    exceeds it, so a cut that reaches it is a maximum cut. Otherwise, or
+    with no finite bound, inf, which no cut reaches. The one rule the
+    triangle stage, solve_narrow and solve_noisy hold their cuts to.
+    """
+    if not (math.isfinite(bound) and _integral(g)):
+        return math.inf
+    return math.floor(bound + 1e-9)
 
 
 # multipliers of the ladder's rungs: l = 0, 1, 2, 4, ..., 2^20
@@ -570,11 +636,11 @@ class SubsetLadder:
         self.rows = _ClassRows(g.csr, _colour_classes(g.csr, np.flatnonzero(free_mask)), s)
         self.rungs = []             # (V after the rung, subset value, (sweeps, converged))
 
-    def _run(self, l, V):
+    def _run(self, l, V, stop=None):
         """One coordinate-ascent run at multiplier l, in place; returns (sweeps, converged)."""
         if self.top:
             self.rows.set_multiplier(l)
-        return _coordinate_ascent(self.rows, V, SWEEP_TOL * self.scale, MAX_SWEEPS)
+        return _coordinate_ascent(self.rows, V, SWEEP_TOL * self.scale, MAX_SWEEPS, stop)
 
     def _value(self, V):
         return _edge_contribution(self.g, V, self.subset) if self.top else 0.0

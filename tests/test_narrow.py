@@ -168,3 +168,42 @@ def test_solve_narrow_equals_the_public_round_and_flip_loop(monkeypatch):
             assert got.values.tobytes() == best.values.tobytes()
         monkeypatch.undo()
     assert in_band > 0 and flipped > 0
+
+
+def test_the_restarts_stop_at_the_goal_with_the_cut_of_all_restarts(monkeypatch):
+    # integer weights: the restarts stop at the first cut that reaches the
+    # goal of the triangle solve's bound, and that cut is the one the
+    # public round and flip loop picks from all 20 restarts, bit for bit.
+    # An edgeless graph has bound 0 and goal 0, so its first restart stops
+    import predcut.narrow
+    graphs = [Graph(5, [])] + [
+        Graph(n, [(i, j, float(w)) for i in range(n) for j in range(i + 1, n)
+                  if (w := (i * 7 + j * 3 + n) % 4)])
+        for n in (6, 9, 12)] + [random_graph(np.random.default_rng(s), law="unit") for s in range(8)]
+    drawn, stopped = [], 0
+    real_derive = predcut.narrow.derive
+
+    def counting_derive(seed, *salts):
+        if salts[:1] == (1,):
+            drawn[-1] += 1
+        return real_derive(seed, *salts)
+
+    monkeypatch.setattr(predcut.narrow, "derive", counting_derive)
+    delta, eta = 1976, 0.05
+    band = fkl_band_width(delta, eta)
+    for t, g in enumerate(graphs):
+        sol = solve_sdp(g, SdpConfig(triangle=True, seed=derive(t, 0)))
+        best, best_val = None, -np.inf
+        for r in range(20):
+            gvec = np.random.default_rng(derive(t, 1, r)).standard_normal(sol.dim)
+            cut, _ = flip_step(g, round_by_direction(sol, gvec), sol, gvec, band)
+            if cut_value(g, cut) > best_val:
+                best, best_val = cut, cut_value(g, cut)
+        drawn.append(0)
+        got = solve_narrow(g, delta, eta, seed=t)
+        assert got.values.tobytes() == best.values.tobytes()
+        if best_val >= math.floor(sol.feasibility_report["bound"] + 1e-9):
+            stopped += drawn[-1] < 20
+        else:
+            assert drawn[-1] == 20
+    assert drawn[0] == 1 and stopped >= 3

@@ -288,3 +288,60 @@ def test_partial_solvers_against_the_exact_oracle(n, p, reveal, data):
         assert cut_value(g, cut) <= opt + 1e-9
         assert cut_value(g, cut) <= bound
         assert solve(g, y, seed=seed).values.tobytes() == cut.values.tobytes()
+
+
+@pytest.mark.parametrize("kwargs, name", [(dict(narrow_restarts=0), "narrow_restarts"),
+                                          (dict(gw_roundings=0), "gw_roundings"),
+                                          (dict(narrow_restarts=-2, gw_roundings=5),
+                                           "narrow_restarts")])
+def test_counts_below_one_are_refused_before_classify_or_any_solve(monkeypatch, kwargs, name):
+    import predcut.narrow
+    import predcut.pipeline
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("solve_noisy classified or solved before checking its counts")
+
+    for module, attr in ((sdp, "solve_sdp"), (predcut.narrow, "solve_sdp"),
+                         (predcut.pipeline, "classify"), (predcut.pipeline, "wide_lp_cut")):
+        monkeypatch.setattr(module, attr, no_work)
+    g = gen_erdos_renyi(100, 0.1, "uniform", seed=0)
+    y = sample_noisy(np.ones(g.n), 0.45, seed=1)
+    with pytest.raises(ParameterError, match=name):
+        solve_noisy(g, y, **kwargs)
+
+
+def test_gw_is_skipped_only_when_the_narrow_cut_is_proven_maximum(monkeypatch):
+    # integer weights with the defaults (narrow branch): when the narrow cut
+    # reaches the goal of its triangle solve's bound, no GW candidate is
+    # built, and the GW cut rebuilt from public calls is never above the
+    # returned cut; the cut and tag equal the full portfolio's, GW included
+    import predcut.pipeline
+    from predcut.graph import CutAssignment
+    from predcut.narrow import solve_narrow
+    from predcut.sdp import SdpConfig, solve_gw, solve_sdp
+    from predcut.seeds import derive
+    built = []
+    real_gw = predcut.pipeline.solve_gw
+    monkeypatch.setattr(predcut.pipeline, "solve_gw",
+                        lambda *a: built.append(1) or real_gw(*a))
+    eta, eps_prime = 0.05, 0.05
+    skipped = 0
+    for k in range(12):
+        n = 10 + k
+        g = gen_erdos_renyi(n, 0.0, "planted", seed=300 + k, q_cross=0.6, q_within=0.3)
+        y = sample_noisy(g.planted, 0.45, seed=400 + k)
+        delta = choose_delta(y.epsilon, eps_prime)
+        built.clear()
+        cut, tag = solve_noisy(g, y, seed=k)
+        tri = solve_sdp(g, SdpConfig(triangle=True, seed=derive(derive(k, 1), 0)))
+        narrow = solve_narrow(g, delta, eta, seed=derive(k, 1))
+        gw = solve_gw(g, derive(k, 2), derive(k, 3), 20)
+        full = {"narrow": narrow, "gw": gw, "prediction": CutAssignment(values=y.y)}
+        full_tag = max(full, key=lambda t: cut_value(g, full[t]))
+        assert (cut.values.tobytes(), tag) == (full[full_tag].values.tobytes(), full_tag)
+        proven = cut_value(g, narrow) >= math.floor(tri.feasibility_report["bound"] + 1e-9)
+        assert built == ([] if proven else [1])
+        if proven:
+            skipped += 1
+            assert cut_value(g, gw) <= cut_value(g, cut)
+    assert skipped >= 4

@@ -295,22 +295,55 @@ def floor_rounding(g, seed):
 @settings(max_examples=60)
 @given(n=st.integers(1, 14), p=st.sampled_from([0.0, 0.3, 0.7, 1.0]), data=st.data())
 def test_the_certified_exit_returns_the_earliest_best_rounding_at_the_optimum(n, p, data):
-    # unpinned integer weights: the stage exits exactly when its best
-    # rounding reaches floor(bound + 1e-9), and then that rounding's
-    # embedding, an optimal cut, is what it returns
+    # unpinned integer weights: a certified solve returns the +-v_0
+    # embedding of a maximum cut, its objective is exactly OPT and the goal
+    # of its reported bound is OPT; the stage certifies whenever its best
+    # end-of-ascent rounding reaches the goal of the plain bound, and an
+    # in-ascent check may certify earlier. An uncertified solve ran the
+    # ascent to its tolerance and took the floor path on the plain bound
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31 - 1)))
     g = integer_weight_graph(rng, n, p)
     seed = int(rng.integers(1000))
     sol = solve_sdp(g, SdpConfig(triangle=True, seed=seed))
     report = sol.feasibility_report
+    plain = solve_sdp(g, SdpConfig(seed=seed))
+    bound = sdp_upper_bound(g, plain)
     best, best_val = floor_rounding(g, seed)
-    goal = math.floor(sdp_upper_bound(g, solve_sdp(g, SdpConfig(seed=seed))) + 1e-9)
-    assert report["certified"] is (best_val >= goal)
+    goal = math.floor(bound + 1e-9)
+    opt = exact_maxcut(g)[0]
+    if best_val >= goal:
+        assert report["certified"] is True
     if report["certified"]:
-        assert sol.objective_value == exact_maxcut(g)[0] == best_val
+        x = np.where(sol.vertex_vectors @ sol.v0 > 0, 1.0, -1.0)
+        assert sol.vertex_vectors.tobytes() == (x[:, None] * sol.v0[None, :]).tobytes()
+        assert sol.objective_value == cut_value(g, x) == opt
+        assert math.floor(report["bound"] + 1e-9) == opt
         assert report["penalty_rounds"] == 0 and report["triangle"] == 0.0
         assert report["fallback"] is False
-        assert sol.vertex_vectors.tobytes() == (best[:, None] * sol.v0[None, :]).tobytes()
+        assert report["sweeps"] <= plain.feasibility_report["sweeps"]
+    else:
+        assert best_val < goal
+        assert report["bound"] == bound
+        assert report["sweeps"] == plain.feasibility_report["sweeps"]
+        assert report["penalty_rounds"] >= 1
+        if report["fallback"]:
+            assert sol.vertex_vectors.tobytes() == (best[:, None] * sol.v0[None, :]).tobytes()
+
+
+def test_the_in_ascent_check_certifies_before_the_plain_ascent_ends():
+    # the check after sweep 2 or 4 already proves a rounding of the current
+    # rows a maximum cut, where the plain solve at the same seed runs on to
+    # its tolerance; the check only reads the rows, so the plain ascent is
+    # the one a solve without checks runs
+    graphs = [gen_erdos_renyi(16, 0.5, "unit", seed=0),
+              gen_erdos_renyi(16, 0.5, "planted", seed=5, q_cross=0.6, q_within=0.3)]
+    for g in graphs:
+        sol = solve_sdp(g, SdpConfig(triangle=True))
+        report = sol.feasibility_report
+        plain = solve_sdp(g).feasibility_report
+        assert report["certified"] and report["converged"]
+        assert report["sweeps"] in (2, 4) and plain["sweeps"] > 8
+        assert sol.objective_value == exact_maxcut(g)[0]
 
 
 @settings(max_examples=30)
@@ -686,6 +719,37 @@ def test_colour_classes_partition_free_vertices_into_independent_sets():
         for i, j in zip(g.edge_i.tolist(), g.edge_j.tolist()):
             if i in colour and j in colour:
                 assert colour[i] != colour[j]
+
+
+@settings(max_examples=60)
+@given(n=st.integers(1, 20), p=st.sampled_from([0.0, 0.3, 0.8]), data=st.data())
+def test_class_rows_equal_the_scipy_row_slice(n, p, data):
+    # pins (vertices left out of the classes), isolated vertices, no edges
+    # and repeated subset edges: the gathered rows are scipy's row slice of
+    # A in class order, column indices remapped to the layout, bit for bit
+    # and dtype for dtype
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31 - 1)))
+    g = random_graph(rng, n=n) if p else Graph(n, [])
+    free = np.flatnonzero(rng.random(n) < 0.7)
+    classes = _colour_classes(g.csr, free)
+    sub = rng.integers(0, g.num_edges, int(rng.integers(0, 6))) if g.num_edges else None
+    s = None if sub is None else _subset_weights(g, sub)
+    rows = _ClassRows(g.csr, classes, s)
+    A = g.csr
+    order = np.concatenate(classes) if classes else np.empty(0, dtype=np.intp)
+    perm = np.concatenate([order, np.setdiff1d(np.arange(n), order)])
+    P = sp.csr_matrix((np.arange(A.nnz), A.indices, A.indptr), shape=A.shape)[order]
+    layout = np.empty(n, dtype=P.indices.dtype)
+    layout[perm] = np.arange(n)
+    expected = {"indptr": P.indptr, "indices": layout[P.indices], "a": A.data[P.data],
+                "data": A.data[P.data], "perm": perm}
+    if s is not None:
+        expected["s"] = s[P.data]
+    else:
+        assert rows.s is None
+    for name, want in expected.items():
+        got = getattr(rows, name)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
 def test_ascent_objective_never_decreases():
